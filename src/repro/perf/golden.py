@@ -6,7 +6,10 @@ SHA-256 digest of its canonicalised output.  The digests in
 ``tests/data/golden_digests.json`` were generated from the
 *pre-optimisation* code; ``tests/test_perf_golden.py`` recomputes them
 from the live code on every run, so any optimisation that changes a
-single output byte fails loudly.
+single output byte fails loudly.  The three ``cloud_replay_faulted*``
+digests were generated from the generator-coroutine task path that
+faulted cloud replays ran on before the table-driven task machine took
+them over.
 
 Regenerate (only when an output change is intended and understood)::
 
@@ -30,6 +33,9 @@ GOLDEN_SEED = 20150222
 SHARDED_SCALE = 0.0008
 SHARDED_SHARDS = 3
 SAMPLER_DRAWS = 4000
+#: Fleet size of the faulted cloud scenario that queues pre-downloads
+#: for VM slots.
+FAULTED_FLEET = 32
 
 
 def digest(payload: Any) -> str:
@@ -88,6 +94,47 @@ def cloud_replay() -> str:
     workload = WorkloadGenerator(config).generate()
     result = XuanfengCloud(CloudConfig(scale=GOLDEN_SCALE)).run(workload)
     return digest(cloud_payload(result))
+
+
+def _faulted_cloud_replay(policies, predownloader_count=None) -> str:
+    """The golden week under the default chaos plan.
+
+    The plan is ``default_chaos_plan()``, which is what
+    ``examples/chaos_plan.json`` holds.  Pins every task and flow plus
+    the injector's scoreboard, so a change to any retry, failover,
+    checkpoint or interrupt decision shows.
+    """
+    from repro.cloud import CloudConfig, XuanfengCloud
+    from repro.faults import FaultInjector
+    from repro.faults.plan import default_chaos_plan
+    from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+    config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+    workload = WorkloadGenerator(config).generate()
+    injector = FaultInjector(default_chaos_plan())
+    cloud = XuanfengCloud(
+        CloudConfig(scale=GOLDEN_SCALE,
+                    predownloader_count=predownloader_count),
+        faults=injector, policies=policies)
+    result = cloud.run(workload)
+    return digest([cloud_payload(result), injector.scoreboard()])
+
+
+def cloud_replay_faulted() -> str:
+    """Faulted week with the default retry/failover/checkpoint policies."""
+    from repro.faults import DEFAULT_POLICIES
+    return _faulted_cloud_replay(DEFAULT_POLICIES)
+
+
+def cloud_replay_faulted_bare() -> str:
+    """Faulted week with no recovery: every impact ends its task."""
+    return _faulted_cloud_replay(None)
+
+
+def cloud_replay_faulted_fleet() -> str:
+    """Faulted week on a finite pre-downloader fleet (slot waits)."""
+    from repro.faults import DEFAULT_POLICIES
+    return _faulted_cloud_replay(DEFAULT_POLICIES,
+                                 predownloader_count=FAULTED_FLEET)
 
 
 def ap_payload(results) -> list:
@@ -454,6 +501,9 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "workload_sequential": workload_sequential,
     "workload_sharded_jobs2": workload_sharded_jobs2,
     "cloud_replay": cloud_replay,
+    "cloud_replay_faulted": cloud_replay_faulted,
+    "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
+    "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
     "ap_replay": ap_replay,
     "engine_trace": engine_trace,
     "strategy_decisions": strategy_decisions,
