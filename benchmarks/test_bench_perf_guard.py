@@ -83,7 +83,7 @@ def test_trace_columnar_speedup_floor(report):
 
 
 def test_tripwire_stages_are_timed_without_baseline(report):
-    for name in ("ap_replay", "odr_replay"):
+    for name in ("cloud_replay_faulted", "ap_replay", "odr_replay"):
         result = report.stage(name)
         assert result.baseline_seconds is None
         assert result.speedup is None

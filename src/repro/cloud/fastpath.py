@@ -1,40 +1,59 @@
-"""Table-driven fast path for the cloud task loop.
+"""The cloud task machine: every task of a replay, as table-driven state.
 
-The generator coroutines in :mod:`repro.cloud.system` spend most of a
-fault-free replay inside engine dispatch: every task is a
-:class:`~repro.sim.engine.Process` whose ``send`` re-enters
-``_task``/``_predownload_phase``/``_fetch_phase`` at each hop.  This
-module replaces them with an explicit state machine: per-task state
-lives in preallocated parallel tables (phase codes, phase start times,
-wait deadlines, reserved flow rates) plus parallel object slots, and
-every hop is a plain scheduled callback that indexes into those tables
--- no generators, no Process objects, no ``yield`` plumbing.  Constant
+:class:`FastTaskMachine` is the one implementation of a cloud task, with
+and without fault injection.  Per-task state lives in preallocated
+parallel tables (phase codes, phase start times, wait deadlines,
+reserved flow rates) plus parallel object slots, and every hop is a
+plain scheduled callback that indexes into those tables -- no
+generators, no Process objects, no ``yield`` plumbing.  Constant
 columns (popularity flags, the arrival order) are batch-computed with
 numpy up front; the mutable per-event scalars live in plain Python
 lists, whose single-element reads/writes are several times cheaper
 than numpy fancy indexing.
 
-Bit-identity with the generator path is load-bearing (the golden
-digests pin it) and rests on two invariants:
+The machine replaced per-task generator coroutines, and its output is
+pinned bit for bit to theirs by the golden digests (fault-free and
+faulted alike).  That rests on two invariants:
 
-* **Hop structure.**  Every ``yield`` in the generator path costs
-  exactly one scheduled callback at a fixed ``seq`` position; the
-  machine schedules exactly one callback in the same position.  The
-  per-request ``call_at`` storm is replaced by a single arrival cursor
-  walking a stable argsort of the request times -- order-preserving
-  because the old start events did no observable work before deferring
-  to an immediate ``call_in(0, ...)``.  A pre-download session costs
-  three hops (process start, duration timeout, waiter resume) in both
-  worlds.
+* **Hop structure.**  Every ``yield`` of the coroutine a task used to
+  be cost exactly one scheduled callback at a fixed ``seq`` position;
+  the machine schedules exactly one callback in the same position.
+  The per-request ``call_at`` storm is replaced by a single arrival
+  cursor walking a stable argsort of the request times --
+  order-preserving because the old start events did no observable work
+  before deferring to an immediate ``call_in(0, ...)``.
 * **Draw order.**  All randomness comes from the one shared per-run
   ``rng`` stream, so event order *is* draw order.  The machine performs
-  each draw inside the same hop, in the same argument order, as the
-  generator it replaces.
+  each draw inside the same hop, in the same argument order.
 
-The generator path stays the only implementation under fault injection
-(``faults is not None``) so :mod:`repro.faults` interrupt semantics are
-untouched; :class:`~repro.cloud.system.XuanfengCloud` picks the path in
-``run()``.
+Hop map.  A pre-download session has one of two shapes.  The shape is
+chosen once, at construction, by the machine's class, so the fault-free
+hot path carries no per-event fault branch:
+
+* fault-free (:class:`FastTaskMachine`): ``_start_predownload``
+  schedules the session start (hop 1, all session draws),
+  ``_session_timeout`` is the transfer timeout (hop 2) and
+  ``_session_done`` the waiting task's resume (hop 3); the fetch is one
+  timeout from ``_enter_fetch`` to ``_finish_fetch``.
+* faulted (:class:`FaultedTaskMachine`): an attempt costs **one** hop.
+  ``_start_predownload`` runs ``session.simulate`` inline in the hop
+  that starts the attempt, then waits one token-guarded timeout to the
+  deadline (none if the deadline is not after now).  vm_stall backoff,
+  retry backoff, the stalled-VM stagnation timeout and (in the fetch)
+  the wait for a dark ISP group are one timeout hop each.  A fetch
+  attempt is one token-guarded timeout from ``_fetch_attempt`` to
+  ``_fetch_end``.
+
+Interrupt contract.  Under faults a task registers its waiter
+(:class:`_FastTask`) with :meth:`FaultInjector.register` for the span of
+each session or fetch wait.  ``_FastTask.interrupt`` behaves exactly as
+:meth:`Process.interrupt`: a done task ignores it; otherwise it counts
+``sim.interrupts`` and schedules an immediate throw carrying the
+waiter's current resume token.  Every wake-up bumps the token, so a
+throw that lands after the deadline timeout at the same instant -- or a
+deadline timeout after a throw -- is dropped as stale.  A ``seed_death``
+on a non-P2P file (no swarm to kill) and any non-``server_crash``
+interrupt of a fetch are ignored: the wait resumes to the same deadline.
 """
 
 from __future__ import annotations
@@ -45,9 +64,11 @@ import numpy as np
 
 import repro.cloud.system as cloud_system
 from repro.cloud.fetch import FetchSpeedModel
+from repro.netsim.isp import ISP
 from repro.obs.registry import NOOP
 from repro.paper import FETCH_SPEED_MEAN
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.transfer.session import DownloadOutcome
 from repro.workload.generator import Workload
 from repro.workload.popularity import HIGHLY_POPULAR_ABOVE
 from repro.workload.records import FetchRecord, PreDownloadRecord
@@ -55,7 +76,7 @@ from repro.workload.records import FetchRecord, PreDownloadRecord
 if TYPE_CHECKING:
     from repro.cloud.system import XuanfengCloud
 
-# Phase codes stored in the machine's int8 phase table.
+# Phase codes stored in the machine's phase table.
 PHASE_NEW = 0          # not started yet
 PHASE_COALESCE = 1     # waiting on another task's in-flight pre-download
 PHASE_SLOT_WAIT = 2    # waiting FIFO for a pre-downloader VM slot
@@ -63,16 +84,20 @@ PHASE_SESSION = 3      # own pre-download session in flight
 PHASE_LAG = 4          # user think-time before the fetch
 PHASE_FETCH = 5        # fetch flow in progress
 PHASE_DONE = 6         # terminal
+PHASE_STALL = 7        # faulted: a stalled VM burns the stagnation timeout
+PHASE_PRE_BACKOFF = 8  # faulted: waiting to retry a pre-download attempt
+PHASE_FETCH_BACKOFF = 9  # faulted: waiting to retry a fetch
 
 
 class _FastTask:
-    """Event-waiter facade for one machine task.
+    """Event-waiter and interrupt target for one machine task.
 
     Quacks like a :class:`~repro.sim.engine.Process` just enough to sit
-    in ``Event._waiters``: the engine resumes waiters via
-    ``call_in(0, waiter._step, value, None, waiter._resume_token)``, so
-    all the machine needs is a token slot and a ``_step`` that routes
-    the wake-up to the right phase handler.
+    in ``Event._waiters`` and in the fault injector's registry: the
+    engine resumes waiters via ``call_in(0, waiter._step, value, None,
+    waiter._resume_token)``, so all the machine needs is a token slot,
+    a ``_step`` that routes the wake-up to the right phase handler, and
+    ``interrupt``/``done`` for fault delivery.
     """
 
     __slots__ = ("machine", "idx", "_resume_token")
@@ -82,22 +107,45 @@ class _FastTask:
         self.idx = idx
         self._resume_token = 0
 
+    @property
+    def done(self) -> bool:
+        return self.machine.phase[self.idx] == PHASE_DONE
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the task's current wait."""
+        if self.done:
+            return
+        sim = self.machine.sim
+        obs = sim._obs
+        if obs is not None:
+            obs.interrupts.inc()
+        sim._schedule_throw(self, Interrupt(cause))
+
     def _step(self, value: Any = None, error: Optional[BaseException] = None,
               token: Optional[int] = None) -> None:
         if token is not None and token != self._resume_token:
             return   # stale wake-up from a wait this task already left
         self._resume_token += 1
-        if error is not None:
-            raise error
         machine = self.machine
-        phase = machine.phase[self.idx]
-        if phase == PHASE_COALESCE:
-            machine._coalesce_done(self.idx, value)
+        idx = self.idx
+        phase = machine.phase[idx]
+        if error is not None:
+            if not isinstance(error, Interrupt):
+                raise error
+            if phase == PHASE_SESSION:
+                machine._session_interrupted(idx, error.cause)
+                return
+            if phase == PHASE_FETCH:
+                machine._fetch_interrupted(idx, error.cause)
+                return
+        elif phase == PHASE_COALESCE:
+            machine._coalesce_done(idx, value)
+            return
         elif phase == PHASE_SLOT_WAIT:
-            machine._slot_granted(self.idx, value)
-        else:
-            raise SimulationError(
-                f"fast task {self.idx} resumed in phase {phase}")
+            machine._slot_granted(idx, value)
+            return
+        raise SimulationError(
+            f"fast task {idx} resumed in phase {phase}")
 
 
 class FastTaskMachine:
@@ -137,7 +185,6 @@ class FastTaskMachine:
         # Object slots, live only while the owning phase is.
         self.waiters: list[Optional[_FastTask]] = [None] * n
         self.events: list = [None] * n
-        self.sessions: list = [None] * n
         self.outcomes: list = [None] * n
         self.slots: list = [None] * n
         self.results: list = [None] * n
@@ -282,7 +329,6 @@ class FastTaskMachine:
         event = self._sim_event()
         self._in_flight[file_id] = event
         self.events[idx] = event
-        self.sessions[idx] = self._session_for(record)
         vm_slots = cloud._vm_slots
         if vm_slots is not None:
             acquire = vm_slots.acquire(sim)
@@ -290,8 +336,13 @@ class FastTaskMachine:
             self.phase[idx] = PHASE_SLOT_WAIT
             acquire._add_waiter(self._waiter(idx))
             return
-        self.phase[idx] = PHASE_SESSION
-        self._call_in(0.0, self._run_session, idx)
+        self._start_predownload(idx)
+
+    def _done(self, idx: int) -> None:
+        """Mark the task terminal and drop its per-task objects."""
+        self.phase[idx] = PHASE_DONE
+        self.results[idx] = None
+        self.waiters[idx] = None
 
     def _waiter(self, idx: int) -> _FastTask:
         waiter = self.waiters[idx]
@@ -303,6 +354,10 @@ class FastTaskMachine:
         cloud = self.cloud
         cloud._m_queue_depth.set(cloud._vm_slots.queue_length)
         self.slots[idx] = slot
+        self._start_predownload(idx)
+
+    def _start_predownload(self, idx: int) -> None:
+        # The fault-free session shape: a session process of its own.
         self.phase[idx] = PHASE_SESSION
         self._call_in(0.0, self._run_session, idx)
 
@@ -310,14 +365,14 @@ class FastTaskMachine:
         # Mirrors the session Process's first step: all of the
         # session's draws happen here, then one timeout spans the
         # transfer.
-        outcome = self.sessions[idx].simulate(self.rng)
+        outcome = self._session_for(self.records[idx]).simulate(self.rng)
         self.outcomes[idx] = outcome
         self.deadline[idx] = self.sim._now + outcome.duration
         self._call_in(outcome.duration, self._session_timeout, idx)
 
     def _session_timeout(self, idx: int) -> None:
-        # Mirrors the generator world's third session hop: the session
-        # process finishes and schedules the waiting task's resume.
+        # Mirrors the third session hop: the session process finishes
+        # and schedules the waiting task's resume.
         self._call_in(0.0, self._session_done, idx)
 
     def _session_done(self, idx: int) -> None:
@@ -338,7 +393,6 @@ class FastTaskMachine:
             cloud.database.set_cached(record.file_id, True)
         self.events[idx].trigger(outcome)
         self.events[idx] = None
-        self.sessions[idx] = None
         self.outcomes[idx] = None
         self._after_predownload(idx, PreDownloadRecord(
             request.task_id, record.file_id,
@@ -370,7 +424,7 @@ class FastTaskMachine:
             self.requests[idx], self.records[idx], pre_record)
         self._tasks_append(result)
         if not pre_record.success:
-            self.phase[idx] = PHASE_DONE
+            self._done(idx)
             return
         self.results[idx] = result
         lag = self._lag_median * float(
@@ -402,8 +456,7 @@ class FastTaskMachine:
                 request.task_id, user.user_id, user.ip_address,
                 user.reported_bandwidth, start, start,
                 0.0, 0.0, 0.0, 0.0, True)
-            self.results[idx] = None
-            self.phase[idx] = PHASE_DONE
+            self._done(idx)
             return
 
         path, reservation, rate = admitted
@@ -442,5 +495,376 @@ class FastTaskMachine:
             min(rate * (1.0 + (1.4 - 1.0) * random()),
                 self._max_fetch_rate))
         self.paths[idx] = None
-        self.results[idx] = None
-        self.phase[idx] = PHASE_DONE
+        self._done(idx)
+
+
+class FaultedTaskMachine(FastTaskMachine):
+    """The task machine under fault injection (``cloud.faults`` set).
+
+    Overrides the two phase handlers where the session shapes differ
+    (see the module docstring): ``_start_predownload`` runs attempts
+    inline, ``_enter_fetch`` runs resilient fetch attempts.
+    """
+
+    def __init__(self, cloud: "XuanfengCloud", sim: Simulator,
+                 workload: Workload, users: dict,
+                 rng: np.random.Generator, tasks: list, flows: list):
+        super().__init__(cloud, sim, workload, users, rng, tasks, flows)
+        n = self.n
+        self.faults = cloud.faults
+        policies = cloud.policies
+        self._retry = policies.retry if policies is not None else None
+        self._resume = policies is not None and policies.checkpoint_resume
+        self._stagnation_timeout = cloud.config.stagnation_timeout
+        # Fault-only columns, reset between the pre-download and the
+        # fetch.  Backoff jitter streams are created on first draw: most
+        # tasks never back off, and a stream depends only on its label.
+        self.attempts = [0] * n
+        self.attempt_start = [0.0] * n
+        self.committed = [0.0] * n
+        self.traffic = [0.0] * n
+        self.peak = [0.0] * n
+        self.impacted = [False] * n
+        self.jitter: list = [None] * n
+        # ISP fault-target names (``ISP.value`` is a slow enum property
+        # on the per-fetch path).
+        self._isp_names = {isp: isp.value for isp in ISP}
+        self._isp_entities = {isp: ("isp", isp.value) for isp in ISP}
+
+    # -- faulted pre-download ----------------------------------------------------
+    #
+    # Session attempts run until one succeeds, the retry budget is
+    # spent, or (no policies) the first attempt resolves.  Faults land
+    # as interrupts while an attempt is in flight (vm_stall,
+    # seed_death) or shape an attempt at its boundary (a stalled VM at
+    # attempt start, pool_pressure at insert).  With checkpoint-resume
+    # on, a restarted attempt fetches only the uncommitted remainder.
+
+    def _remaining(self, idx: int) -> float:
+        size = self.records[idx].size
+        return max(size - self.committed[idx], 0.0) if self._resume \
+            else size
+
+    def _backoff(self, idx: int, attempt: int, layer: str) -> float:
+        jitter = self.jitter[idx]
+        if jitter is None:
+            jitter = self.jitter[idx] = self.faults.rng(
+                f"{layer}:{self.requests[idx].task_id}")
+        return self._retry.backoff(attempt, jitter)
+
+    def _sleep(self, idx: int, wake) -> bool:
+        """Schedule ``wake(idx, token)`` at the wait's deadline; False
+        (nothing scheduled) when the deadline is not after now."""
+        now = self.sim._now
+        deadline = self.deadline[idx]
+        if not now < deadline:
+            return False
+        self._call_in(deadline - now, wake, idx,
+                      self.waiters[idx]._resume_token)
+        return True
+
+    def _awake(self, idx: int, token: int) -> bool:
+        """Token guard of a deadline timeout, as ``Process._step``: a
+        timeout whose wait an interrupt already ended is stale."""
+        waiter = self.waiters[idx]
+        if waiter is None or token != waiter._resume_token:
+            return False   # the task has since finished
+        waiter._resume_token = token + 1
+        return True
+
+    def _start_predownload(self, idx: int) -> None:
+        inj = self.faults
+        record = self.records[idx]
+        file_id = record.file_id
+        attempt = self.attempts[idx] = self.attempts[idx] + 1
+        now = self.sim._now
+        stall = inj.active("vm_stall", file_id, now)
+        if stall is not None:
+            self.impacted[idx] = True
+            inj.impact(stall)
+            retry = self._retry
+            if retry is not None and retry.allows(attempt + 1):
+                inj.retry("cloud-pre")
+                clear = inj.clear_time(("vm_stall",), file_id, now)
+                self.phase[idx] = PHASE_PRE_BACKOFF
+                self._call_in(
+                    clear - now + self._backoff(idx, attempt, "cloud-pre"),
+                    self._start_predownload, idx)
+                return
+            # No recovery: the stalled VM burns the session stagnation
+            # timeout and the task dies.
+            self.phase[idx] = PHASE_STALL
+            self._call_in(self._stagnation_timeout, self._pre_stalled, idx)
+            return
+        dead = record.is_p2p and inj.active(
+            "seed_death", file_id, now) is not None
+        session = self._session_for(
+            record, size=self._remaining(idx),
+            mid_failure_probability=1.0 if dead else None)
+        outcome = session.simulate(self.rng)
+        self.outcomes[idx] = outcome
+        self.attempt_start[idx] = now
+        self.deadline[idx] = now + outcome.duration
+        inj.register(("file", file_id), self._waiter(idx))
+        self.phase[idx] = PHASE_SESSION
+        if not self._sleep(idx, self._session_deadline):
+            self._pre_attempt_end(idx, None)
+
+    def _session_deadline(self, idx: int, token: int) -> None:
+        if self._awake(idx, token) and \
+                not self._sleep(idx, self._session_deadline):
+            self._pre_attempt_end(idx, None)
+
+    def _session_interrupted(self, idx: int, spec) -> None:
+        if spec.kind != "seed_death" or self.records[idx].is_p2p:
+            self._pre_attempt_end(idx, spec)
+        elif not self._sleep(idx, self._session_deadline):
+            # seed_death on a non-P2P file: no swarm to kill.
+            self._pre_attempt_end(idx, None)
+
+    def _pre_attempt_end(self, idx: int, fault) -> None:
+        inj = self.faults
+        cloud = self.cloud
+        record = self.records[idx]
+        file_id = record.file_id
+        now = self.sim._now
+        inj.unregister(("file", file_id), self.waiters[idx])
+        outcome = self.outcomes[idx]
+        self.outcomes[idx] = None
+        if fault is None:
+            attempt_outcome = outcome
+        else:
+            self.impacted[idx] = True
+            inj.impact(fault)
+            remaining = self._remaining(idx)
+            elapsed = now - self.attempt_start[idx]
+            frac = min(elapsed / outcome.duration, 1.0) \
+                if outcome.duration > 0 else 1.0
+            attempt_outcome = DownloadOutcome(
+                success=False, duration=elapsed,
+                bytes_obtained=min(outcome.average_rate * elapsed,
+                                   remaining),
+                file_size=remaining, average_rate=outcome.average_rate,
+                peak_rate=outcome.peak_rate,
+                traffic=outcome.traffic * frac,
+                failure_cause=f"fault:{fault.kind}")
+        cloud.fleet.account(attempt_outcome)
+        cloud.database.record_attempt(file_id, attempt_outcome.success)
+        self.traffic[idx] += attempt_outcome.traffic
+        peak = self.peak[idx] = max(self.peak[idx],
+                                    attempt_outcome.peak_rate)
+        if self._resume and attempt_outcome.bytes_obtained > 0:
+            self.committed[idx] += attempt_outcome.bytes_obtained
+        size = record.size
+        if attempt_outcome.success:
+            duration = now - self.pre_start[idx]
+            self._pre_finish(idx, DownloadOutcome(
+                success=True, duration=duration, bytes_obtained=size,
+                file_size=size,
+                average_rate=size / duration if duration > 0
+                else outcome.average_rate,
+                peak_rate=peak, traffic=self.traffic[idx]))
+            return
+        retry = self._retry
+        attempt = self.attempts[idx]
+        if retry is not None and retry.allows(attempt + 1):
+            inj.retry("cloud-pre")
+            wait = self._backoff(idx, attempt, "cloud-pre")
+            if fault is not None:
+                clear = inj.clear_time((fault.kind,), file_id, now)
+                wait += max(clear - now, 0.0)
+            self.phase[idx] = PHASE_PRE_BACKOFF
+            self._call_in(wait, self._start_predownload, idx)
+            return
+        self._pre_finish(idx, DownloadOutcome(
+            success=False, duration=now - self.pre_start[idx],
+            bytes_obtained=self.committed[idx] if self._resume
+            else attempt_outcome.bytes_obtained,
+            file_size=size, average_rate=attempt_outcome.average_rate,
+            peak_rate=peak, traffic=self.traffic[idx],
+            failure_cause=attempt_outcome.failure_cause))
+
+    def _pre_stalled(self, idx: int) -> None:
+        self._pre_finish(idx, DownloadOutcome(
+            success=False, duration=self.sim._now - self.pre_start[idx],
+            bytes_obtained=self.committed[idx],
+            file_size=self.records[idx].size, average_rate=0.0,
+            peak_rate=self.peak[idx], traffic=self.traffic[idx],
+            failure_cause="fault:vm_stall"))
+
+    def _pre_finish(self, idx: int, final: DownloadOutcome) -> None:
+        inj = self.faults
+        cloud = self.cloud
+        sim = self.sim
+        now = sim._now
+        record = self.records[idx]
+        file_id = record.file_id
+        slot = self.slots[idx]
+        if slot is not None:
+            cloud._vm_slots.release(slot, sim)
+            self.slots[idx] = None
+        self._in_flight.pop(file_id, None)
+        start = self.pre_start[idx]
+        if self.impacted[idx]:
+            if final.success:
+                inj.recover("cloud-pre", now - start)
+            else:
+                inj.abort("cloud-pre")
+        if final.success and self._collaborative:
+            pressure = inj.active("pool_pressure", "pool", now)
+            if pressure is not None:
+                # Disk-full pressure: the finished file cannot be
+                # admitted to the pool (later requests miss).
+                inj.impact(pressure)
+            else:
+                cloud.pool.insert(record)
+                cloud.database.set_cached(file_id, True)
+        self.events[idx].trigger(final)
+        self.events[idx] = None
+        self._after_predownload(idx, PreDownloadRecord(
+            self.requests[idx].task_id, file_id, start, now,
+            final.bytes_obtained, final.traffic, False,
+            final.average_rate, final.peak_rate, final.success,
+            final.failure_cause))
+
+    # -- faulted fetch -----------------------------------------------------------
+    #
+    # Crashed server groups are excluded from admission (the home group
+    # being dark forces a barrier-crossing failover); a flow interrupted
+    # by server_crash commits its transferred bytes (checkpoint-resume)
+    # and retries after the window clears plus backoff.  isp_degrade
+    # scales candidate flow rates at admission time.
+
+    def _enter_fetch(self, idx: int) -> None:
+        self.fetch_start[idx] = self.sim._now
+        self.attempts[idx] = 0
+        self.committed[idx] = 0.0
+        self.impacted[idx] = False
+        self.jitter[idx] = None
+        self._fetch_attempt(idx)
+
+    def _fetch_attempt(self, idx: int) -> None:
+        inj = self.faults
+        user = self.users[idx]
+        attempt = self.attempts[idx] = self.attempts[idx] + 1
+        now = self.sim._now
+        down = inj.crashed_isps(now)
+        speed_for = self._speed_for
+        bandwidth = user.access_bandwidth
+        factor = inj.factor
+        names = self._isp_names
+        admitted = self._select_and_reserve(
+            user.isp, now, lambda quality: speed_for(bandwidth, quality),
+            exclude=down,
+            rate_scale=lambda isp: factor("isp_degrade", names[isp], now))
+        if admitted is None:
+            retry = self._retry
+            if down and retry is not None and retry.allows(attempt + 1):
+                # Candidate groups are dark: wait out the longest
+                # active crash window and try admission again.
+                inj.retry("cloud-fetch")
+                clear = max(inj.clear_time(("server_crash",), name, now)
+                            for name in down)
+                self.phase[idx] = PHASE_FETCH_BACKOFF
+                self._call_in(
+                    max(clear - now, 0.0)
+                    + self._backoff(idx, attempt, "cloud-fetch"),
+                    self._fetch_attempt, idx)
+                return
+            if self.impacted[idx] or names[user.isp] in down:
+                inj.abort("cloud-fetch")
+            size = self.records[idx].size
+            estimated_rate = FETCH_SPEED_MEAN
+            self._flows_append(self._FetchFlow(
+                now, now + size / estimated_rate, estimated_rate,
+                self.highly_popular[idx], True))
+            self._fetch_failed(idx)
+            return
+        path, reservation, rate = admitted
+        if down and names[user.isp] in down \
+                and path.server_isp is not user.isp:
+            inj.failover("cloud-fetch")
+        remaining = self._remaining(idx)
+        self.paths[idx] = path
+        self.reservations[idx] = reservation
+        self.rate[idx] = rate
+        self.attempt_start[idx] = now
+        self.deadline[idx] = now + (remaining / rate if rate > 0 else 0.0)
+        inj.register(self._isp_entities[path.server_isp], self._waiter(idx))
+        self.phase[idx] = PHASE_FETCH
+        if not self._sleep(idx, self._fetch_deadline):
+            self._fetch_end(idx, None)
+
+    def _fetch_deadline(self, idx: int, token: int) -> None:
+        if self._awake(idx, token) and \
+                not self._sleep(idx, self._fetch_deadline):
+            self._fetch_end(idx, None)
+
+    def _fetch_interrupted(self, idx: int, spec) -> None:
+        if spec.kind == "server_crash":
+            self._fetch_end(idx, spec)
+        elif not self._sleep(idx, self._fetch_deadline):
+            self._fetch_end(idx, None)
+
+    def _fetch_end(self, idx: int, fault) -> None:
+        inj = self.faults
+        now = self.sim._now
+        path = self.paths[idx]
+        self.paths[idx] = None
+        inj.unregister(self._isp_entities[path.server_isp],
+                       self.waiters[idx])
+        self.reservations[idx].release(now)
+        self.reservations[idx] = None
+        start = self.attempt_start[idx]
+        rate = self.rate[idx]
+        self._flows_append(self._FetchFlow(
+            start, now, rate, self.highly_popular[idx]))
+        if self._resume:
+            moved = min(rate * (now - start), self._remaining(idx))
+            if moved > 0:
+                self.committed[idx] += moved
+        if fault is None:
+            request = self.requests[idx]
+            user = self.users[idx]
+            random = self._rng_random
+            size = self.records[idx].size
+            overall = self.fetch_start[idx]
+            duration = now - overall
+            result = self.results[idx]
+            result.fetch_path = path
+            result.fetch_record = FetchRecord(
+                request.task_id, user.user_id, user.ip_address,
+                user.reported_bandwidth, overall, now, size,
+                size * (1.07 + (1.10 - 1.07) * random()),
+                size / duration if duration > 0 else rate,
+                min(rate * (1.0 + (1.4 - 1.0) * random()),
+                    self._max_fetch_rate))
+            if self.impacted[idx]:
+                inj.recover("cloud-fetch", duration)
+            self._done(idx)
+            return
+        self.impacted[idx] = True
+        inj.impact(fault)
+        retry = self._retry
+        attempt = self.attempts[idx]
+        if retry is not None and retry.allows(attempt + 1):
+            inj.retry("cloud-fetch")
+            clear = inj.clear_time(("server_crash",),
+                                   self._isp_names[path.server_isp], now)
+            self.phase[idx] = PHASE_FETCH_BACKOFF
+            self._call_in(max(clear - now, 0.0)
+                          + self._backoff(idx, attempt, "cloud-fetch"),
+                          self._fetch_attempt, idx)
+            return
+        inj.abort("cloud-fetch")
+        self._fetch_failed(idx)
+
+    def _fetch_failed(self, idx: int) -> None:
+        """Record the fetch as rejected with its committed bytes."""
+        request = self.requests[idx]
+        user = self.users[idx]
+        self.results[idx].fetch_record = FetchRecord(
+            request.task_id, user.user_id, user.ip_address,
+            user.reported_bandwidth, self.fetch_start[idx], self.sim._now,
+            self.committed[idx], 0.0, 0.0, 0.0, True)
+        self._done(idx)

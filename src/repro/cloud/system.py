@@ -10,7 +10,7 @@ figure of the paper (8, 9, 10, 11 and the section 4 text statistics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,15 +24,13 @@ from repro.cloud.storagepool import CloudStoragePool
 from repro.cloud.upload import PathChoice, UploadingServers
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CLOUD_KINDS
-from repro.faults.policies import ResiliencePolicies, TransferCheckpoint
+from repro.faults.policies import ResiliencePolicies
 from repro.netsim.topology import ChinaTopology
 from repro.obs.registry import AnyRegistry, NOOP
-from repro.paper import FETCH_SPEED_MEAN, IMPEDED_FETCH_THRESHOLD
-from repro.sim.clock import WEEK
-from repro.sim.engine import Event, Interrupt, Process, Simulator, Timeout
+from repro.paper import IMPEDED_FETCH_THRESHOLD
+from repro.sim.engine import Event, Simulator
 from repro.sim.queueing import SlotResource
 from repro.sim.randomness import RngFactory
-from repro.transfer.session import DownloadOutcome
 from repro.transfer.source import SourceModel
 from repro.workload.generator import Workload
 from repro.workload.popularity import PopularityClass
@@ -41,7 +39,6 @@ from repro.workload.records import (
     FetchRecord,
     PreDownloadRecord,
     RequestRecord,
-    User,
 )
 
 
@@ -254,18 +251,13 @@ class XuanfengCloud:
                  seed: int = 41,
                  metrics: AnyRegistry = NOOP,
                  faults: Optional[FaultInjector] = None,
-                 policies: Optional[ResiliencePolicies] = None,
-                 fast_tasks: bool = True):
+                 policies: Optional[ResiliencePolicies] = None):
         self.config = config
-        # Replay fault-free tasks on the table-driven state machine
-        # (repro.cloud.fastpath) instead of per-task generator
-        # coroutines; bit-identical, ~2x faster.  The generator path
-        # remains the only implementation under fault injection.
-        self._fast_tasks = fast_tasks
         # Fault injection + resilience are strictly opt-in: with
-        # ``faults=None`` every code path and RNG draw below is
-        # identical to the fault-free build (golden digests depend on
-        # this).  ``policies`` only matters when faults are injected.
+        # ``faults=None`` the task machine (repro.cloud.fastpath) binds
+        # its fault-free phase handlers, so every hop and RNG draw is
+        # that of the fault-free build (golden digests depend on this).
+        # ``policies`` only matters when faults are injected.
         self.faults = faults
         self.policies = policies
         self.topology = topology or ChinaTopology()
@@ -315,19 +307,9 @@ class XuanfengCloud:
                 if record.file_id in self.pool:
                     self.database.set_cached(record.file_id, True)
 
-        users = workload.user_by_id()
         tasks: list[TaskResult] = []
         flows: list[FetchFlow] = []
-        if self.faults is None and self._fast_tasks:
-            from repro.cloud.fastpath import FastTaskMachine
-            FastTaskMachine(self, sim, workload, users, rng,
-                            tasks, flows).start()
-        else:
-            for request in workload.requests:
-                sim.call_at(request.request_time, self._start_task,
-                            sim, request,
-                            workload.catalog[request.file_id],
-                            users[request.user_id], rng, tasks, flows)
+        self._schedule_tasks(sim, workload, rng, tasks, flows)
         sim.run()
         self._m_dedup_saved.set(self.pool.dedup_bytes_saved)
         # Freeze the clock at the end of the week so observations made
@@ -340,486 +322,13 @@ class XuanfengCloud:
             uploads=self.uploads, fleet=self.fleet,
             database=self.database, horizon=workload.horizon)
 
-    # -- task process ----------------------------------------------------------------
-
-    def _start_task(self, sim: Simulator, request: RequestRecord,
-                    record: CatalogFile, user: User,
-                    rng: np.random.Generator, tasks: list[TaskResult],
-                    flows: list[FetchFlow]) -> None:
-        # The task generator needs its own Process handle to register
-        # for fault interrupts; sim.process defers the first step, so
-        # filling the box after the call is race-free.
-        box: list[Process] = []
-        box.append(sim.process(
-            self._task(sim, request, record, user, rng, tasks, flows,
-                       box),
-            name=f"task-{request.task_id}"))
-
-    def _task(self, sim: Simulator, request: RequestRecord,
-              record: CatalogFile, user: User, rng: np.random.Generator,
-              tasks: list[TaskResult], flows: list[FetchFlow],
-              box: list[Process]):
-        self._m_tasks.inc()
-        self.database.record_request(record.file_id, record.size, sim.now)
-        if self.faults is None:
-            pre_record = yield from self._predownload_phase(sim, request,
-                                                            record, rng)
-        else:
-            pre_record = yield from self._resilient_predownload(
-                sim, request, record, rng, box[0])
-        result = TaskResult(request=request, file=record,
-                            pre_record=pre_record)
-        tasks.append(result)
-        if not pre_record.success:
-            return result
-
-        # The user comes back to fetch after a think-time lag.
-        lag = self.config.fetch_lag_median * float(
-            np.exp(rng.normal(0.0, self.config.fetch_lag_sigma)))
-        yield Timeout(lag)
-        if self.faults is None:
-            yield from self._fetch_phase(sim, request, record, user, rng,
-                                         result, flows)
-        else:
-            yield from self._resilient_fetch(sim, request, record, user,
-                                             rng, result, flows, box[0])
-        return result
-
-    # -- pre-download ------------------------------------------------------------------
-
-    def _predownload_phase(self, sim: Simulator, request: RequestRecord,
-                           record: CatalogFile, rng: np.random.Generator):
-        start = sim.now
-        if self.config.collaborative_cache and \
-                self.pool.lookup(record.file_id):
-            self._m_cache_hits.inc()
-            return self._hit_record(request, record, start, start)
-        self._m_cache_misses.inc()
-
-        in_flight = self._in_flight.get(record.file_id) \
-            if self.config.collaborative_cache else None
-        if in_flight is not None:
-            # Coalesce with the running pre-download of the same file.
-            outcome = yield in_flight
-            finish = sim.now
-            if outcome.success:
-                self.pool.lookup(record.file_id)   # count the warm hit
-                return self._hit_record(request, record, start, finish)
-            return PreDownloadRecord(
-                task_id=request.task_id, file_id=record.file_id,
-                start_time=start, finish_time=finish,
-                acquired_bytes=outcome.bytes_obtained,
-                traffic_bytes=0.0, cache_hit=False,
-                average_speed=0.0, peak_speed=0.0, success=False,
-                failure_cause=outcome.failure_cause)
-
-        event = sim.event(name=f"pre-{record.file_id}")
-        self._in_flight[record.file_id] = event
-        session = self.fleet.session_for(record)
-        try:
-            slot = None
-            if self._vm_slots is not None:
-                # A finite fleet: wait FIFO for a free pre-downloader VM.
-                acquire = self._vm_slots.acquire(sim)
-                self._m_queue_depth.set(self._vm_slots.queue_length)
-                slot = yield acquire
-                self._m_queue_depth.set(self._vm_slots.queue_length)
-            try:
-                outcome = yield sim.process(
-                    session.run(rng), name=f"pre-{request.task_id}")
-            finally:
-                if slot is not None:
-                    self._vm_slots.release(slot, sim)
-        finally:
-            self._in_flight.pop(record.file_id, None)
-        self.fleet.account(outcome)
-        self.database.record_attempt(record.file_id, outcome.success)
-        if outcome.success and self.config.collaborative_cache:
-            self.pool.insert(record)
-            self.database.set_cached(record.file_id, True)
-        event.trigger(outcome)
-        return PreDownloadRecord(
-            task_id=request.task_id, file_id=record.file_id,
-            start_time=start, finish_time=sim.now,
-            acquired_bytes=outcome.bytes_obtained,
-            traffic_bytes=outcome.traffic, cache_hit=False,
-            average_speed=outcome.average_rate,
-            peak_speed=outcome.peak_rate, success=outcome.success,
-            failure_cause=outcome.failure_cause)
-
-    def _resilient_predownload(self, sim: Simulator,
-                               request: RequestRecord,
-                               record: CatalogFile,
-                               rng: np.random.Generator, proc: Process):
-        """Pre-download under fault injection, with optional recovery.
-
-        The campaign runs session attempts until one succeeds, the retry
-        budget is spent, or (policies off) the first attempt resolves.
-        Faults land as engine interrupts while the attempt is in flight
-        (``vm_stall`` / ``seed_death``) or shape the attempt at its
-        boundary (a stalled VM at attempt start, ``pool_pressure`` at
-        insert time).  With checkpoint-resume on, a restarted attempt
-        fetches only the uncommitted remainder.
-        """
-        inj = self.faults
-        assert inj is not None
-        start = sim.now
-        if self.config.collaborative_cache and \
-                self.pool.lookup(record.file_id):
-            self._m_cache_hits.inc()
-            return self._hit_record(request, record, start, start)
-        self._m_cache_misses.inc()
-
-        in_flight = self._in_flight.get(record.file_id) \
-            if self.config.collaborative_cache else None
-        if in_flight is not None:
-            outcome = yield in_flight
-            finish = sim.now
-            if outcome.success:
-                self.pool.lookup(record.file_id)   # count the warm hit
-                return self._hit_record(request, record, start, finish)
-            return PreDownloadRecord(
-                task_id=request.task_id, file_id=record.file_id,
-                start_time=start, finish_time=finish,
-                acquired_bytes=outcome.bytes_obtained,
-                traffic_bytes=0.0, cache_hit=False,
-                average_speed=0.0, peak_speed=0.0, success=False,
-                failure_cause=outcome.failure_cause)
-
-        event = sim.event(name=f"pre-{record.file_id}")
-        self._in_flight[record.file_id] = event
-        policies = self.policies
-        retry = policies.retry if policies is not None else None
-        jitter = inj.rng(f"cloud-pre:{request.task_id}") \
-            if retry is not None else None
-        resume = policies is not None and policies.checkpoint_resume
-        checkpoint = TransferCheckpoint()
-        entity = ("file", record.file_id)
-        attempt = 0
-        total_traffic = 0.0
-        peak = 0.0
-        impacted = False
-        final: Optional[DownloadOutcome] = None
-        try:
-            slot = None
-            if self._vm_slots is not None:
-                acquire = self._vm_slots.acquire(sim)
-                self._m_queue_depth.set(self._vm_slots.queue_length)
-                slot = yield acquire
-                self._m_queue_depth.set(self._vm_slots.queue_length)
-            try:
-                while final is None:
-                    attempt += 1
-                    now = sim.now
-                    stall = inj.active("vm_stall", record.file_id, now)
-                    if stall is not None:
-                        impacted = True
-                        inj.impact(stall)
-                        if retry is not None and retry.allows(attempt + 1):
-                            inj.retry("cloud-pre")
-                            clear = inj.clear_time(
-                                ("vm_stall",), record.file_id, now)
-                            yield Timeout(clear - now
-                                          + retry.backoff(attempt, jitter))
-                            continue
-                        # No recovery: the stalled VM burns the session
-                        # stagnation timeout and the task dies.
-                        yield Timeout(self.config.stagnation_timeout)
-                        final = DownloadOutcome(
-                            success=False, duration=sim.now - start,
-                            bytes_obtained=checkpoint.committed_bytes,
-                            file_size=record.size, average_rate=0.0,
-                            peak_rate=peak, traffic=total_traffic,
-                            failure_cause="fault:vm_stall")
-                        break
-                    remaining = checkpoint.remaining(record.size) \
-                        if resume else record.size
-                    dead = record.is_p2p and inj.active(
-                        "seed_death", record.file_id, now) is not None
-                    session = self.fleet.session_for(
-                        record, size=remaining,
-                        mid_failure_probability=1.0 if dead else None)
-                    outcome = session.simulate(rng)
-                    deadline = now + outcome.duration
-                    fault = None
-                    inj.register(entity, proc)
-                    try:
-                        while sim.now < deadline:
-                            try:
-                                yield Timeout(deadline - sim.now)
-                            except Interrupt as intr:
-                                spec = intr.cause
-                                if spec.kind == "seed_death" \
-                                        and not record.is_p2p:
-                                    continue   # no swarm to kill
-                                fault = spec
-                                break
-                    finally:
-                        inj.unregister(entity, proc)
-                    if fault is None:
-                        attempt_outcome = outcome
-                    else:
-                        impacted = True
-                        inj.impact(fault)
-                        elapsed = sim.now - now
-                        frac = min(elapsed / outcome.duration, 1.0) \
-                            if outcome.duration > 0 else 1.0
-                        moved = min(outcome.average_rate * elapsed,
-                                    remaining)
-                        attempt_outcome = DownloadOutcome(
-                            success=False, duration=elapsed,
-                            bytes_obtained=moved, file_size=remaining,
-                            average_rate=outcome.average_rate,
-                            peak_rate=outcome.peak_rate,
-                            traffic=outcome.traffic * frac,
-                            failure_cause=f"fault:{fault.kind}")
-                    self.fleet.account(attempt_outcome)
-                    self.database.record_attempt(record.file_id,
-                                                 attempt_outcome.success)
-                    total_traffic += attempt_outcome.traffic
-                    peak = max(peak, attempt_outcome.peak_rate)
-                    if resume:
-                        checkpoint.commit(attempt_outcome.bytes_obtained)
-                    if attempt_outcome.success:
-                        duration = sim.now - start
-                        final = DownloadOutcome(
-                            success=True, duration=duration,
-                            bytes_obtained=record.size,
-                            file_size=record.size,
-                            average_rate=record.size / duration
-                            if duration > 0 else outcome.average_rate,
-                            peak_rate=peak, traffic=total_traffic)
-                        break
-                    if retry is not None and retry.allows(attempt + 1):
-                        inj.retry("cloud-pre")
-                        wait = retry.backoff(attempt, jitter)
-                        if fault is not None:
-                            clear = inj.clear_time(
-                                (fault.kind,), record.file_id, sim.now)
-                            wait += max(clear - sim.now, 0.0)
-                        yield Timeout(wait)
-                        continue
-                    final = DownloadOutcome(
-                        success=False, duration=sim.now - start,
-                        bytes_obtained=checkpoint.committed_bytes
-                        if resume else attempt_outcome.bytes_obtained,
-                        file_size=record.size,
-                        average_rate=attempt_outcome.average_rate,
-                        peak_rate=peak, traffic=total_traffic,
-                        failure_cause=attempt_outcome.failure_cause)
-            finally:
-                if slot is not None:
-                    self._vm_slots.release(slot, sim)
-        finally:
-            self._in_flight.pop(record.file_id, None)
-        if impacted and final.success:
-            inj.recover("cloud-pre", sim.now - start)
-        if impacted and not final.success:
-            inj.abort("cloud-pre")
-        if final.success and self.config.collaborative_cache:
-            pressure = inj.active("pool_pressure", "pool", sim.now)
-            if pressure is not None:
-                # Disk-full pressure: the finished file cannot be
-                # admitted to the pool (later requests miss).
-                inj.impact(pressure)
-            else:
-                self.pool.insert(record)
-                self.database.set_cached(record.file_id, True)
-        event.trigger(final)
-        return PreDownloadRecord(
-            task_id=request.task_id, file_id=record.file_id,
-            start_time=start, finish_time=sim.now,
-            acquired_bytes=final.bytes_obtained,
-            traffic_bytes=final.traffic, cache_hit=False,
-            average_speed=final.average_rate,
-            peak_speed=final.peak_rate, success=final.success,
-            failure_cause=final.failure_cause)
-
-    @staticmethod
-    def _hit_record(request: RequestRecord, record: CatalogFile,
-                    start: float, finish: float) -> PreDownloadRecord:
-        return PreDownloadRecord(
-            task_id=request.task_id, file_id=record.file_id,
-            start_time=start, finish_time=finish,
-            acquired_bytes=record.size, traffic_bytes=0.0, cache_hit=True,
-            average_speed=0.0, peak_speed=0.0, success=True)
-
-    # -- fetch ------------------------------------------------------------------------
-
-    def _fetch_phase(self, sim: Simulator, request: RequestRecord,
-                     record: CatalogFile, user: User,
-                     rng: np.random.Generator, result: TaskResult,
-                     flows: list[FetchFlow]):
-        start = sim.now
-        highly_popular = record.popularity_class is \
-            PopularityClass.HIGHLY_POPULAR
-
-        admitted = self.uploads.select_and_reserve(
-            user.isp, start,
-            lambda quality: self.fetch_model.sample_speed(
-                user.access_bandwidth, quality, rng))
-        if admitted is None:
-            # Rejected: record the fetch at 0 B/s and the burden the flow
-            # *would* have imposed (Fig. 11 counts rejected demand at the
-            # fleet-average fetch speed, per the paper's estimate).
-            estimated_rate = FETCH_SPEED_MEAN
-            flows.append(FetchFlow(
-                start=start, end=start + record.size / estimated_rate,
-                rate=estimated_rate, highly_popular=highly_popular,
-                rejected=True))
-            result.fetch_record = FetchRecord(
-                task_id=request.task_id, user_id=user.user_id,
-                ip_address=user.ip_address,
-                access_bandwidth=user.reported_bandwidth,
-                start_time=start, finish_time=start, acquired_bytes=0.0,
-                traffic_bytes=0.0, average_speed=0.0, peak_speed=0.0,
-                rejected=True)
-            return
-
-        path, reservation, rate = admitted
-        duration = record.size / rate if rate > 0 else 0.0
-        yield Timeout(duration)
-        reservation.release(sim.now)
-        flows.append(FetchFlow(start=start, end=sim.now, rate=rate,
-                               highly_popular=highly_popular))
-        result.fetch_path = path
-        result.fetch_record = FetchRecord(
-            task_id=request.task_id, user_id=user.user_id,
-            ip_address=user.ip_address,
-            access_bandwidth=user.reported_bandwidth,
-            start_time=start, finish_time=sim.now,
-            acquired_bytes=record.size,
-            traffic_bytes=record.size * rng.uniform(1.07, 1.10),
-            average_speed=rate,
-            peak_speed=min(rate * rng.uniform(1.0, 1.4),
-                           self.config.max_fetch_rate))
-
-    def _resilient_fetch(self, sim: Simulator, request: RequestRecord,
-                         record: CatalogFile, user: User,
-                         rng: np.random.Generator, result: TaskResult,
-                         flows: list[FetchFlow], proc: Process):
-        """User fetch under fault injection, with optional recovery.
-
-        Crashed server groups are excluded from admission (the home
-        group being dark forces a barrier-crossing failover); an
-        in-flight flow interrupted by ``server_crash`` commits its
-        transferred bytes (checkpoint-resume) and retries after the
-        window clears plus backoff.  ``isp_degrade`` scales candidate
-        flow rates at admission time.
-        """
-        inj = self.faults
-        assert inj is not None
-        policies = self.policies
-        retry = policies.retry if policies is not None else None
-        jitter = inj.rng(f"cloud-fetch:{request.task_id}") \
-            if retry is not None else None
-        resume = policies is not None and policies.checkpoint_resume
-        overall_start = sim.now
-        highly_popular = record.popularity_class is \
-            PopularityClass.HIGHLY_POPULAR
-        checkpoint = TransferCheckpoint()
-        attempt = 0
-        impacted = False
-        while True:
-            attempt += 1
-            now = sim.now
-            down = inj.crashed_isps(now)
-            admitted = self.uploads.select_and_reserve(
-                user.isp, now,
-                lambda quality: self.fetch_model.sample_speed(
-                    user.access_bandwidth, quality, rng),
-                exclude=down,
-                rate_scale=lambda isp: inj.factor(
-                    "isp_degrade", isp.value, now))
-            if admitted is None:
-                if down and retry is not None \
-                        and retry.allows(attempt + 1):
-                    # Candidate groups are dark: wait out the longest
-                    # active crash window and try admission again.
-                    inj.retry("cloud-fetch")
-                    clear = max(inj.clear_time(("server_crash",),
-                                               name, now)
-                                for name in down)
-                    yield Timeout(max(clear - now, 0.0)
-                                  + retry.backoff(attempt, jitter))
-                    continue
-                if impacted or user.isp.value in down:
-                    inj.abort("cloud-fetch")
-                estimated_rate = FETCH_SPEED_MEAN
-                flows.append(FetchFlow(
-                    start=now, end=now + record.size / estimated_rate,
-                    rate=estimated_rate, highly_popular=highly_popular,
-                    rejected=True))
-                result.fetch_record = FetchRecord(
-                    task_id=request.task_id, user_id=user.user_id,
-                    ip_address=user.ip_address,
-                    access_bandwidth=user.reported_bandwidth,
-                    start_time=overall_start, finish_time=now,
-                    acquired_bytes=checkpoint.committed_bytes,
-                    traffic_bytes=0.0, average_speed=0.0,
-                    peak_speed=0.0, rejected=True)
-                return
-
-            path, reservation, rate = admitted
-            if user.isp.value in down and path.server_isp is not user.isp:
-                inj.failover("cloud-fetch")
-            remaining = checkpoint.remaining(record.size) \
-                if resume else record.size
-            deadline = now + (remaining / rate if rate > 0 else 0.0)
-            entity = ("isp", path.server_isp.value)
-            fault = None
-            inj.register(entity, proc)
-            try:
-                while sim.now < deadline:
-                    try:
-                        yield Timeout(deadline - sim.now)
-                    except Interrupt as intr:
-                        spec = intr.cause
-                        if spec.kind != "server_crash":
-                            continue
-                        fault = spec
-                        break
-            finally:
-                inj.unregister(entity, proc)
-                reservation.release(sim.now)
-            flows.append(FetchFlow(start=now, end=sim.now, rate=rate,
-                                   highly_popular=highly_popular))
-            if resume:
-                checkpoint.commit(min(rate * (sim.now - now), remaining))
-            if fault is None:
-                finish = sim.now
-                duration = finish - overall_start
-                result.fetch_path = path
-                result.fetch_record = FetchRecord(
-                    task_id=request.task_id, user_id=user.user_id,
-                    ip_address=user.ip_address,
-                    access_bandwidth=user.reported_bandwidth,
-                    start_time=overall_start, finish_time=finish,
-                    acquired_bytes=record.size,
-                    traffic_bytes=record.size * rng.uniform(1.07, 1.10),
-                    average_speed=record.size / duration
-                    if duration > 0 else rate,
-                    peak_speed=min(rate * rng.uniform(1.0, 1.4),
-                                   self.config.max_fetch_rate))
-                if impacted:
-                    inj.recover("cloud-fetch", duration)
-                return
-            impacted = True
-            inj.impact(fault)
-            if retry is not None and retry.allows(attempt + 1):
-                inj.retry("cloud-fetch")
-                clear = inj.clear_time(("server_crash",),
-                                       path.server_isp.value, sim.now)
-                yield Timeout(max(clear - sim.now, 0.0)
-                              + retry.backoff(attempt, jitter))
-                continue
-            inj.abort("cloud-fetch")
-            result.fetch_record = FetchRecord(
-                task_id=request.task_id, user_id=user.user_id,
-                ip_address=user.ip_address,
-                access_bandwidth=user.reported_bandwidth,
-                start_time=overall_start, finish_time=sim.now,
-                acquired_bytes=checkpoint.committed_bytes,
-                traffic_bytes=0.0, average_speed=0.0, peak_speed=0.0,
-                rejected=True)
-            return
+    def _schedule_tasks(self, sim: Simulator, workload: Workload,
+                        rng: np.random.Generator, tasks: list[TaskResult],
+                        flows: list[FetchFlow]) -> None:
+        """Put every task of ``workload`` on ``sim``'s clock."""
+        # Imported here: the machine module imports this one.
+        from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
+        machine = FastTaskMachine if self.faults is None \
+            else FaultedTaskMachine
+        machine(self, sim, workload, workload.user_by_id(), rng, tasks,
+                flows).start()

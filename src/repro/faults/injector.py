@@ -3,9 +3,12 @@
 Two modes of use, both deterministic:
 
 * **Engine mode** (`XuanfengCloud`): ``bind(sim)`` schedules one
-  activation callback per fault window; registered processes whose
+  activation callback per fault window; registered waiters whose
   entity matches an opening window are interrupted through the engine's
   interrupt machinery (``Interrupt.cause`` is the :class:`FaultSpec`).
+  A waiter is anything with ``Process.interrupt(cause)`` semantics: a
+  :class:`~repro.sim.engine.Process`, or a cloud task of
+  :class:`~repro.cloud.fastpath.FastTaskMachine`.
 
 * **Query mode** (analytic replay paths -- ``ShardReplay``, the AP
   benchrig, ODR): callers ask "is fault X active on entity E at time
@@ -19,6 +22,7 @@ impacts, retries, failovers, aborts, recoveries) as plain counters plus
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.faults.plan import WEDGE_KINDS, FaultPlan, FaultSpec
@@ -33,15 +37,31 @@ INTERRUPT_KINDS: tuple[str, ...] = ("server_crash", "vm_stall",
                                     "seed_death")
 
 
+def _boundaries(specs: Iterable[FaultSpec]) -> list[float]:
+    """Sorted window edges: between two consecutive ones (found with
+    ``bisect_right``), every spec's ``active_at`` answer is fixed."""
+    return sorted({edge for spec in specs
+                   for edge in (spec.start, spec.end)})
+
+
 class FaultInjector:
     """Deterministic dispatcher for one :class:`FaultPlan`."""
 
     def __init__(self, plan: FaultPlan, metrics=NOOP):
         self.plan = plan
         self.metrics = metrics
-        # (domain, entity) -> processes currently exposed to faults
+        # (domain, entity) -> waiters currently exposed to faults
         # (several fetch flows can share one ISP group).
         self._registered: Dict[Tuple[str, str], list[Process]] = {}
+        # Query memos.  Every answer depends only on the (frozen) plan,
+        # so each is computed once: the gated specs per (kinds, entity)
+        # -- a per-entity gate is a SHA-256 draw -- and the answers that
+        # only change at a window boundary (the dark ISP set, severity
+        # factors) per interval between consecutive boundaries.
+        self._gate_memo: Dict[tuple, Tuple[tuple, Dict[str, tuple]]] = {}
+        self._crash_bounds = _boundaries(plan.specs_of(("server_crash",)))
+        self._crash_memo: Dict[int, frozenset[str]] = {}
+        self._factor_memo: Dict[Tuple[str, str], tuple] = {}
         # Scoreboard (plain ints so analytic paths can read them back
         # without an obs registry).
         self.injected = 0
@@ -53,10 +73,20 @@ class FaultInjector:
 
     # -- query mode -----------------------------------------------------------
 
-    def _gated(self, kinds: Iterable[str], entity: str):
-        for spec in self.plan.specs_of(kinds):
-            if self.plan.applies(spec, entity):
-                yield spec
+    def _gated(self, kinds: Iterable[str],
+               entity: str) -> tuple[FaultSpec, ...]:
+        """The plan's ``kinds`` windows that ``entity`` is gated into."""
+        key = kinds if isinstance(kinds, tuple) else tuple(kinds)
+        memo = self._gate_memo.get(key)
+        if memo is None:
+            memo = self._gate_memo[key] = (self.plan.specs_of(key), {})
+        specs_of, by_entity = memo
+        gated = by_entity.get(entity)
+        if gated is None:
+            applies = self.plan.applies
+            gated = by_entity[entity] = tuple(
+                spec for spec in specs_of if applies(spec, entity))
+        return gated
 
     def active(self, kind: str, entity: str,
                now: float) -> Optional[FaultSpec]:
@@ -95,11 +125,26 @@ class FaultInjector:
 
     def factor(self, kind: str, entity: str, now: float) -> float:
         """Combined severity multiplier of active ``kind`` windows (1.0
-        when none are active)."""
-        factor = 1.0
-        for spec in self._gated((kind,), entity):
-            if spec.active_at(now):
-                factor *= spec.severity
+        when none are active).
+
+        Constant between the gated windows' boundaries, so it is
+        computed once per (kind, entity, interval between boundaries).
+        """
+        key = (kind, entity)
+        memo = self._factor_memo.get(key)
+        if memo is None:
+            specs = self._gated((kind,), entity)
+            memo = self._factor_memo[key] = (
+                specs, _boundaries(specs), {})
+        specs, bounds, by_interval = memo
+        interval = bisect_right(bounds, now)
+        factor = by_interval.get(interval)
+        if factor is None:
+            factor = 1.0
+            for spec in specs:
+                if spec.active_at(now):
+                    factor *= spec.severity
+            by_interval[interval] = factor
         return factor
 
     def wedged(self, entity: str, born: float,
@@ -119,15 +164,23 @@ class FaultInjector:
         return None
 
     def crashed_isps(self, now: float) -> frozenset[str]:
-        """ISP names whose upload-server groups are dark at ``now``."""
-        down = set()
-        for spec in self.plan.specs_of(("server_crash",)):
-            if not spec.active_at(now):
-                continue
-            name = spec.target.partition(":")[2]
-            if name and name != "*" and self.plan.applies(spec, name):
-                down.add(name)
-        return frozenset(down)
+        """ISP names whose upload-server groups are dark at ``now``.
+
+        The answer only changes at a server_crash window boundary, so it
+        is computed once per interval between consecutive boundaries.
+        """
+        interval = bisect_right(self._crash_bounds, now)
+        down = self._crash_memo.get(interval)
+        if down is None:
+            names = set()
+            for spec in self.plan.specs_of(("server_crash",)):
+                if not spec.active_at(now):
+                    continue
+                name = spec.target.partition(":")[2]
+                if name and name != "*" and self.plan.applies(spec, name):
+                    names.add(name)
+            down = self._crash_memo[interval] = frozenset(names)
+        return down
 
     def rng(self, label: str):
         """A jitter substream tied to the plan seed (backoff jitter)."""
@@ -136,7 +189,11 @@ class FaultInjector:
     # -- engine mode ----------------------------------------------------------
 
     def register(self, entity: Tuple[str, str], process: Process) -> None:
-        """Expose ``process`` to faults targeting ``(domain, name)``."""
+        """Expose ``process`` to faults targeting ``(domain, name)``.
+
+        ``process`` is duck-typed: it needs only ``interrupt(cause)``,
+        called once per matching window that opens while registered.
+        """
         self._registered.setdefault(entity, []).append(process)
 
     def unregister(self, entity: Tuple[str, str],

@@ -104,7 +104,7 @@ class BenchReport:
         lines = [
             f"repro.perf ({'smoke' if self.smoke else 'full'} mode, "
             f"python {platform.python_version()})",
-            f"{'stage':<18} {'scale':>6} {'baseline':>9} "
+            f"{'stage':<20} {'scale':>6} {'baseline':>9} "
             f"{'optimized':>9} {'speedup':>8}",
         ]
         for result in self.stages:
@@ -114,7 +114,7 @@ class BenchReport:
             speedup = (f"{result.speedup:7.2f}x"
                        if result.speedup is not None else f"{'-':>8}")
             lines.append(
-                f"{result.name:<18} {result.scale:>6g} {baseline} "
+                f"{result.name:<20} {result.scale:>6g} {baseline} "
                 f"{result.optimized_seconds:8.3f}s {speedup}")
         return "\n".join(lines)
 

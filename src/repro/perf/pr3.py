@@ -3,14 +3,17 @@
 Verbatim copies of the hot-path code as it stood *after* the PR 3
 profile-guided pass but *before* the PR 8 replay-core rebuild: the
 tuple-heap engine that re-enters the heap for every same-instant event,
-and the uploading-server admission that re-sorts its candidate groups
-(allocating preference closures) on every fetch.
+the uploading-server admission that re-sorts its candidate groups
+(allocating preference closures) on every fetch, and the cloud task as
+one generator coroutine per task (before the table-driven task machine
+of :mod:`repro.cloud.fastpath`).
 
 Like :mod:`repro.perf.legacy`, these serve two purposes:
 
 * the ``repro.perf`` harness times them as the mid-tier baseline of the
-  ``engine_dispatch`` and ``cloud_fast_tasks`` stages, isolating what
-  the PR 8 layers bought *on top of* PR 3;
+  ``engine_dispatch`` and ``cloud_fast_tasks`` stages (and, with the
+  pre-PR 3 engine, of ``cloud_replay``), isolating what the PR 8 layers
+  bought *on top of* PR 3;
 * the golden tests can replay the same scripted scenarios through them,
   proving the batched dispatch is bit-identical.
 
@@ -28,17 +31,27 @@ import numpy as np
 
 from repro.cloud.config import CloudConfig
 from repro.cloud.fetch import FetchSpeedModel
+from repro.cloud.system import FetchFlow, TaskResult, XuanfengCloud
 from repro.netsim.isp import ISP, MAJOR_ISPS
 from repro.netsim.topology import ChinaTopology, PathQuality
 from repro.obs.registry import AnyRegistry, NOOP
+from repro.paper import FETCH_SPEED_MEAN
 from repro.sim.clock import kbps, to_gbps
-from repro.sim.engine import Interrupt, SimulationError, Timeout, _SimObs
+from repro.sim.engine import (
+    Interrupt,
+    SimulationError,
+    Simulator,
+    Timeout,
+    _SimObs,
+)
 from repro.sim.resources import (
     CapacityExceeded,
     Reservation,
     ReservationPool,
     UsageSample,
 )
+from repro.workload.popularity import PopularityClass
+from repro.workload.records import FetchRecord, PreDownloadRecord
 
 # ---------------------------------------------------------------------------
 # Engine (PR 3: tuple heap, but every same-instant event re-enters it)
@@ -516,3 +529,171 @@ class Pr3UploadingServers:
         per_pool = [pool.binned_usage(bin_width, horizon)
                     for pool in self.pools.values()]
         return [sum(values) for values in zip(*per_pool)]
+
+
+# ---------------------------------------------------------------------------
+# Cloud tasks (pre-PR 8: one generator-coroutine Process per task)
+# ---------------------------------------------------------------------------
+
+
+class Pr3Cloud(XuanfengCloud):
+    """:class:`repro.cloud.system.XuanfengCloud` running each task as
+    the fault-free generator coroutines it was before the task machine.
+
+    Bit-identical to the live cloud on fault-free weeks (the hop
+    structure and draw order the machine mirrors are these
+    coroutines').  Fault injection is not supported.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        if self.faults is not None:
+            raise ValueError("Pr3Cloud replays fault-free weeks only")
+
+    def _schedule_tasks(self, sim: Simulator, workload, rng, tasks,
+                        flows) -> None:
+        users = workload.user_by_id()
+        for request in workload.requests:
+            sim.call_at(request.request_time, self._start_task,
+                        sim, request,
+                        workload.catalog[request.file_id],
+                        users[request.user_id], rng, tasks, flows)
+
+    def _start_task(self, sim, request, record, user, rng, tasks,
+                    flows) -> None:
+        sim.process(self._task(sim, request, record, user, rng, tasks,
+                               flows),
+                    name=f"task-{request.task_id}")
+
+    def _task(self, sim, request, record, user, rng, tasks, flows):
+        self._m_tasks.inc()
+        self.database.record_request(record.file_id, record.size, sim.now)
+        pre_record = yield from self._predownload_phase(sim, request,
+                                                        record, rng)
+        result = TaskResult(request=request, file=record,
+                            pre_record=pre_record)
+        tasks.append(result)
+        if not pre_record.success:
+            return result
+
+        # The user comes back to fetch after a think-time lag.
+        lag = self.config.fetch_lag_median * float(
+            np.exp(rng.normal(0.0, self.config.fetch_lag_sigma)))
+        yield Timeout(lag)
+        yield from self._fetch_phase(sim, request, record, user, rng,
+                                     result, flows)
+        return result
+
+    def _predownload_phase(self, sim, request, record, rng):
+        start = sim.now
+        if self.config.collaborative_cache and \
+                self.pool.lookup(record.file_id):
+            self._m_cache_hits.inc()
+            return self._hit_record(request, record, start, start)
+        self._m_cache_misses.inc()
+
+        in_flight = self._in_flight.get(record.file_id) \
+            if self.config.collaborative_cache else None
+        if in_flight is not None:
+            # Coalesce with the running pre-download of the same file.
+            outcome = yield in_flight
+            finish = sim.now
+            if outcome.success:
+                self.pool.lookup(record.file_id)   # count the warm hit
+                return self._hit_record(request, record, start, finish)
+            return PreDownloadRecord(
+                task_id=request.task_id, file_id=record.file_id,
+                start_time=start, finish_time=finish,
+                acquired_bytes=outcome.bytes_obtained,
+                traffic_bytes=0.0, cache_hit=False,
+                average_speed=0.0, peak_speed=0.0, success=False,
+                failure_cause=outcome.failure_cause)
+
+        event = sim.event(name=f"pre-{record.file_id}")
+        self._in_flight[record.file_id] = event
+        session = self.fleet.session_for(record)
+        try:
+            slot = None
+            if self._vm_slots is not None:
+                # A finite fleet: wait FIFO for a free pre-downloader VM.
+                acquire = self._vm_slots.acquire(sim)
+                self._m_queue_depth.set(self._vm_slots.queue_length)
+                slot = yield acquire
+                self._m_queue_depth.set(self._vm_slots.queue_length)
+            try:
+                outcome = yield sim.process(
+                    session.run(rng), name=f"pre-{request.task_id}")
+            finally:
+                if slot is not None:
+                    self._vm_slots.release(slot, sim)
+        finally:
+            self._in_flight.pop(record.file_id, None)
+        self.fleet.account(outcome)
+        self.database.record_attempt(record.file_id, outcome.success)
+        if outcome.success and self.config.collaborative_cache:
+            self.pool.insert(record)
+            self.database.set_cached(record.file_id, True)
+        event.trigger(outcome)
+        return PreDownloadRecord(
+            task_id=request.task_id, file_id=record.file_id,
+            start_time=start, finish_time=sim.now,
+            acquired_bytes=outcome.bytes_obtained,
+            traffic_bytes=outcome.traffic, cache_hit=False,
+            average_speed=outcome.average_rate,
+            peak_speed=outcome.peak_rate, success=outcome.success,
+            failure_cause=outcome.failure_cause)
+
+    @staticmethod
+    def _hit_record(request, record, start: float,
+                    finish: float) -> PreDownloadRecord:
+        return PreDownloadRecord(
+            task_id=request.task_id, file_id=record.file_id,
+            start_time=start, finish_time=finish,
+            acquired_bytes=record.size, traffic_bytes=0.0, cache_hit=True,
+            average_speed=0.0, peak_speed=0.0, success=True)
+
+    def _fetch_phase(self, sim, request, record, user, rng, result,
+                     flows):
+        start = sim.now
+        highly_popular = record.popularity_class is \
+            PopularityClass.HIGHLY_POPULAR
+
+        admitted = self.uploads.select_and_reserve(
+            user.isp, start,
+            lambda quality: self.fetch_model.sample_speed(
+                user.access_bandwidth, quality, rng))
+        if admitted is None:
+            # Rejected: record the fetch at 0 B/s and the burden the flow
+            # *would* have imposed (Fig. 11 counts rejected demand at the
+            # fleet-average fetch speed, per the paper's estimate).
+            estimated_rate = FETCH_SPEED_MEAN
+            flows.append(FetchFlow(
+                start=start, end=start + record.size / estimated_rate,
+                rate=estimated_rate, highly_popular=highly_popular,
+                rejected=True))
+            result.fetch_record = FetchRecord(
+                task_id=request.task_id, user_id=user.user_id,
+                ip_address=user.ip_address,
+                access_bandwidth=user.reported_bandwidth,
+                start_time=start, finish_time=start, acquired_bytes=0.0,
+                traffic_bytes=0.0, average_speed=0.0, peak_speed=0.0,
+                rejected=True)
+            return
+
+        path, reservation, rate = admitted
+        duration = record.size / rate if rate > 0 else 0.0
+        yield Timeout(duration)
+        reservation.release(sim.now)
+        flows.append(FetchFlow(start=start, end=sim.now, rate=rate,
+                               highly_popular=highly_popular))
+        result.fetch_path = path
+        result.fetch_record = FetchRecord(
+            task_id=request.task_id, user_id=user.user_id,
+            ip_address=user.ip_address,
+            access_bandwidth=user.reported_bandwidth,
+            start_time=start, finish_time=sim.now,
+            acquired_bytes=record.size,
+            traffic_bytes=record.size * rng.uniform(1.07, 1.10),
+            average_speed=rate,
+            peak_speed=min(rate * rng.uniform(1.0, 1.4),
+                           self.config.max_fetch_rate))

@@ -11,15 +11,17 @@ pipeline stage of the reproduction:
 Baselines come from two frozen snapshots: :mod:`repro.perf.legacy`
 (pre-PR 3: scalar samplers, lambda-heap engine, uncached topology,
 line-at-a-time IO) and :mod:`repro.perf.pr3` (pre-PR 8: the tuple-heap
-engine without the same-instant dispatch queue, and the per-fetch-sort
-upload admission).  ``cloud_replay`` measures the full stack-up --
-live engine + fast-path task machine vs the pre-PR 3 everything --
-while ``engine_dispatch``, ``cloud_fast_tasks`` and ``trace_columnar``
-isolate the three PR 8 layers individually.  The AP and ODR replay
-stages have no frozen counterpart: their inner loops are closed-form
-transfer arithmetic the optimisation PRs touched only via shared
-records/samplers, so they are timed without a ratio purely as
-regression tripwires.
+engine without the same-instant dispatch queue, the per-fetch-sort
+upload admission, and generator-coroutine cloud tasks).
+``cloud_replay`` measures the full stack-up -- live engine + task
+machine vs the pre-PR 3 everything -- while ``engine_dispatch``,
+``cloud_fast_tasks`` and ``trace_columnar`` isolate the three PR 8
+layers individually.  The faulted cloud replay and the AP and ODR
+replay stages have no frozen counterpart (faulted cloud tasks ran on
+generator coroutines that are no longer kept; the AP and ODR inner
+loops are closed-form transfer arithmetic the optimisation PRs touched
+only via shared records/samplers), so they are timed without a ratio
+purely as regression tripwires.
 
 Inputs are built *outside* the timed thunks (workloads, request
 samples, cloud databases), so each thunk measures one stage, not its
@@ -97,7 +99,11 @@ def _build_cloud(scale: float, scratch: Path) -> StagePlan:
 
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.perf.legacy import LegacySimulator, LegacyTopology
-    from repro.perf.pr3 import Pr3FetchSpeedModel, Pr3UploadingServers
+    from repro.perf.pr3 import (
+        Pr3Cloud,
+        Pr3FetchSpeedModel,
+        Pr3UploadingServers,
+    )
 
     workload = _make_workload(scale)
     config = CloudConfig(scale=scale)
@@ -113,16 +119,15 @@ def _build_cloud(scale: float, scratch: Path) -> StagePlan:
         # stack: the pre-PR 3 engine and uncached topology plus the
         # pre-PR 8 admission tier (per-fetch candidate sort,
         # sample-object reservation history inside
-        # ``Pr3UploadingServers``) and fetch-speed model, with the task
-        # state machine disabled (``fast_tasks=False`` drives the
-        # original generator coroutines).
+        # ``Pr3UploadingServers``) and fetch-speed model, with tasks
+        # run as the original generator coroutines (``Pr3Cloud``).
         originals = (cloud_system.Simulator, cloud_system.UploadingServers)
         cloud_system.Simulator = LegacySimulator
         cloud_system.UploadingServers = Pr3UploadingServers
         try:
-            return XuanfengCloud(config, topology=LegacyTopology(),
-                                 fetch_model=Pr3FetchSpeedModel(),
-                                 fast_tasks=False).run(workload)
+            return Pr3Cloud(config, topology=LegacyTopology(),
+                            fetch_model=Pr3FetchSpeedModel()
+                            ).run(workload)
         finally:
             cloud_system.Simulator, cloud_system.UploadingServers = \
                 originals
@@ -210,6 +215,7 @@ def _build_engine(scale: float, scratch: Path) -> StagePlan:
 
 def _build_fast_tasks(scale: float, scratch: Path) -> StagePlan:
     from repro.cloud import CloudConfig, XuanfengCloud
+    from repro.perf.pr3 import Pr3Cloud
 
     # Same live engine, topology and admission on both sides; the only
     # difference is the task execution model, so the ratio isolates the
@@ -218,8 +224,26 @@ def _build_fast_tasks(scale: float, scratch: Path) -> StagePlan:
     config = CloudConfig(scale=scale)
     return StagePlan(
         optimized=lambda: XuanfengCloud(config).run(workload),
-        baseline=lambda: XuanfengCloud(config,
-                                       fast_tasks=False).run(workload),
+        baseline=lambda: Pr3Cloud(config).run(workload),
+    )
+
+
+def _build_cloud_faulted(scale: float, scratch: Path) -> StagePlan:
+    from repro.cloud import CloudConfig, XuanfengCloud
+    from repro.faults import DEFAULT_POLICIES, FaultInjector
+    from repro.faults.plan import default_chaos_plan
+
+    # A fresh injector per run: it keeps the run's scoreboard.
+    workload = _make_workload(scale)
+    config = CloudConfig(scale=scale)
+    plan = default_chaos_plan()
+    return StagePlan(
+        optimized=lambda: XuanfengCloud(
+            config, faults=FaultInjector(plan),
+            policies=DEFAULT_POLICIES).run(workload),
+        note="no frozen baseline: faulted tasks ran on generator "
+             "coroutines that are no longer kept; timed as a tripwire "
+             "only",
     )
 
 
@@ -285,6 +309,11 @@ STAGES: dict[str, Stage] = {
                     "coroutines)",
               full_scale=0.005, smoke_scale=0.002,
               build=_build_fast_tasks),
+        Stage(name="cloud_replay_faulted",
+              title="faulted cloud replay (week under the default chaos "
+                    "plan)",
+              full_scale=0.01, smoke_scale=0.002,
+              build=_build_cloud_faulted),
         Stage(name="ap_replay",
               title=f"AP replay ({AP_SAMPLE}-request smart-AP benchmark)",
               full_scale=0.005, smoke_scale=0.002, build=_build_ap),

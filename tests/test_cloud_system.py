@@ -140,17 +140,18 @@ class TestFastPathEquivalence:
     """The table-driven task machine vs the generator coroutines.
 
     The golden digests already pin the fast path to the frozen
-    pre-optimisation output; this compares the two *live* execution
-    models directly, so a divergence is attributed to the right layer
-    even if both drift from the pinned digest together.
+    pre-optimisation output; this compares the live machine with the
+    frozen coroutines (``repro.perf.pr3.Pr3Cloud``) on the live engine
+    directly, so a divergence is attributed to the right layer even if
+    both drift from the pinned digest together.
     """
 
     def test_state_machine_matches_generator_path(self, workload):
         from repro.cloud import CloudConfig, XuanfengCloud
         from repro.perf.golden import cloud_payload
+        from repro.perf.pr3 import Pr3Cloud
         from tests.conftest import TEST_SCALE
 
         fast = XuanfengCloud(CloudConfig(scale=TEST_SCALE)).run(workload)
-        slow = XuanfengCloud(CloudConfig(scale=TEST_SCALE),
-                             fast_tasks=False).run(workload)
+        slow = Pr3Cloud(CloudConfig(scale=TEST_SCALE)).run(workload)
         assert cloud_payload(fast) == cloud_payload(slow)
