@@ -254,9 +254,9 @@ class XuanfengCloud:
                  policies: Optional[ResiliencePolicies] = None):
         self.config = config
         # Fault injection + resilience are strictly opt-in: with
-        # ``faults=None`` the task machine (repro.cloud.fastpath) binds
-        # its fault-free phase handlers, so every hop and RNG draw is
-        # that of the fault-free build (golden digests depend on this).
+        # ``faults=None`` tasks run on the fault-free task machine
+        # (repro.cloud.fastpath), so every hop and RNG draw is that of
+        # the fault-free build (golden digests depend on this).
         # ``policies`` only matters when faults are injected.
         self.faults = faults
         self.policies = policies

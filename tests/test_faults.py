@@ -267,6 +267,25 @@ class TestInjectorQueries:
         assert inj.crashed_isps(12.0) == frozenset({"telecom"})
         assert inj.crashed_isps(20.0) == frozenset()
 
+    def test_memoised_answers_hold_in_any_query_order(self):
+        # One injector answers queries at every window edge (and just
+        # either side of it) newest first; a fresh injector per query
+        # answers from scratch.  The memos must never change an answer.
+        plan = default_chaos_plan()
+        edges = sorted({edge for spec in plan.specs
+                        for edge in (spec.start, spec.end)})
+        times = [t + delta for t in edges for delta in (-1.0, 0.0, 1.0)]
+        memoised = FaultInjector(plan)
+        for now in reversed(times):
+            fresh = FaultInjector(plan)
+            assert memoised.crashed_isps(now) == fresh.crashed_isps(now)
+            for isp in ("telecom", "unicom", "mobile"):
+                assert memoised.factor("isp_degrade", isp, now) \
+                    == fresh.factor("isp_degrade", isp, now)
+            for file_id in ("f1", "f2", "f3"):
+                assert memoised.active("vm_stall", file_id, now) \
+                    == fresh.active("vm_stall", file_id, now)
+
     def test_scoreboard_tallies(self):
         inj = self.injector()
         inj.retry("cloud")
