@@ -142,16 +142,23 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
                              "raw fault impact)")
 
 
+def _load_fault_plan(path: Path):
+    """The ``--faults`` plan; an unreadable or malformed one is a usage
+    error (exit 2), not a traceback."""
+    from repro.faults import FaultPlan
+    try:
+        return FaultPlan.from_file(path)
+    except (OSError, ValueError) as error:
+        print(f"error: --faults: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _fault_setup(args: argparse.Namespace, registry):
     """Build (injector, policies) from ``--faults``/``--no-resilience``."""
     if getattr(args, "faults", None) is None:
         return None, None
-    from repro.faults import (
-        DEFAULT_POLICIES,
-        FaultInjector,
-        FaultPlan,
-    )
-    plan = FaultPlan.from_file(args.faults)
+    from repro.faults import DEFAULT_POLICIES, FaultInjector
+    plan = _load_fault_plan(args.faults)
     policies = None if args.no_resilience else DEFAULT_POLICIES
     return FaultInjector(plan, metrics=registry), policies
 
@@ -254,8 +261,8 @@ def cmd_cloud(args: argparse.Namespace) -> int:
     recovery = _recovery_config(args)
     if args.jobs is not None or recovery is not None:
         return _cmd_cloud_sharded(args, registry, recovery)
-    workload = _load_or_generate(args)
     injector, policies = _fault_setup(args, registry)
+    workload = _load_or_generate(args)
     config = CloudConfig(scale=workload.config.scale,
                          collaborative_cache=not args.no_cache,
                          privileged_paths=not args.no_privileged_paths)
@@ -304,8 +311,7 @@ def _cmd_cloud_sharded(args: argparse.Namespace, registry,
         return 2
     fault_plan = None
     if getattr(args, "faults", None) is not None:
-        from repro.faults import FaultPlan
-        fault_plan = FaultPlan.from_file(args.faults)
+        fault_plan = _load_fault_plan(args.faults)
     jobs = args.jobs if args.jobs is not None else 1
     plan = ShardPlan(scale=args.scale, seed=args.seed,
                      shards=args.shards)
@@ -346,8 +352,8 @@ def cmd_ap(args: argparse.Namespace) -> int:
     from repro.workload import sample_benchmark_requests
     registry = _metrics_registry(args)
     recovery = _recovery_config(args)
-    workload = _load_or_generate(args)
     injector, policies = _fault_setup(args, registry)
+    workload = _load_or_generate(args)
     sample = sample_benchmark_requests(workload, args.sample)
     if args.jobs is not None or recovery is not None:
         if injector is not None:
@@ -493,61 +499,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
                          "--outdir", str(args.outdir)])
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.__main__ import main as serve_main
-    forwarded = ["--host", args.host, "--port", str(args.port),
-                 "--engine", args.engine,
-                 "--workers", str(args.workers),
-                 "--max-inflight", str(args.max_inflight),
-                 "--policy", args.policy,
-                 "--grace", str(args.grace)]
-    if args.no_batch:
-        forwarded.append("--no-batch")
-    if args.no_resilience:
-        forwarded.append("--no-resilience")
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.max_workers is not None:
-        forwarded += ["--max-workers", str(args.max_workers)]
-    if args.faults is not None:
-        forwarded += ["--faults", str(args.faults)]
-    if args.quiet:
-        forwarded.append("--quiet")
-    return serve_main(forwarded)
-
-
-def cmd_backends(args: argparse.Namespace) -> int:
-    from repro.backends.__main__ import main as backends_main
-    forwarded = ["--scale", str(args.scale), "--seed", str(args.seed),
-                 "--limit", str(args.limit),
-                 "--shards", str(args.shards)]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    for combo in args.combo or ():
-        forwarded += ["--combo", combo]
-    if args.deadline_hours is not None:
-        forwarded += ["--deadline-hours", str(args.deadline_hours)]
-    if args.faults:
-        forwarded.append("--faults")
-    if args.json:
-        forwarded.append("--json")
-    if args.out is not None:
-        forwarded += ["--out", str(args.out)]
-    if args.quiet:
-        forwarded.append("--quiet")
-    return backends_main(forwarded)
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen.__main__ import main as loadgen_main
-    return loadgen_main(list(args.loadgen_args))
-
-
-def _forward_loadgen(argv: list[str] | None) -> list[str] | None:
-    """``repro loadgen ...`` forwards everything verbatim (argparse's
-    REMAINDER refuses leading optionals, so route before parsing)."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return argv[1:] if argv[:1] == ["loadgen"] else None
+#: Subcommands that own their parser: ``repro <name> ...`` forwards
+#: argv verbatim to ``python -m <module>``'s ``main`` before ``repro``'s
+#: parser runs, so every flag is declared once.
+_FORWARDED = {
+    "serve": ("repro.serve",
+              "run the ODR web service (like odr.thucloud.com)"),
+    "backends": ("repro.backends",
+                 "compare (backend set, policy) combinations on one "
+                 "deterministic trace"),
+    "loadgen": ("repro.loadgen", "replay the trace as live HTTP load"),
+}
 
 
 def cmd_runs_gc(args: argparse.Namespace) -> int:
@@ -666,77 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
                          default=Path("figures"))
     figures.set_defaults(func=cmd_figures)
 
-    serve = subparsers.add_parser(
-        "serve", help="run the ODR web service (like odr.thucloud.com)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8034)
-    serve.add_argument("--engine", choices=["async", "thread"],
-                       default="async",
-                       help="serving engine (default %(default)s)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="async engine only: SO_REUSEPORT worker "
-                            "processes")
-    serve.add_argument("--max-inflight", type=int, default=128,
-                       help="admission-control cap on concurrent "
-                            "requests (503 + Retry-After past it)")
-    serve.add_argument("--policy", default="odr",
-                       help="default routing policy (a registry "
-                            "strategy name; override per request "
-                            "with ?policy=...)")
-    serve.add_argument("--no-batch", action="store_true",
-                       help="disable same-tick /decide coalescing")
-    serve.add_argument("--supervise", action="store_true",
-                       help="parent supervisor keeps the worker pool "
-                            "at capacity (health probes, backoff "
-                            "restarts); needs --workers >= 2")
-    serve.add_argument("--max-workers", type=int, default=None,
-                       help="with --supervise: elastic ceiling the "
-                            "pool may grow to under shed pressure")
-    serve.add_argument("--no-resilience", action="store_true",
-                       help="disable the backend circuit breaker "
-                            "(503 + Retry-After load shedding)")
-    serve.add_argument("--faults", type=Path, default=None,
-                       help="fault plan injected into the serving tier")
-    serve.add_argument("--grace", type=float, default=10.0)
-    serve.add_argument("--quiet", action="store_true")
-    serve.set_defaults(func=cmd_serve)
-
-    backends = subparsers.add_parser(
-        "backends", help="compare (backend set, policy) combinations "
-                         "on one deterministic trace")
-    _add_scale(backends)
-    backends.add_argument("--limit", type=int, default=400,
-                          help="trace rows to replay "
-                               "(default %(default)s)")
-    backends.add_argument("--shards", type=int, default=4,
-                          help="content shards; any value yields the "
-                               "same scorecard (default %(default)s)")
-    backends.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (results are "
-                               "identical at any job count)")
-    backends.add_argument("--combo", action="append", metavar="NAME",
-                          help="run only combos whose name contains "
-                               "NAME (repeatable)")
-    backends.add_argument("--deadline-hours", type=float, default=None,
-                          help="delay-aware policy deadline in hours "
-                               "(default 8)")
-    backends.add_argument("--faults", action="store_true",
-                          help="route under the default chaos plan")
-    backends.add_argument("--json", action="store_true",
-                          help="print the JSON scorecard")
-    backends.add_argument("--out", type=Path, default=None,
-                          help="also write the JSON scorecard to PATH")
-    backends.add_argument("--quiet", action="store_true",
-                          help="print only the scorecard digest")
-    backends.set_defaults(func=cmd_backends)
-
-    loadgen = subparsers.add_parser(
-        "loadgen", help="replay the trace as live HTTP load "
-                        "(see python -m repro.loadgen --help)")
-    loadgen.add_argument("loadgen_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to "
-                              "python -m repro.loadgen")
-    loadgen.set_defaults(func=cmd_loadgen)
+    for name, (module, summary) in _FORWARDED.items():
+        # Stubs, so ``repro --help`` lists them; main() never parses
+        # their arguments here.
+        subparsers.add_parser(
+            name, add_help=False,
+            help=f"{summary} (see python -m {module} --help)")
 
     runs = subparsers.add_parser(
         "runs", help="manage durable run directories")
@@ -790,10 +687,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    loadgen_argv = _forward_loadgen(argv)
-    if loadgen_argv is not None:
-        from repro.loadgen.__main__ import main as loadgen_main
-        return loadgen_main(loadgen_argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _FORWARDED:
+        import importlib
+        module = importlib.import_module(
+            f"{_FORWARDED[argv[0]][0]}.__main__")
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     if getattr(args, "profile", None) is None:
         return _dispatch(args)

@@ -1,10 +1,10 @@
-"""The ODR web service, as an actual HTTP server.
+"""The ODR web application: routing and decisions, no transport.
 
 The paper deploys ODR as "a public web service ... on a low-end virtual
 machine" (section 6.1): a front page where the user pastes a link and
 her auxiliary info, and a redirection suggestion back.  This module is
-that service on the Python standard library -- no frameworks -- so the
-proof-of-concept middleware is genuinely runnable::
+that service's application layer; :mod:`repro.serve` puts it on the
+wire (one asyncio loop, keep-alive, batched decisions)::
 
     python -m repro serve --port 8034
     curl 'localhost:8034/decide?link=magnet://origin/xyz&popularity=200\
@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import json
 import math
-import signal
 import threading
 import time
 import uuid
 from http.cookies import SimpleCookie
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
@@ -94,8 +92,9 @@ bottlenecks.</p>
 class OdrWebApp:
     """The HTTP application: routing plus the wrapped :class:`OdrService`.
 
-    Separated from the handler class so tests can drive it without
-    sockets, and so one app instance can serve many requests.
+    Transport-free: :class:`~repro.serve.server.AsyncOdrServer` owns the
+    sockets and calls :meth:`handle` / :meth:`handle_batch` on executor
+    threads (hence ``_lock``), and tests drive it without sockets.
     """
 
     def __init__(self, database: Optional[ContentDatabase] = None,
@@ -342,13 +341,8 @@ class OdrWebApp:
         user_id = uuid.uuid4().hex[:16]
         return user_id, f"odr_user={user_id}; Path=/"
 
-    def _build_context(self, first, user_id: str,
-                       ip_address: Optional[str] = None,
+    def _build_context(self, first, user_id: str, ip_address: str,
                        deadline: Optional[float] = None) -> UserContext:
-        if ip_address is None:
-            isp = ISP(first("isp", "unicom"))
-            with self._lock:
-                ip_address = self._allocator.allocate(isp)
         bandwidth = None
         raw_bandwidth = first("bandwidth_mbps")
         if raw_bandwidth:
@@ -373,177 +367,3 @@ class OdrWebApp:
                            smart_ap=smart_ap,
                            deadline_seconds=deadline_seconds)
 
-    def _register_popularity(self, link: str, first) -> None:
-        from repro.core.service import parse_link
-        _protocol, file_id = parse_link(link)
-        popularity = int(first("popularity", "0") or 0)
-        with self._lock:
-            row = self.database.row(file_id, size=0.0)
-            if row.request_count < popularity:
-                row.request_count = popularity
-            self.database.set_cached(file_id,
-                                     first("cached", "0") in
-                                     ("1", "true", "yes"))
-
-
-class _Handler(BaseHTTPRequestHandler):
-    app: OdrWebApp   # injected by make_server
-
-    def do_GET(self):   # noqa: N802  (BaseHTTPRequestHandler API)
-        status, content_type, body, set_cookie, headers = \
-            self.app.handle(self.path, self.headers.get("Cookie", ""))
-        payload = body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type",
-                         f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        if set_cookie:
-            self.send_header("Set-Cookie", set_cookie)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format, *args):   # silence test output
-        pass
-
-
-class OdrHTTPServer(ThreadingHTTPServer):
-    """The ODR server with explicit lifecycle semantics.
-
-    ``daemon_threads`` so in-flight handler threads never block process
-    exit (``shutdown()`` only stops the accept loop), and
-    ``allow_reuse_address`` so a restart can rebind the port while the
-    previous socket lingers in TIME_WAIT.
-
-    The server counts in-flight handler threads so a graceful stop can
-    ``shutdown()`` the accept loop, :meth:`drain` the requests already
-    being answered, and only then ``server_close()`` the socket --
-    instead of daemon threads being cut off mid-response at exit.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-
-    def process_request_thread(self, request, client_address):
-        with self._inflight_cv:
-            self._inflight += 1
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
-
-    @property
-    def inflight_requests(self) -> int:
-        with self._inflight_cv:
-            return self._inflight
-
-    @property
-    def host(self) -> str:
-        """The interface the server actually bound."""
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The port the server actually bound.
-
-        When constructed with port 0 the OS picks a free port at bind
-        time; callers (the load generator, tests, the bench harness)
-        read it here instead of poking ``server_address``.
-        """
-        return self.server_address[1]
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until in-flight requests finish; False on timeout."""
-        deadline = time.monotonic() + timeout
-        with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._inflight_cv.wait(remaining)
-        return True
-
-
-def make_server(port: int = 0,
-                database: Optional[ContentDatabase] = None,
-                policies: Optional[ResiliencePolicies] = None,
-                metrics: AnyRegistry = NOOP,
-                default_policy: str = "odr") -> OdrHTTPServer:
-    """Build (without starting) the HTTP server; port 0 picks a free
-    one."""
-    app = OdrWebApp(database, policies=policies, metrics=metrics,
-                    default_policy=default_policy)
-    handler = type("OdrHandler", (_Handler,), {"app": app})
-    return OdrHTTPServer(("127.0.0.1", port), handler)
-
-
-def run_server(server: OdrHTTPServer, *,
-               install_signals: bool = True,
-               grace: float = 10.0,
-               ready: Optional[threading.Event] = None,
-               stop: Optional[threading.Event] = None,
-               quiet: bool = False) -> int:
-    """Run ``server`` until SIGINT/SIGTERM, then drain and close.
-
-    The accept loop runs in a background thread; the caller's thread
-    waits on ``stop`` (set by the installed signal handlers, by
-    Ctrl-C, or externally by tests).  On stop: ``shutdown()`` stops
-    accepting, :meth:`OdrHTTPServer.drain` waits up to ``grace``
-    seconds for in-flight responses, then the socket closes.  Returns 0
-    on a clean drain, 1 if requests were still in flight at the
-    deadline.
-    """
-    stop = stop or threading.Event()
-    previous: dict[int, object] = {}
-
-    def _on_signal(signum, frame):   # noqa: ARG001 - signal API
-        stop.set()
-
-    if install_signals \
-            and threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, _on_signal)
-
-    accept = threading.Thread(target=server.serve_forever,
-                              name="odr-accept", daemon=True)
-    accept.start()
-    drained = True
-    try:
-        if ready is not None:
-            ready.set()
-        try:
-            while not stop.wait(0.1):
-                pass
-        except KeyboardInterrupt:
-            stop.set()
-        if not quiet:
-            print("ODR shutting down: draining in-flight requests ...")
-        server.shutdown()
-        accept.join(grace)
-        drained = server.drain(grace)
-        if not drained and not quiet:
-            print(f"ODR drain timed out after {grace:g}s with "
-                  f"{server.inflight_requests} request(s) in flight")
-    finally:
-        server.server_close()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-    return 0 if drained else 1
-
-
-def serve(port: int = 8034,
-          policies: Optional[ResiliencePolicies] = None,
-          grace: float = 10.0) -> int:   # pragma: no cover - interactive
-    server = make_server(port, policies=policies)
-    actual_port = server.port
-    print(f"ODR listening on http://127.0.0.1:{actual_port}/ "
-          f"(Ctrl-C or SIGTERM to stop)")
-    return run_server(server, grace=grace)

@@ -191,13 +191,42 @@ class FaultSpec:
         return record
 
     @classmethod
-    def from_dict(cls, record: dict) -> "FaultSpec":
-        return cls(kind=record["kind"], target=record["target"],
-                   start=float(record["start"]),
-                   duration=float(record["duration"]),
-                   severity=float(record.get("severity", 1.0)),
-                   probability=float(record.get("probability", 1.0)),
-                   count=int(record.get("count", 1)))
+    def from_dict(cls, record: dict, index: int = 0) -> "FaultSpec":
+        """Parse one entry of a plan's ``faults`` array.
+
+        A missing, ill-typed or out-of-range field raises ``ValueError``
+        naming ``index`` (the entry's position) and the field.
+        """
+        where = f"fault spec #{index}"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: expected an object, "
+                             f"got {type(record).__name__}")
+        values = {}
+        for name, cast, required in _SPEC_FIELDS:
+            if name not in record:
+                if required:
+                    raise ValueError(f"{where}: missing field {name!r}")
+                continue
+            value = record[name]
+            try:
+                if cast is str and not isinstance(value, str):
+                    raise TypeError
+                values[name] = cast(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where}: field {name!r} must be {cast.__name__}, "
+                    f"got {value!r}") from None
+        try:
+            return cls(**values)
+        except ValueError as error:
+            raise ValueError(f"{where}: {error}") from None
+
+
+#: (field, type, required) of a plan entry, in :class:`FaultSpec` order.
+_SPEC_FIELDS = (("kind", str, True), ("target", str, True),
+                ("start", float, True), ("duration", float, True),
+                ("severity", float, False),
+                ("probability", float, False), ("count", int, False))
 
 
 @dataclass(frozen=True)
@@ -247,12 +276,13 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         payload = json.loads(text)
-        if not isinstance(payload, dict) or "faults" not in payload:
+        if not isinstance(payload, dict) \
+                or not isinstance(payload.get("faults"), list):
             raise ValueError(
                 "a fault plan is an object with 'name', 'seed' and a "
                 "'faults' array")
-        specs = tuple(FaultSpec.from_dict(record)
-                      for record in payload["faults"])
+        specs = tuple(FaultSpec.from_dict(record, index)
+                      for index, record in enumerate(payload["faults"]))
         return cls(name=str(payload.get("name", "unnamed")),
                    seed=int(payload.get("seed", DEFAULT_CHAOS_SEED)),
                    specs=specs)

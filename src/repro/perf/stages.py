@@ -248,7 +248,7 @@ def _build_cloud_faulted(scale: float, scratch: Path) -> StagePlan:
 
 
 def _build_columnar(scale: float, scratch: Path) -> StagePlan:
-    from repro.traceio import read_columnar, write_columnar
+    from repro.workload.columnar import read_columnar, write_columnar
     from repro.workload.records import RequestRecord
     from repro.workload.traceio import read_jsonl, write_jsonl
 

@@ -150,7 +150,7 @@ def ap_replay_worker(task: ApReplayTask) -> list[ApPreDownloadResult]:
     for record in task.catalog_files:
         catalog.files[record.file_id] = record
     if task.requests_trace:
-        from repro.traceio import ColumnarTrace
+        from repro.workload.columnar import ColumnarTrace
         path, indices = task.requests_trace
         requests = ColumnarTrace(path).take(indices)
     else:

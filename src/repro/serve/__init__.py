@@ -26,8 +26,8 @@ endpoint at scale:
 * :class:`~repro.serve.chaos.ServeChaos` -- a fault-plan gate anchored
   at server start, so chaos campaigns cover the serving tier;
 * :mod:`~repro.serve.bench` (``python -m repro.serve.bench``) -- the
-  saturation-ramp comparison against the legacy threaded tier,
-  written to ``BENCH_serve.json``.
+  saturation ramp (single loop and ``SO_REUSEPORT`` pool), written to
+  ``BENCH_serve.json``.
 
 The CLI lives in ``python -m repro.serve`` (also ``repro serve``).
 """

@@ -1,19 +1,14 @@
 """``python -m repro.serve`` -- run the ODR serving tier.
 
-Engines:
-
-* ``async`` (default) -- the asyncio tier: keep-alive connections,
-  bounded admission control, same-tick batched decision evaluation,
-  ``/metrics``; with ``--workers N`` it becomes N ``SO_REUSEPORT``
-  processes sharing the port.
-* ``thread`` -- the legacy ``ThreadingHTTPServer`` tier (PR 5
-  semantics), kept as the baseline the bench harness compares against.
+The asyncio tier: keep-alive connections, bounded admission control,
+same-tick batched decision evaluation, ``/metrics``; with
+``--workers N`` it becomes N ``SO_REUSEPORT`` processes sharing the
+port, and with ``--supervise`` a parent keeps that pool at capacity.
 
 Examples::
 
-    python -m repro.serve --port 8034                  # async, 1 loop
+    python -m repro.serve --port 8034                  # one loop
     python -m repro.serve --workers 4                  # SO_REUSEPORT x4
-    python -m repro.serve --engine thread              # legacy tier
     python -m repro.serve --faults examples/serve_chaos_plan.json
 """
 
@@ -28,18 +23,14 @@ from repro.serve.admission import DEFAULT_MAX_INFLIGHT
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Run the ODR decision service "
-                    "(async serving tier or the legacy threaded one).")
+        description="Run the ODR decision service.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8034,
                         help="0 picks a free port and prints it "
                              "(default %(default)s)")
-    parser.add_argument("--engine", choices=("async", "thread"),
-                        default="async",
-                        help="serving engine (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="async engine only: SO_REUSEPORT worker "
-                             "processes (default %(default)s)")
+                        help="SO_REUSEPORT worker processes "
+                             "(default %(default)s)")
     parser.add_argument("--max-inflight", type=int,
                         default=DEFAULT_MAX_INFLIGHT,
                         help="admission-control cap on concurrent "
@@ -84,32 +75,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         build_parser().error(
             f"unknown --policy {args.policy!r}; "
             f"known: {', '.join(strategy_names())}")
-    if args.engine == "thread":
-        if args.workers > 1:
-            build_parser().error("--workers needs --engine async")
-        from repro.core.webapp import make_server, run_server
-        from repro.faults.policies import ResiliencePolicies
-        policies = None if args.no_resilience else ResiliencePolicies()
-        server = make_server(args.port, policies=policies,
-                             default_policy=args.policy)
-        if not args.quiet:
-            print(f"ODR (thread) listening on "
-                  f"http://{server.host}:{server.port}/ "
-                  f"(Ctrl-C or SIGTERM to stop)", flush=True)
-        return run_server(server, grace=args.grace, quiet=args.quiet)
-
     if args.max_workers is not None and not args.supervise:
         build_parser().error("--max-workers needs --supervise "
                              "(elastic capacity is a supervisor "
                              "feature)")
-    if args.faults and args.workers > 1:
-        # Serve-domain targets reference concrete slots: fail a typo'd
-        # plan here, at load time, not mid-campaign.
+    if args.faults:
+        # Serve-domain targets reference concrete slots (a single loop
+        # is a pool of 1): fail a malformed or typo'd plan here, at
+        # load time, not mid-campaign.
         from repro.faults.plan import FaultPlan, validate_serve_plan
         try:
             validate_serve_plan(FaultPlan.from_file(args.faults),
                                 args.workers)
-        except ValueError as error:
+        except (OSError, ValueError) as error:
             build_parser().error(f"--faults: {error}")
 
     if args.supervise:

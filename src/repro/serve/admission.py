@@ -20,8 +20,8 @@ plus a per-endpoint latency histogram
 (``repro_serve_latency_seconds{endpoint}``) observed on release.  Tests
 assert the invariant ``admitted + rejected == requests sent``.
 
-Thread-safe: the asyncio tier calls it from one loop thread, the legacy
-threaded tier from many handler threads.
+Thread-safe: the asyncio tier calls it from its loop thread, and counts
+execute-stage deadline sheds from executor threads.
 """
 
 from __future__ import annotations

@@ -1,22 +1,17 @@
-"""``python -m repro.serve.bench`` -- async vs threaded saturation ramp.
+"""``python -m repro.serve.bench`` -- the serving tier's saturation ramp.
 
-Boots each serving engine as its own subprocess (so the load generator
-never shares a GIL with the tier it is measuring), replays the same
-trace slice through the same stepped ramp against both, and writes the
-side-by-side scorecards to ``BENCH_serve.json``:
+Boots the serving tier as its own subprocess (so the load generator
+never shares a GIL with the tier it is measuring), replays a trace
+slice through a stepped ramp, and writes the scorecards to
+``BENCH_serve.json``:
 
-* ``engines.async`` / ``engines.thread`` -- the full per-step SLO
-  scorecard of each tier (see :func:`repro.loadgen.ramp.scorecard`);
-* ``saturation`` -- each tier's saturation RPS (highest achieved
-  throughput among SLO-healthy steps) and the async/thread ratio;
-* ``so_reuseport`` (with ``--workers N``) -- the async tier ramped
-  again as an N-process ``SO_REUSEPORT`` pool, recorded as the
-  pool-over-single-loop scaling ratio.
-
-The legacy tier answers ``Connection: close`` on every response, so
-each request pays a fresh TCP handshake; the async tier keeps
-connections alive, batches same-tick decisions, and sheds overload
-instead of queueing it -- the ramp makes that difference a number.
+* ``engines.async`` -- the full per-step SLO scorecard of the single
+  loop (see :func:`repro.loadgen.ramp.scorecard`);
+* ``saturation`` -- each run's saturation RPS (highest achieved
+  throughput among SLO-healthy steps);
+* ``so_reuseport`` (with ``--workers N``) -- the tier ramped again as
+  an N-process ``SO_REUSEPORT`` pool (``engines.async_xN``), recorded
+  as the pool-over-single-loop scaling ratio.
 """
 
 from __future__ import annotations
@@ -72,21 +67,18 @@ def wait_healthy(host: str, port: int,
 
 
 class EngineProcess:
-    """One serving engine running as a child process."""
+    """The serving tier (``python -m repro.serve``) as a child process."""
 
-    def __init__(self, engine: str, port: int, *,
+    def __init__(self, port: int, *,
                  workers: int = 1, max_inflight: int = 128,
                  host: str = "127.0.0.1"):
-        self.engine = engine
         self.host = host
         self.port = port
         command = [sys.executable, "-m", "repro.serve",
-                   "--engine", engine, "--host", host,
-                   "--port", str(port), "--quiet"]
-        if engine == "async":
-            command += ["--max-inflight", str(max_inflight)]
-            if workers > 1:
-                command += ["--workers", str(workers)]
+                   "--host", host, "--port", str(port), "--quiet",
+                   "--max-inflight", str(max_inflight)]
+        if workers > 1:
+            command += ["--workers", str(workers)]
         environment = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2])
         existing = environment.get("PYTHONPATH")
@@ -104,8 +96,7 @@ class EngineProcess:
         if not wait_healthy(self.host, self.port):
             self.stop()
             raise RuntimeError(
-                f"{self.engine} engine never became healthy on "
-                f"port {self.port}")
+                f"serving tier never became healthy on port {self.port}")
 
     def stop(self, grace: float = 5.0) -> None:
         if self.process.poll() is None:
@@ -124,7 +115,7 @@ class EngineProcess:
         self.stop()
 
 
-def ramp_engine(engine: str, paths: list[str], rates: list[float],
+def ramp_engine(paths: list[str], rates: list[float],
                 duration: float, *,
                 workers: int = 1, max_inflight: int = 128,
                 loadgen_workers: int = 8,
@@ -132,8 +123,9 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                 achieved_floor: float = DEFAULT_ACHIEVED_FLOOR,
                 settle: float = 0.25,
                 quiet: bool = False) -> dict[str, Any]:
-    """Boot ``engine`` in a subprocess and ramp it to saturation."""
-    with EngineProcess(engine, free_port(), workers=workers,
+    """Boot the tier in a subprocess and ramp it to saturation."""
+    label = "async" if workers == 1 else f"async_x{workers}"
+    with EngineProcess(free_port(), workers=workers,
                        max_inflight=max_inflight) as child:
         targets = TargetSet.from_urls(
             [child.url], max_concurrency=max_concurrency)
@@ -150,7 +142,7 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                 if not quiet:
                     p95 = card.latency.quantile(0.95) \
                         if card.latency.count else float("nan")
-                    print(f"  [{engine}] {card.offered_rps:8.1f} "
+                    print(f"  [{label}] {card.offered_rps:8.1f} "
                           f"offered | {card.achieved_rps:8.1f} "
                           f"achieved | p95 {p95:8.2f} ms | "
                           f"err {card.error_rate:.4f} | "
@@ -160,20 +152,16 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                     break
                 time.sleep(settle)
     return scorecard(cards, achieved_floor=achieved_floor,
-                     meta={"engine": engine, "workers": workers,
+                     meta={"engine": "async", "workers": workers,
                            "max_inflight": max_inflight})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.bench",
-        description="Saturation-ramp comparison of the async serving "
-                    "tier against the legacy threaded one.")
-    parser.add_argument("--engines", default="async,thread",
-                        help="comma-separated engines to ramp "
-                             "(default %(default)s)")
+        description="Saturation ramp of the ODR serving tier.")
     parser.add_argument("--workers", type=int, default=1,
-                        help="with N > 1: ramp the async engine a "
+                        help="with N > 1: ramp the tier a "
                              "second time as N SO_REUSEPORT worker "
                              "processes and record the scaling ratio "
                              "(default %(default)s)")
@@ -201,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    engines = [name.strip() for name in args.engines.split(",")
-               if name.strip()]
-    for engine in engines:
-        if engine not in ("async", "thread"):
-            build_parser().error(f"unknown engine {engine!r}")
-
     paths = load_or_generate_paths(args.trace, args.scale, args.seed,
                                    limit=args.limit)
     rates = ramp_rates(args.ramp_start, args.ramp_stop,
@@ -216,28 +198,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{[round(rate, 1) for rate in rates]} rps x "
               f"{args.duration}s", flush=True)
 
+    # The single loop, then (with --workers N) the SO_REUSEPORT pass:
+    # the same tier as N worker processes sharing the port.  Its
+    # scorecard lands beside the single-loop one so the scaling ratio is
+    # a recorded number, not a claim.
+    runs = {"async": 1}
+    if args.workers > 1:
+        runs[f"async_x{args.workers}"] = args.workers
     results: dict[str, Any] = {}
-    for engine in engines:
+    for name, workers in runs.items():
         if not args.quiet:
-            print(f"bench: ramping {engine} engine", flush=True)
-        results[engine] = ramp_engine(
-            engine, paths, rates, args.duration,
-            max_inflight=args.max_inflight,
-            loadgen_workers=args.loadgen_workers,
-            max_concurrency=args.max_concurrency,
-            achieved_floor=args.achieved_floor,
-            quiet=args.quiet)
-    if args.workers > 1 and "async" in engines:
-        # The SO_REUSEPORT pass: same async tier, N worker processes
-        # sharing the port.  Its scorecard lands beside the single-loop
-        # one so the scaling ratio is a recorded number, not a claim.
-        pool_name = f"async_x{args.workers}"
-        if not args.quiet:
-            print(f"bench: ramping {pool_name} "
-                  f"(SO_REUSEPORT worker pool)", flush=True)
-        results[pool_name] = ramp_engine(
-            "async", paths, rates, args.duration,
-            workers=args.workers, max_inflight=args.max_inflight,
+            print(f"bench: ramping {name} ({workers} worker(s))",
+                  flush=True)
+        results[name] = ramp_engine(
+            paths, rates, args.duration,
+            workers=workers, max_inflight=args.max_inflight,
             loadgen_workers=args.loadgen_workers,
             max_concurrency=args.max_concurrency,
             achieved_floor=args.achieved_floor,
@@ -259,12 +234,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "loadgen": {"workers": args.loadgen_workers,
                     "max_concurrency": args.max_concurrency},
     }
-    if "async" in saturation and "thread" in saturation \
-            and saturation["thread"] > 0:
-        document["saturation"]["async_over_thread"] = round(
-            saturation["async"] / saturation["thread"], 3)
-    if args.workers > 1 and "async" in saturation:
-        pool = saturation.get(f"async_x{args.workers}", 0.0)
+    if args.workers > 1:
+        pool = saturation[f"async_x{args.workers}"]
         document["so_reuseport"] = {
             "workers": args.workers,
             "single_loop_rps": saturation["async"],
@@ -279,9 +250,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       + "\n")
     if not args.quiet:
         print(f"bench: wrote {args.out}")
-        for engine in engines:
-            print(f"bench: {engine} saturation "
-                  f"{saturation[engine]} rps", flush=True)
+        for name in results:
+            print(f"bench: {name} saturation "
+                  f"{saturation[name]} rps", flush=True)
     return 0
 
 

@@ -1,7 +1,6 @@
 """The asyncio ODR serving tier.
 
-One event loop, keep-alive connections, and no thread per request: the
-three properties the legacy ``ThreadingHTTPServer`` tier lacks.  The
+One event loop, keep-alive connections, and no thread per request.  The
 request path is::
 
     connection loop (keep-alive) -> admission control -> chaos gate
@@ -9,8 +8,7 @@ request path is::
 
 * **Connection reuse** -- HTTP/1.1 keep-alive; a load generator's
   session pool pays the TCP handshake once per worker, not once per
-  request (the legacy tier answers ``Connection: close`` per request,
-  which is most of why it saturates earlier).
+  request.
 * **Bounded admission** -- :class:`~repro.serve.admission.
   AdmissionController` caps in-flight requests; the excess is shed with
   ``503 + Retry-After`` derived from the EWMA service time.  The
@@ -24,8 +22,8 @@ request path is::
   rendering the registry in Prometheus text format.
 * **Graceful drain** -- ``drain()`` stops accepting, lets in-flight
   requests finish (bounded by a grace period), then closes idle
-  keep-alive connections; the same semantics the threaded tier's
-  ``run_server`` has.
+  keep-alive connections; :func:`run_async_server` exits 0 on a clean
+  drain and 1 when requests outlast the grace.
 
 The server also runs multi-process: with ``reuse_port=True`` several
 workers bind the same ``(host, port)`` through ``SO_REUSEPORT`` and the
@@ -472,8 +470,8 @@ def run_async_server(server: AsyncOdrServer, *,
                      ) -> int:
     """Run one server on a fresh event loop until SIGINT/SIGTERM.
 
-    The asyncio twin of :func:`repro.core.webapp.run_server`: 0 on a
-    clean drain, 1 when requests were still in flight at the deadline.
+    Returns 0 on a clean drain, 1 when requests were still in flight
+    at the deadline.
     ``on_started`` fires once the ports are bound -- supervised workers
     use it to report their admin port back to the parent.
     """

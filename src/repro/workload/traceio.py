@@ -1,4 +1,4 @@
-"""Trace (de)serialisation: JSONL files per trace part.
+"""Trace (de)serialisation: one file per trace part, JSONL or columnar.
 
 A saved workload is a directory of three JSONL files mirroring the
 paper's dataset layout (catalog + users + request trace); pre-download
@@ -8,7 +8,8 @@ Files with a ``.gz`` suffix are transparently gzip-compressed -- at
 full-trace scale (``repro.scale``) the request trace alone is millions
 of rows, and JSONL compresses ~10x.  ``save_workload(...,
 compress=True)`` writes ``*.jsonl.gz``; ``load_workload`` auto-detects
-whichever variant is present.
+whichever variant is present, including the memory-mapped columnar
+``.col`` files of :mod:`repro.workload.columnar`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import IO, Iterable, Type, TypeVar
 
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.workload.catalog import FileCatalog
+from repro.workload.columnar import is_columnar, read_columnar, \
+    write_columnar
 from repro.workload.generator import Workload, WorkloadConfig
 from repro.workload.records import (
     CatalogFile,
@@ -196,12 +199,11 @@ def read_trace(path: str | Path, record_type: Type[R],
                metrics: AnyRegistry = NOOP) -> list[R]:
     """Read one trace file, columnar or JSONL, detected by content.
 
-    ``.col`` files dispatch to :func:`repro.traceio.read_columnar`
+    ``.col`` files dispatch to :func:`read_columnar`
     (``skip_bad_lines`` does not apply to them -- a columnar file is
     validated structurally, not row by row); everything else goes
     through :func:`read_jsonl`.
     """
-    from repro.traceio import is_columnar, read_columnar
     path = Path(path)
     if is_columnar(path):
         return read_columnar(path, record_type)
@@ -218,7 +220,7 @@ def save_workload(workload: Workload, directory: str | Path,
     with ``compress=True`` they become ``*.jsonl.gz`` (the config stays
     plain JSON for greppability).  ``trace_format="columnar"`` writes
     memory-mappable ``*.col`` files instead (see
-    :mod:`repro.traceio`); columnar files do not support ``compress``.
+    :mod:`repro.workload.columnar`), which do not support ``compress``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -227,7 +229,6 @@ def save_workload(workload: Workload, directory: str | Path,
             raise ValueError(
                 "columnar traces do not support compress=True "
                 "(the fixed-width blocks must stay memory-mappable)")
-        from repro.traceio import write_columnar
         write_columnar(directory / _columnar_name(CATALOG_FILE),
                        list(workload.catalog), CatalogFile)
         write_columnar(directory / _columnar_name(USERS_FILE),

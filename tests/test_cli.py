@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,19 +21,22 @@ class TestParser:
                 else [command, "http://x/y"])
             assert args.command == command
 
-    def test_serve_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve", "--engine", "async", "--workers", "4",
-             "--max-inflight", "64", "--no-batch", "--port", "0"])
-        assert args.engine == "async"
-        assert args.workers == 4
-        assert args.max_inflight == 64
-        assert args.no_batch
-        args = parser.parse_args(["serve"])
-        assert args.engine == "async" and args.port == 8034
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "--engine", "gevent"])
+    def test_serve_flags(self, capsys):
+        # serve and backends forward verbatim to their own parsers, so
+        # repro's parser declares none of their flags.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--engine", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "python -m repro.serve: error" in err
+        assert "--engine" in err
+        from repro.backends.__main__ import main as backends_main
+        argv = ["--scale", "0.002", "--limit", "50", "--quiet"]
+        assert main(["backends", *argv]) == 0
+        forwarded = capsys.readouterr().out
+        assert backends_main(argv) == 0
+        assert forwarded.strip()
+        assert forwarded == capsys.readouterr().out
 
     def test_loadgen_forwards_to_its_own_parser(self, capsys):
         # Forwarded verbatim: loadgen's parser rejects a run with no
@@ -165,6 +170,21 @@ class TestShardedCommands:
         assert main(["cloud", "--scale", "0.0008", "--jobs", "1",
                      "--no-cache"]) == 2
         assert "event-driven engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])
+    def test_malformed_fault_plan_is_a_usage_error(self, tmp_path,
+                                                   capsys, jobs):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"name": "bad", "seed": 1,
+             "faults": [{"kind": "vm_stall", "start": 0,
+                         "duration": 60}]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cloud", "--scale", "0.0008", "--faults", str(plan),
+                  *jobs])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--faults: fault spec #0: missing field 'target'" in err
 
     def test_cloud_jobs_refuses_trace_replay(self, tmp_path, capsys):
         assert main(["cloud", "--jobs", "1",

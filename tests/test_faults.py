@@ -94,6 +94,28 @@ class TestFaultPlan:
         # The serialisation is canonical: stable across a round trip.
         assert clone.to_json() == plan.to_json()
 
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "vm_stall", "start": 0, "duration": 60},
+         "fault spec #1: missing field 'target'"),
+        ({"kind": "vm_stall", "target": "*", "start": "soon",
+          "duration": 60},
+         "fault spec #1: field 'start' must be float, got 'soon'"),
+        ({"kind": "vm_stall", "target": 7, "start": 0, "duration": 60},
+         "fault spec #1: field 'target' must be str, got 7"),
+        ({"kind": "vm_stall", "target": "*", "start": 0,
+          "duration": -1},
+         "fault spec #1: fault duration must be > 0"),
+        ("vm_stall", "fault spec #1: expected an object, got str"),
+    ])
+    def test_malformed_spec_names_its_index_and_field(self, record,
+                                                      message):
+        good = spec().to_dict()
+        text = json.dumps({"name": "p", "seed": 1,
+                           "faults": [good, record]})
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan.from_json(text)
+        assert message in str(excinfo.value)
+
     def test_specs_of_filters_by_kind(self):
         plan = default_chaos_plan()
         kills = plan.specs_of(AP_KILL_KINDS)
@@ -520,6 +542,24 @@ class TestServePlanValidation:
         message = str(excinfo.value)
         assert "correlated_kill:serve:*" in message
         assert "kill 5 slots" in message and "3 worker(s)" in message
+
+    @pytest.mark.parametrize("faults", [
+        [{"kind": "worker_kill", "target": "serve:worker-3",
+          "start": 0, "duration": 5}],
+        [{"kind": "vm_stall", "start": 0, "duration": 5}],
+    ])
+    def test_serve_cli_rejects_plan_at_any_worker_count(self, tmp_path,
+                                                        capsys, faults):
+        # A single loop is a pool of 1: a worker-3 target can never
+        # fire there, so the plan fails before the server boots.
+        from repro.serve.__main__ import main
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"name": "p", "seed": 1,
+                                    "faults": faults}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0", "--faults", str(plan)])
+        assert excinfo.value.code == 2
+        assert "--faults: fault spec" in capsys.readouterr().err
 
     def test_count_only_legal_on_correlated_kill(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The columnar trace format (:mod:`repro.traceio`).
+"""The columnar trace format (:mod:`repro.workload.columnar`).
 
 Three layers of proof:
 
@@ -22,14 +22,14 @@ from pathlib import Path
 import pytest
 
 from repro.perf import golden
-from repro.traceio import (
+from repro.workload.columnar import (
+    RECORD_TYPES,
     ColumnarFormatError,
     ColumnarTrace,
     is_columnar,
     read_columnar,
     write_columnar,
 )
-from repro.traceio.columnar import RECORD_TYPES
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.records import (
     FetchRecord,
