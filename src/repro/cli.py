@@ -210,6 +210,10 @@ def _emit_metrics(registry, args: argparse.Namespace) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     from repro.workload import WorkloadConfig, WorkloadGenerator, \
         save_workload
+    if args.trace_format == "columnar" and args.gzip:
+        print("error: --gzip applies to jsonl traces only (columnar "
+              "blocks must stay memory-mappable)", file=sys.stderr)
+        return 2
     recovery = _recovery_config(args)
     if args.jobs is not None or recovery is not None:
         # --run-dir/--resume imply the sharded pipeline (checkpoints
@@ -231,10 +235,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         config = WorkloadConfig(scale=args.scale, seed=args.seed)
         workload = WorkloadGenerator(config).generate()
-    if args.trace_format == "columnar" and args.gzip:
-        print("error: --gzip applies to jsonl traces only (columnar "
-              "blocks must stay memory-mappable)", file=sys.stderr)
-        return 2
     directory = save_workload(workload, args.out, compress=args.gzip,
                               trace_format=args.trace_format)
     print(f"wrote {len(workload.requests)} requests, "

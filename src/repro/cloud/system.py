@@ -25,7 +25,6 @@ from repro.cloud.upload import PathChoice, UploadingServers
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CLOUD_KINDS
 from repro.faults.policies import ResiliencePolicies
-from repro.netsim.topology import ChinaTopology
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.paper import IMPEDED_FETCH_THRESHOLD
 from repro.sim.engine import Event, Simulator
@@ -246,8 +245,6 @@ class XuanfengCloud:
 
     def __init__(self, config: CloudConfig = CloudConfig(),
                  source_model: Optional[SourceModel] = None,
-                 fetch_model: Optional[FetchSpeedModel] = None,
-                 topology: Optional[ChinaTopology] = None,
                  seed: int = 41,
                  metrics: AnyRegistry = NOOP,
                  faults: Optional[FaultInjector] = None,
@@ -260,12 +257,10 @@ class XuanfengCloud:
         # ``policies`` only matters when faults are injected.
         self.faults = faults
         self.policies = policies
-        self.topology = topology or ChinaTopology()
-        self.fetch_model = fetch_model or FetchSpeedModel()
+        self.fetch_model = FetchSpeedModel()
         self.metrics = metrics
         self.pool = CloudStoragePool(config.scaled_storage_capacity)
-        self.uploads = UploadingServers(config, self.topology,
-                                        metrics=metrics)
+        self.uploads = UploadingServers(config, metrics=metrics)
         self.fleet = PreDownloaderFleet(config, source_model,
                                         metrics=metrics)
         self.database = ContentDatabase()
@@ -309,7 +304,12 @@ class XuanfengCloud:
 
         tasks: list[TaskResult] = []
         flows: list[FetchFlow] = []
-        self._schedule_tasks(sim, workload, rng, tasks, flows)
+        # Imported here: the machine module imports this one.
+        from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
+        machine = FastTaskMachine if self.faults is None \
+            else FaultedTaskMachine
+        machine(self, sim, workload, workload.user_by_id(), rng, tasks,
+                flows).start()
         sim.run()
         self._m_dedup_saved.set(self.pool.dedup_bytes_saved)
         # Freeze the clock at the end of the week so observations made
@@ -322,13 +322,3 @@ class XuanfengCloud:
             uploads=self.uploads, fleet=self.fleet,
             database=self.database, horizon=workload.horizon)
 
-    def _schedule_tasks(self, sim: Simulator, workload: Workload,
-                        rng: np.random.Generator, tasks: list[TaskResult],
-                        flows: list[FetchFlow]) -> None:
-        """Put every task of ``workload`` on ``sim``'s clock."""
-        # Imported here: the machine module imports this one.
-        from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
-        machine = FastTaskMachine if self.faults is None \
-            else FaultedTaskMachine
-        machine(self, sim, workload, workload.user_by_id(), rng, tasks,
-                flows).start()

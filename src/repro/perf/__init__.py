@@ -1,37 +1,7 @@
-"""``repro.perf`` — the regression-benchmark harness.
+"""``repro.perf`` — the golden determinism digests.
 
-PR 3's profile-guided optimisation pass made the three hot layers
-(workload sampling, the event engine, trace IO) substantially faster
-while keeping outputs bit-identical.  This package is the proof and the
-guard-rail:
-
-* :mod:`repro.perf.golden` — canonical digests of every optimised
-  surface, pinned in ``tests/data/golden_digests.json``; the golden
-  tests fail if any optimisation ever changes an output byte.
-* :mod:`repro.perf.legacy` — the frozen pre-optimisation
-  implementations (scalar samplers, lambda-heap engine, line-at-a-time
-  trace IO), kept both as the baseline the harness times against and as
-  an executable specification of the determinism contract.
-* :mod:`repro.perf.stages` / :mod:`repro.perf.harness` — the
-  ``python -m repro.perf`` benchmark harness: times the canonical
-  stages (generate / cloud replay / AP replay / ODR replay / trace
-  round-trip) before and after, captures cProfile top-N per stage, and
-  writes ``BENCH_perf.json``.
+:mod:`repro.perf.golden` pins every output surface of the simulator by
+a SHA-256 digest (``tests/data/golden_digests.json``).  Speed is
+measured end to end and per layer by ``bench/run.py``; a change is
+judged against its parent commit with ``bench/compare.py --pairs``.
 """
-
-from repro.perf.harness import (
-    BenchReport,
-    StageResult,
-    run_benchmarks,
-    write_report,
-)
-from repro.perf.stages import STAGES, Stage
-
-__all__ = [
-    "BenchReport",
-    "STAGES",
-    "Stage",
-    "StageResult",
-    "run_benchmarks",
-    "write_report",
-]

@@ -1,15 +1,16 @@
-"""Golden determinism digests for the hot-path optimisation pass.
+"""Golden determinism digests: what "same behaviour" means.
 
-Every surface touched by the PR 3 optimisations (vectorised workload
-sampling, the engine fast path, buffered trace IO) is pinned here by a
-SHA-256 digest of its canonicalised output.  The digests in
-``tests/data/golden_digests.json`` were generated from the
-*pre-optimisation* code; ``tests/test_perf_golden.py`` recomputes them
-from the live code on every run, so any optimisation that changes a
-single output byte fails loudly.  The three ``cloud_replay_faulted*``
-digests were generated from the generator-coroutine task path that
-faulted cloud replays ran on before the table-driven task machine took
-them over.
+Every output surface of the simulator -- workload sampling, the event
+engine, trace IO, the cloud, AP and ODR replays, faulted and fault-free
+-- is pinned here by a SHA-256 digest of its canonicalised output.
+``tests/test_perf_golden.py`` recomputes the digests in
+``tests/data/golden_digests.json`` from the live code on every run, so
+a change to a single output byte fails loudly.  Where the live code
+replaced an older implementation, the digest was pinned from the older
+one: the samplers, engine and trace IO from the scalar
+pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
+generator-coroutine task path, ``engine_storm`` from the single-heap
+engine that predates batched same-instant dispatch.
 
 Regenerate (only when an output change is intended and understood)::
 
@@ -154,22 +155,39 @@ def ap_replay() -> str:
     return digest(ap_payload(report.results))
 
 
-def _engine_classes():
-    from repro.sim import engine
-    return engine.Simulator, engine.Timeout, engine.Interrupt
+def ap_replay_faulted() -> str:
+    """The AP golden sample under the default chaos plan.
+
+    Replayed once with the default policies and once with none; pins
+    every result plus each run's injector scoreboard.
+    """
+    from repro.ap import ApBenchmarkRig
+    from repro.faults import DEFAULT_POLICIES, FaultInjector
+    from repro.faults.plan import default_chaos_plan
+    from repro.workload import sample_benchmark_requests
+    from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+    config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+    workload = WorkloadGenerator(config).generate()
+    sample = sample_benchmark_requests(workload, 200)
+    rows = []
+    for policies in (DEFAULT_POLICIES, None):
+        injector = FaultInjector(default_chaos_plan())
+        report = ApBenchmarkRig(workload.catalog, faults=injector,
+                                policies=policies).replay(sample)
+        rows.append([ap_payload(report.results), injector.scoreboard()])
+    return digest(rows)
 
 
-def engine_trace(simulator_factory: Callable[[], Any] | None = None) -> str:
+def engine_trace() -> str:
     """A scripted engine scenario covering every scheduling path.
 
     The trace pins: time ordering, same-instant scheduling order, event
     trigger fan-out order, waiter cancellation via interrupt (including
     a 50-process mass cancellation), waiting on finished processes and
     already-triggered events, error propagation, and ``run(until=...)``.
-    ``simulator_factory`` lets the legacy engine replay the same script.
     """
-    Simulator, Timeout, Interrupt = _engine_classes()
-    sim = simulator_factory() if simulator_factory else Simulator()
+    from repro.sim.engine import Interrupt, Simulator, Timeout
+    sim = Simulator()
     trace: list = []
 
     gate = sim.event("gate")
@@ -268,6 +286,54 @@ def engine_trace(simulator_factory: Callable[[], Any] | None = None) -> str:
     trace.append(("final", final))
     trace.append(("results", [process.result for process in waiters]))
     return digest(trace)
+
+
+def engine_storm_log() -> list:
+    """An adversarial same-instant event storm; returns its firing log.
+
+    Immediates queued during a drain, ``call_at`` aimed at the current
+    instant, and heap entries landing on the same timestamp as the next
+    burst, so the batched immediate queue has to merge heap entries by
+    sequence number to keep one global order.
+    """
+    from repro.sim.engine import Simulator
+    sim = Simulator()
+    log: list = []
+
+    def leaf(tag):
+        log.append((sim.now, tag))
+
+    def burst(round_index):
+        log.append((sim.now, f"burst-{round_index}"))
+        # Immediates queued during the drain...
+        for i in range(3):
+            sim.call_in(0.0, leaf, f"r{round_index}-imm{i}")
+        # ...a call_at aimed at the *current* instant (joins the
+        # immediate queue, after the ones above)...
+        sim.call_at(sim.now, leaf, f"r{round_index}-at-now")
+        if round_index > 0:
+            # ...and two entries for the *next* instant: the next
+            # burst (lower seq) plus a timer landing at the same
+            # timestamp from the heap (higher seq).  The heap entry
+            # must fire after the burst but interleaved correctly
+            # with the immediates the burst enqueues.
+            sim.call_in(1.0, burst, round_index - 1)
+            sim.call_at(sim.now + 1.0, leaf, f"r{round_index}-timer")
+            sim.call_in(1.0, leaf, f"r{round_index}-late-timer")
+
+    # Heap ballast scheduled before the clock moves: entries at t=1.0
+    # with sequence numbers *below* everything the burst at t=1.0
+    # creates, so they must fire first at that instant.
+    sim.call_at(1.0, leaf, "pre-seeded-a")
+    sim.call_in(1.0, burst, 3)
+    sim.call_at(1.0, leaf, "pre-seeded-b")
+    sim.run()
+    return log
+
+
+def engine_storm() -> str:
+    """The same-instant storm's global firing order."""
+    return digest(engine_storm_log())
 
 
 def _strategy_fixture():
@@ -505,7 +571,9 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
     "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
     "ap_replay": ap_replay,
+    "ap_replay_faulted": ap_replay_faulted,
     "engine_trace": engine_trace,
+    "engine_storm": engine_storm,
     "strategy_decisions": strategy_decisions,
     "odr_strategy_replay": odr_strategy_replay,
     "sampler_popularity": sampler_popularity,

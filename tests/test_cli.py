@@ -236,6 +236,16 @@ class TestDurableCommands:
         assert "merged digest:" in out
         assert (trace / "requests.jsonl").exists()
 
+    def test_gzip_columnar_is_refused_before_any_work(
+            self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["generate", "--scale", "0.0008", "--gzip",
+                     "--trace-format", "columnar",
+                     "--out", str(tmp_path / "trace"),
+                     "--run-dir", str(run_dir)]) == 2
+        assert "--gzip applies to jsonl" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_recovery_knobs_require_a_run_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["cloud", "--scale", "0.0008",

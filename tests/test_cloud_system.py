@@ -139,19 +139,18 @@ class TestImpededThreshold:
 class TestFastPathEquivalence:
     """The table-driven task machine vs the generator coroutines.
 
-    The golden digests already pin the fast path to the frozen
-    pre-optimisation output; this compares the live machine with the
-    frozen coroutines (``repro.perf.pr3.Pr3Cloud``) on the live engine
-    directly, so a divergence is attributed to the right layer even if
-    both drift from the pinned digest together.
+    The shared TEST_SCALE week, replayed on the task machine, must
+    reproduce the tasks and flows that the generator-coroutine tasks it
+    replaced produced.  The digest below was computed from the machine
+    and from a frozen copy of the coroutines, which agreed on it, before
+    that copy was deleted.
     """
 
-    def test_state_machine_matches_generator_path(self, workload):
-        from repro.cloud import CloudConfig, XuanfengCloud
-        from repro.perf.golden import cloud_payload
-        from repro.perf.pr3 import Pr3Cloud
-        from tests.conftest import TEST_SCALE
+    GENERATOR_PATH_DIGEST = (
+        "0bcc90a8145f74cf9da660a0e7f6882328e242cf60205b86cc9357e5a74c2787")
 
-        fast = XuanfengCloud(CloudConfig(scale=TEST_SCALE)).run(workload)
-        slow = Pr3Cloud(CloudConfig(scale=TEST_SCALE)).run(workload)
-        assert cloud_payload(fast) == cloud_payload(slow)
+    def test_state_machine_matches_generator_path(self, cloud_result):
+        from repro.perf.golden import cloud_payload, digest
+
+        assert digest(cloud_payload(cloud_result)) == \
+            self.GENERATOR_PATH_DIGEST

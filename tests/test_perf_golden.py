@@ -1,32 +1,27 @@
-"""Golden bit-identity tests for the PR 3 hot-path optimisations.
+"""The live code against the golden digests.
 
-Two directions of proof:
-
-* every optimised surface, recomputed live, must still match the
-  digests pinned from the *pre-optimisation* code
-  (``tests/data/golden_digests.json``);
-* the frozen baselines in :mod:`repro.perf.legacy` -- which the
-  ``repro.perf`` harness times against -- must *also* match those
-  digests, so the measured speedups compare two implementations of the
-  same function, bit for bit.
+Every scenario in :mod:`repro.perf.golden` is recomputed from the live
+code and must match its digest in ``tests/data/golden_digests.json``.
+Each digest was pinned at a parent commit from the implementation the
+live code replaced -- the scalar samplers and line-at-a-time trace IO,
+the single-heap engine, the generator-coroutine cloud tasks -- and
+checked equal to the live output there, so no replacement changed an
+output byte.  The ``BufferedIndexPicker`` tests pin the chunked index
+draws against the scalar draws they replace.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.perf import golden, legacy
+from repro.perf import golden
 from repro.workload.generator import (
     PICK_RETRIES,
     BufferedIndexPicker,
-    WorkloadConfig,
     pick_distinct_index,
 )
 
@@ -41,57 +36,8 @@ def test_every_scenario_is_pinned():
 @pytest.mark.parametrize("name", sorted(golden.SCENARIOS))
 def test_live_output_matches_pinned_digest(name):
     assert golden.SCENARIOS[name]() == PINNED[name], (
-        f"optimised output of {name!r} diverged from the "
-        f"pre-optimisation golden digest")
-
-
-# -- the frozen baselines reproduce the same digests ------------------------
-
-
-def test_legacy_generator_matches_golden_workload():
-    config = WorkloadConfig(scale=golden.GOLDEN_SCALE,
-                            seed=golden.GOLDEN_SEED)
-    workload = legacy.legacy_generate(config)
-    assert golden.digest(golden.workload_payload(workload)) == \
-        PINNED["workload_sequential"]
-
-
-def test_legacy_engine_matches_golden_trace():
-    assert golden.engine_trace(
-        simulator_factory=legacy.LegacySimulator) == \
-        PINNED["engine_trace"]
-
-
-def test_legacy_traceio_writes_identical_bytes_and_reads_back():
-    config = WorkloadConfig(scale=golden.SHARDED_SCALE,
-                            seed=golden.GOLDEN_SEED)
-    workload = legacy.legacy_generate(config)
-    with tempfile.TemporaryDirectory() as scratch:
-        plain = Path(scratch) / "requests.jsonl"
-        packed = Path(scratch) / "requests.jsonl.gz"
-        legacy.legacy_write_jsonl(plain, workload.requests)
-        legacy.legacy_write_jsonl(packed, workload.requests)
-        plain_hash = hashlib.sha256(plain.read_bytes()).hexdigest()
-        packed_hash = hashlib.sha256(
-            gzip.decompress(packed.read_bytes())).hexdigest()
-        readback = legacy.legacy_read_jsonl(plain,
-                                            type(workload.requests[0]))
-    assert golden.digest([plain_hash, packed_hash]) == \
-        PINNED["traceio_bytes"]
-    assert readback == workload.requests
-
-
-def test_legacy_topology_matches_golden_quality_table():
-    from repro.netsim.isp import default_registry
-    topology = legacy.LegacyTopology()
-    rows = []
-    for src in default_registry().isps():
-        for dst in default_registry().isps():
-            quality = topology.path_quality(src, dst)
-            rows.append([src.value, dst.value, quality.cap_median,
-                         quality.cap_sigma, quality.latency_ms,
-                         quality.hops])
-    assert golden.digest(rows) == PINNED["sampler_topology"]
+        f"live output of {name!r} diverged from its pinned golden "
+        f"digest")
 
 
 # -- BufferedIndexPicker: bit-identical to the scalar draws -----------------

@@ -1,7 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.perf import golden
 from repro.sim import (
     Interrupt,
     Process,
@@ -10,6 +14,9 @@ from repro.sim import (
     Timeout,
 )
 from repro.sim.engine import Event
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "golden_digests.json").read_text())
 
 
 class TestScheduling:
@@ -521,58 +528,21 @@ class TestSameInstantDispatchOrder:
 
     The live engine drains same-timestamp events through a FIFO and
     merges in heap entries that share the current timestamp by sequence
-    number; the frozen pre-batching engine (``Pr3Simulator``) orders
-    everything through one heap.  Both must fire an adversarial
-    same-instant storm in exactly the same global order.
+    number; the pre-batching engine ordered everything through one
+    heap.  The storm (``repro.perf.golden.engine_storm_log``) must fire
+    in the global order pinned from that engine as ``engine_storm``.
     """
 
-    def _storm(self, make_sim):
-        sim = make_sim()
-        log = []
-
-        def leaf(tag):
-            log.append((sim.now, tag))
-
-        def burst(round_index):
-            log.append((sim.now, f"burst-{round_index}"))
-            # Immediates queued during the drain...
-            for i in range(3):
-                sim.call_in(0.0, leaf, f"r{round_index}-imm{i}")
-            # ...a call_at aimed at the *current* instant (joins the
-            # immediate queue, after the ones above)...
-            sim.call_at(sim.now, leaf, f"r{round_index}-at-now")
-            if round_index > 0:
-                # ...and two entries for the *next* instant: the next
-                # burst (lower seq) plus a timer landing at the same
-                # timestamp from the heap (higher seq).  The heap entry
-                # must fire after the burst but interleaved correctly
-                # with the immediates the burst enqueues.
-                sim.call_in(1.0, burst, round_index - 1)
-                sim.call_at(sim.now + 1.0, leaf,
-                            f"r{round_index}-timer")
-                sim.call_in(1.0, leaf, f"r{round_index}-late-timer")
-
-        # Heap ballast scheduled before the clock moves: entries at
-        # t=1.0 with sequence numbers *below* everything the burst at
-        # t=1.0 creates, so they must fire first at that instant.
-        sim.call_at(1.0, leaf, "pre-seeded-a")
-        sim.call_in(1.0, burst, 3)
-        sim.call_at(1.0, leaf, "pre-seeded-b")
-        sim.run()
-        return log
-
     def test_storm_order_matches_pre_batching_engine(self):
-        from repro.perf.pr3 import Pr3Simulator
-        live = self._storm(Simulator)
-        frozen = self._storm(Pr3Simulator)
-        assert live == frozen
+        log = golden.engine_storm_log()
+        assert golden.digest(log) == PINNED["engine_storm"]
         # The storm actually exercised same-instant contention: several
         # distinct tags fired at the same timestamps.
-        times = [when for when, _tag in live]
+        times = [when for when, _tag in log]
         assert len(times) > len(set(times))
 
     def test_storm_interleaves_heap_entries_by_sequence(self):
-        log = self._storm(Simulator)
+        log = golden.engine_storm_log()
         by_time: dict = {}
         for when, tag in log:
             by_time.setdefault(when, []).append(tag)
