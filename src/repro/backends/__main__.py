@@ -25,6 +25,20 @@ from repro.backends.replay import (
 )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.backends",
@@ -35,16 +49,18 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default {DEFAULT_SCALE})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"master seed (default {DEFAULT_SEED})")
-    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+    parser.add_argument("--limit", type=positive_int,
+                        default=DEFAULT_LIMIT,
                         help="trace rows to replay "
                              f"(default {DEFAULT_LIMIT})")
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
+    parser.add_argument("--shards", type=positive_int,
+                        default=DEFAULT_SHARDS,
                         help="content shards; any value yields the "
                              f"same scorecard (default {DEFAULT_SHARDS})")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (default 1; results are "
                              "identical at any job count)")
-    parser.add_argument("--deadline-hours", type=float,
+    parser.add_argument("--deadline-hours", type=positive_float,
                         default=DEFAULT_DEADLINE_SECONDS / 3600.0,
                         help="delay-aware policy deadline in hours "
                              "(default 8)")

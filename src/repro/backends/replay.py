@@ -41,7 +41,11 @@ from repro.core.decision import Action
 from repro.obs.histogram import QuantileSketch
 from repro.scale.plan import stable_hash
 from repro.sim.randomness import RngFactory
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+from repro.workload.generator import (
+    Workload,
+    WorkloadConfig,
+    WorkloadGenerator,
+)
 from repro.workload.popularity import UNPOPULAR_BELOW
 from repro.workload.records import CatalogFile, RequestRecord
 
@@ -299,19 +303,26 @@ class ShardJob:
     combos: tuple[ComboSpec, ...]
 
 
-def run_shard(job: ShardJob) -> list[ComboStats]:
+def _generate(scale: float, seed: int) -> Workload:
+    return WorkloadGenerator(WorkloadConfig(scale=scale,
+                                            seed=seed)).generate()
+
+
+def run_shard(job: ShardJob,
+              workload: Optional[Workload] = None) -> list[ComboStats]:
     """Replay this shard's slice of the trace under every combo.
 
-    Module-level (spawn-safe) and self-contained: the worker
-    regenerates the workload from ``(scale, seed)``, takes the first
+    Module-level (spawn-safe) and self-contained: a spawn worker
+    regenerates the workload from ``(scale, seed)``; in-process callers
+    pass the week they already hold.  The shard takes the first
     ``limit`` trace rows, keeps the files hashing into its shard, and
     walks them file by file in sorted order with a per-(combo, file)
     RNG stream.
     """
     from repro.backends.registry import resolve_strategy
 
-    workload = WorkloadGenerator(
-        WorkloadConfig(scale=job.scale, seed=job.seed)).generate()
+    if workload is None:
+        workload = _generate(job.scale, job.seed)
     trace = workload.requests[:job.limit]
     by_file: dict[str, list[RequestRecord]] = {}
     for request in trace:
@@ -384,15 +395,28 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
             jobs: int = 1,
             deadline_seconds: float = DEFAULT_DEADLINE_SECONDS,
             faults: bool = False,
-            combos: Optional[Sequence[ComboSpec]] = None
+            combos: Optional[Sequence[ComboSpec]] = None,
+            workload: Optional[Workload] = None
             ) -> dict[str, Any]:
-    """Run the comparison and return the scorecard dict (with digest)."""
+    """Run the comparison and return the scorecard dict (with digest).
+
+    ``workload`` is the ``(scale, seed)`` week when the caller already
+    holds it (the experiment context does); in-process shards then
+    replay it instead of generating their own.  Spawn workers
+    (``jobs > 1``) always regenerate it, which yields the same week.
+    """
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if not deadline_seconds > 0:
+        raise ValueError("deadline_seconds must be > 0")
+    if workload is not None and (workload.config.scale,
+                                 workload.config.seed) != (scale, seed):
+        raise ValueError("workload was not generated at this "
+                         "(scale, seed)")
     combo_specs = tuple(combos if combos is not None
                         else default_combos())
     if not combo_specs:
@@ -404,7 +428,9 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
                            faults=faults, combos=combo_specs)
                   for shard in range(shards)]
     if jobs <= 1:
-        shard_results = [run_shard(job) for job in shard_jobs]
+        week = workload if workload is not None \
+            else _generate(scale, seed)
+        shard_results = [run_shard(job, week) for job in shard_jobs]
     else:
         import multiprocessing
         context = multiprocessing.get_context("spawn")

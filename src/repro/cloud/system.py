@@ -11,6 +11,7 @@ figure of the paper (8, 9, 10, 11 and the section 4 text statistics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -225,10 +226,20 @@ class CloudRunResult:
                          only_highly_popular: bool = False) -> np.ndarray:
         """Upload-bandwidth burden per time bin, in B/s (Figure 11)."""
         from repro.analysis.timeseries import bin_rate_series
-        flows = [(flow.start, flow.end, flow.rate) for flow in self.flows
-                 if (include_rejected or not flow.rejected)
-                 and (not only_highly_popular or flow.highly_popular)]
-        return bin_rate_series(flows, bin_width, self.horizon)
+        flows = self.flows
+
+        def column(name: str, dtype=float) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), flows), dtype,
+                               len(flows))
+
+        table = np.column_stack([column("start"), column("end"),
+                                 column("rate")])
+        keep = np.ones(len(flows), dtype=bool)
+        if not include_rejected:
+            keep &= ~column("rejected", bool)
+        if only_highly_popular:
+            keep &= column("highly_popular", bool)
+        return bin_rate_series(table[keep], bin_width, self.horizon)
 
     def user_traffic_overhead(self) -> float:
         """User-side traffic relative to payload (paper: 1.07-1.10)."""

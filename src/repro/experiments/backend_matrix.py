@@ -3,9 +3,10 @@
 The paper evaluates two offline-downloading families (cloud, smart AP)
 and one combination rule (ODR).  The ``repro.backends`` registry
 generalises that into composable backends and policies; this driver
-replays one deterministic trace slice through every shipped combination
-and reports how much cloud traffic each one removes relative to the
-cloud-only baseline, alongside its completion-delay quantiles.
+replays the first rows of the context's week through every shipped
+combination and reports how much cloud traffic each one removes
+relative to the cloud-only baseline, alongside its completion-delay
+quantiles.
 
 The matrix is the repo's own extension (D2D and cooperative AP caching
 are designed in the spirit of the related work, not measured by the
@@ -31,7 +32,7 @@ def run(context: ExperimentContext | None = None) -> ExperimentReport:
     from repro.backends.replay import compare, format_scorecard
 
     scorecard = compare(scale=context.scale, seed=context.seed,
-                        limit=MATRIX_LIMIT)
+                        limit=MATRIX_LIMIT, workload=context.workload)
     report = ExperimentReport(
         experiment_id="backend_matrix",
         title="Multi-backend ODR: (backend set, policy) comparison")

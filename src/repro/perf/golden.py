@@ -10,7 +10,10 @@ replaced an older implementation, the digest was pinned from the older
 one: the samplers, engine and trace IO from the scalar
 pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
 generator-coroutine task path, ``engine_storm`` from the single-heap
-engine that predates batched same-instant dispatch.
+engine that predates batched same-instant dispatch,
+``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, and
+the ``backend_matrix*`` digests from shards that each regenerated
+their week.
 
 Regenerate (only when an output change is intended and understood)::
 
@@ -87,14 +90,44 @@ def cloud_payload(result) -> list:
     return [tasks, flows]
 
 
-def cloud_replay() -> str:
-    """End-to-end cloud replay: every task and flow of a golden week."""
+def _golden_cloud_result():
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
     workload = WorkloadGenerator(config).generate()
-    result = XuanfengCloud(CloudConfig(scale=GOLDEN_SCALE)).run(workload)
-    return digest(cloud_payload(result))
+    return XuanfengCloud(CloudConfig(scale=GOLDEN_SCALE)).run(workload)
+
+
+def cloud_replay() -> str:
+    """End-to-end cloud replay: every task and flow of a golden week."""
+    return digest(cloud_payload(_golden_cloud_result()))
+
+
+def cloud_bandwidth_series() -> str:
+    """The golden week's upload-burden series (Figure 11), all three
+    flow selections, every bin's float exactly."""
+    result = _golden_cloud_result()
+    return digest([
+        result.bandwidth_series().tolist(),
+        result.bandwidth_series(only_highly_popular=True).tolist(),
+        result.bandwidth_series(include_rejected=False).tolist(),
+    ])
+
+
+def _backend_matrix(faults: bool) -> str:
+    from repro.backends.replay import compare
+    return compare(scale=GOLDEN_SCALE, seed=GOLDEN_SEED, limit=200,
+                   shards=3, faults=faults)["digest"]
+
+
+def backend_matrix() -> str:
+    """The (backend set, policy) scorecard over 200 golden trace rows."""
+    return _backend_matrix(faults=False)
+
+
+def backend_matrix_faulted() -> str:
+    """The same scorecard routed under the default chaos plan."""
+    return _backend_matrix(faults=True)
 
 
 def _faulted_cloud_replay(policies, predownloader_count=None) -> str:
@@ -567,6 +600,7 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "workload_sequential": workload_sequential,
     "workload_sharded_jobs2": workload_sharded_jobs2,
     "cloud_replay": cloud_replay,
+    "cloud_bandwidth_series": cloud_bandwidth_series,
     "cloud_replay_faulted": cloud_replay_faulted,
     "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
     "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
@@ -575,6 +609,8 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "engine_trace": engine_trace,
     "engine_storm": engine_storm,
     "strategy_decisions": strategy_decisions,
+    "backend_matrix": backend_matrix,
+    "backend_matrix_faulted": backend_matrix_faulted,
     "odr_strategy_replay": odr_strategy_replay,
     "sampler_popularity": sampler_popularity,
     "sampler_sizes": sampler_sizes,

@@ -50,9 +50,9 @@ GROUPS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
            ("cloud_result", "ap_report")),
     "odr": (("fig16", "fig17"),
             ("cloud_result", "ap_report", "odr_result")),
-    # The backend matrix builds its own trace and databases (nothing
-    # shared, nothing mutated), so it forms a group of its own.
-    "backends": (("backend_matrix",), ()),
+    # The backend matrix replays the context's week (read only) with
+    # databases of its own, so it needs nothing but the workload.
+    "backends": (("backend_matrix",), ("workload",)),
     "claims": ((), ("cloud_result",)),
 }
 

@@ -16,6 +16,7 @@ from repro.analysis import (
     peak_of_series,
     summarize,
 )
+from repro.analysis import timeseries
 from repro.analysis.stats import share_below
 
 
@@ -162,6 +163,110 @@ class TestTimeseries:
     def test_peak_of_series(self):
         index, value = peak_of_series(np.array([1.0, 9.0, 3.0]))
         assert (index, value) == (1, 9.0)
+
+
+def _reference_bin_rate_series(flows, bin_width, horizon):
+    """The per-(flow, bin) loop the numpy kernel replaced, verbatim."""
+    if bin_width <= 0 or horizon <= 0:
+        raise ValueError("bin_width and horizon must be positive")
+    n_bins = int(np.ceil(horizon / bin_width))
+    totals = np.zeros(n_bins)
+    for start, end, rate in flows:
+        if end <= start or rate <= 0:
+            continue
+        start = max(float(start), 0.0)
+        end = min(float(end), horizon)
+        if end <= start:
+            continue
+        first = int(start / bin_width)
+        last = min(int((end - 1e-12) / bin_width), n_bins - 1)
+        for index in range(first, last + 1):
+            lo = max(start, index * bin_width)
+            hi = min(end, (index + 1) * bin_width)
+            totals[index] += rate * max(0.0, hi - lo)
+    return totals / bin_width
+
+
+def _random_flows(seed, count, bin_width, horizon):
+    """Seeded flows mixing every case the kernel must treat like the
+    loop: negative starts, ends past the horizon or infinite, zero or
+    negative rates, zero-length and inverted flows, bin-aligned edges,
+    and flows spanning more than 1,000 bins."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-0.1 * horizon, 1.05 * horizon, count)
+    lengths = rng.exponential(3 * bin_width, count)
+    kind = rng.integers(0, 10, count)
+    lengths[kind == 0] = 0.0
+    lengths[kind == 1] *= -1.0
+    # Few long flows: the reference loop walks every bin of each.
+    long = (kind == 2) & (rng.random(count) < 0.1)
+    lengths[long] = rng.uniform(1000, 1500, long.sum()) * bin_width
+    aligned = kind == 3
+    starts[aligned] = np.floor(starts[aligned] / bin_width) * bin_width
+    lengths[aligned] = np.ceil(lengths[aligned] / bin_width) * bin_width
+    lengths[kind == 4] = 1e-13
+    ends = starts + lengths
+    ends[long & (rng.random(count) < 0.5)] = np.inf
+    rates = rng.lognormal(13.0, 1.5, count)
+    rates[rng.random(count) < 0.03] = 0.0
+    rates[rng.random(count) < 0.03] *= -1.0
+    return [(float(start), float(end), float(rate))
+            for start, end, rate in zip(starts, ends, rates)]
+
+
+class TestBinningKernelMatchesLoop:
+    """The numpy kernel sums each bin exactly as the loop did."""
+
+    @pytest.mark.parametrize("seed,bin_width,horizon,count", [
+        (1, 300.0, 604800.0, 3 * timeseries.CHUNK_FLOWS // 2),
+        (2, 7.3, 20000.0, 2 * timeseries.CHUNK_FLOWS + 17),
+        (3, 60.0, 3600.0, 500),
+        (4, 1.0, 2500.0, 300),
+    ])
+    def test_random_flows_are_bit_identical(self, seed, bin_width,
+                                            horizon, count):
+        flows = _random_flows(seed, count, bin_width, horizon)
+        spans = sum(max(0.0, min(end, horizon) - max(start, 0.0))
+                    for start, end, rate in flows) / bin_width
+        assert spans > count  # most flows cross bin edges
+        expected = _reference_bin_rate_series(flows, bin_width, horizon)
+        assert bin_rate_series(flows, bin_width, horizon).tobytes() \
+            == expected.tobytes()
+
+    def test_more_flows_than_one_chunk(self):
+        flows = _random_flows(5, timeseries.CHUNK_FLOWS + 1, 300.0,
+                              86400.0)
+        expected = _reference_bin_rate_series(flows, 300.0, 86400.0)
+        assert bin_rate_series(flows, 300.0, 86400.0).tobytes() \
+            == expected.tobytes()
+
+    def test_generator_and_array_inputs(self):
+        flows = _random_flows(6, 400, 7.3, 1000.0)
+        expected = _reference_bin_rate_series(flows, 7.3, 1000.0)
+        from_generator = bin_rate_series(
+            (flow for flow in flows), 7.3, 1000.0)
+        from_array = bin_rate_series(np.array(flows), 7.3, 1000.0)
+        assert from_generator.tobytes() == expected.tobytes()
+        assert from_array.tobytes() == expected.tobytes()
+
+    def test_edge_flows(self):
+        width, horizon = 10.0, 100.0
+        flows = [(-5.0, np.inf, 1.5), (-20.0, -1.0, 2.0),
+                 (30.0, 30.0, 3.0), (40.0, 20.0, 3.0), (0.0, 50.0, 0.0),
+                 (0.0, 50.0, -4.0), (30.0, 30.0 + 1e-13, 2.0),
+                 (0.0, 1e-13, 2.0), (99.999999, 250.0, 7.0),
+                 (100.0, 120.0, 1.0), (20.0, 40.0, 0.25),
+                 (3, 17, 2)]
+        expected = _reference_bin_rate_series(flows, width, horizon)
+        assert bin_rate_series(flows, width, horizon).tobytes() \
+            == expected.tobytes()
+
+    def test_empty_input(self):
+        expected = _reference_bin_rate_series([], 300.0, 3600.0)
+        for flows in ([], iter(()), np.empty((0, 3))):
+            series = bin_rate_series(flows, 300.0, 3600.0)
+            assert series.tobytes() == expected.tobytes()
+            assert len(series) == 12
 
 
 class TestTextTable:

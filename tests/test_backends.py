@@ -4,7 +4,8 @@ Covers the registry round-trip, unknown-name errors, bit-identity of
 the legacy strategies resolved through the registry, the two new
 backends (D2D, cooperative AP cache), the delay-aware policy's
 ranking, fault-gated routing, per-request policy selection in the web
-app, and shard/job invariance of the comparison scorecard.
+app, shard/job invariance of the comparison scorecard, and the
+scorecard's reuse of a week the caller already holds.
 """
 
 import json
@@ -515,3 +516,101 @@ class TestComparisonDeterminism:
         digest = capsys.readouterr().out.strip()
         assert len(digest) == 64
         assert int(digest, 16) is not None
+
+    @pytest.fixture()
+    def no_week(self, monkeypatch):
+        from repro.workload.generator import WorkloadGenerator
+
+        def refuse(self):
+            raise AssertionError("generated a week before validating")
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", refuse)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--shards", "0"), ("--jobs", "0"), ("--limit", "0"),
+        ("--deadline-hours", "-1")])
+    def test_cli_bad_numeric_flag_is_a_usage_error(self, flag, value,
+                                                   capsys, no_week):
+        from repro.backends.__main__ import main
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, value, "--quiet"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_compare_rejects_a_nonpositive_deadline_up_front(self,
+                                                             no_week):
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            self.scorecard(deadline_seconds=0.0)
+
+
+class TestBackendMatrixReusesTheWeek:
+    """In-process shards replay one week: the caller's, or one
+    generated once, never one per shard."""
+
+    SCALE = 0.002
+    SEED = 20150222
+    LIMIT = 120
+
+    def compare(self, **overrides):
+        from repro.backends.replay import compare
+        settings = dict(scale=self.SCALE, seed=self.SEED,
+                        limit=self.LIMIT, shards=4, jobs=1)
+        settings.update(overrides)
+        return compare(**settings)
+
+    def week(self):
+        from repro.workload.generator import (
+            WorkloadConfig,
+            WorkloadGenerator,
+        )
+        return WorkloadGenerator(WorkloadConfig(
+            scale=self.SCALE, seed=self.SEED)).generate()
+
+    @pytest.fixture()
+    def generate_calls(self, monkeypatch):
+        from repro.workload.generator import WorkloadGenerator
+        calls = []
+        generate = WorkloadGenerator.generate
+
+        def counted(self):
+            calls.append(self.config)
+            return generate(self)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", counted)
+        return calls
+
+    def test_in_process_shards_generate_the_week_once(self,
+                                                      generate_calls):
+        self.compare()
+        assert len(generate_calls) == 1
+
+    def test_a_given_week_is_not_regenerated(self, generate_calls):
+        week = self.week()
+        generate_calls.clear()
+        self.compare(workload=week)
+        assert generate_calls == []
+
+    def test_given_regenerated_and_spawned_weeks_agree(self):
+        digests = {self.compare(workload=self.week())["digest"],
+                   self.compare()["digest"],
+                   self.compare(jobs=2)["digest"]}
+        assert len(digests) == 1
+
+    def test_a_week_of_another_seed_is_refused(self):
+        with pytest.raises(ValueError, match="scale, seed"):
+            self.compare(seed=self.SEED + 1, workload=self.week())
+
+    def test_matrix_after_every_other_driver_matches_standalone(self):
+        from repro.experiments import REGISTRY
+        from repro.experiments.backend_matrix import MATRIX_LIMIT
+        from repro.experiments.context import ExperimentContext
+        from repro.experiments.runner import ORDER
+        from repro.experiments.scorecard import evaluate_claims
+        context = ExperimentContext(scale=self.SCALE, seed=self.SEED)
+        for experiment_id in ORDER:
+            if experiment_id != "backend_matrix":
+                REGISTRY[experiment_id](context)
+        evaluate_claims(context)
+        report = REGISTRY["backend_matrix"](context)
+        standalone = self.compare(limit=MATRIX_LIMIT)
+        assert report.data["digest"] == standalone["digest"]
