@@ -34,7 +34,7 @@ def test_bench_ext_webapp_decisions(benchmark):
 
     responses = benchmark(serve_batch)
     assert len(responses) == 200
-    payloads = [json.loads(body) for status, _type, body, _cookie
+    payloads = [json.loads(body) for status, _type, body, _cookie, _headers
                 in responses if status == 200]
     assert len(payloads) == 200
     actions = {payload["action"] for payload in payloads}

@@ -16,19 +16,23 @@ Determinism is the design driver, in three layers:
   database rows a strategy reads, pre-download outcomes) is per-file,
   so shard outputs merge identically for any ``--shards``;
 * **order-independent reduction**: shard results are
-  :class:`ComboStats` whose merge is commutative-safe (sums and exact
+  :class:`ComboStats` on the shared
+  :class:`~repro.scale.reducers.MergeableStats` base (sums and exact
   sketch-bucket merges), folded in shard order regardless of worker
   scheduling, so ``--jobs`` cannot change a byte.
 
-The same scorecard therefore reproduces across runs, shard counts, and
-process counts -- which is what the CI backend-matrix job diffs.
+The shards run on the shared shard executor
+(:func:`repro.scale.executor.run_sharded` over a
+:class:`~repro.scale.plan.ShardPlan`), so a killed worker is requeued
+rather than failing the run.  The same scorecard therefore reproduces
+across runs, shard counts, process counts and worker deaths -- which
+is what the CI backend-matrix job diffs.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -39,7 +43,10 @@ from repro.cloud.database import ContentDatabase
 from repro.core.auxiliary import SmartApInfo, UserContext
 from repro.core.decision import Action
 from repro.obs.histogram import QuantileSketch
-from repro.scale.plan import stable_hash
+from repro.scale.executor import run_sharded
+from repro.scale.plan import ShardPlan, ShardSpec, stable_hash
+from repro.scale.reducers import MergeableStats, canonical_digest, \
+    hex_floats
 from repro.sim.randomness import RngFactory
 from repro.workload.generator import (
     Workload,
@@ -119,9 +126,11 @@ def default_combos() -> tuple[ComboSpec, ...]:
     )
 
 
-@dataclass
-class ComboStats:
+@dataclass(eq=False)
+class ComboStats(MergeableStats):
     """Mergeable per-combo aggregates (the shard worker's output)."""
+
+    IDENTITY = ("combo",)
 
     combo: str
     requests: int = 0
@@ -147,19 +156,6 @@ class ComboStats:
             self.delays.add(delay)
         else:
             self.failures += 1
-
-    def merge(self, other: "ComboStats") -> None:
-        if other.combo != self.combo:
-            raise ValueError("merging stats of different combos")
-        self.requests += other.requests
-        self.failures += other.failures
-        self.cloud_bytes += other.cloud_bytes
-        self.delays.merge(other.delays)
-        for key, count in other.actions.items():
-            self.actions[key] = self.actions.get(key, 0) + count
-        for key, count in other.backend_requests.items():
-            self.backend_requests[key] = \
-                self.backend_requests.get(key, 0) + count
 
     def to_dict(self) -> dict[str, Any]:
         total = max(self.requests, 1)
@@ -289,50 +285,37 @@ def _execute_request(request: RequestRecord, record: CatalogFile,
     return action, True, delay, 0.0
 
 
-@dataclass(frozen=True)
-class ShardJob:
-    """Spawn-picklable payload of one comparison shard."""
-
-    shard: int
-    shards: int
-    scale: float
-    seed: int
-    limit: int
-    deadline_seconds: float
-    faults: bool
-    combos: tuple[ComboSpec, ...]
-
-
 def _generate(scale: float, seed: int) -> Workload:
     return WorkloadGenerator(WorkloadConfig(scale=scale,
                                             seed=seed)).generate()
 
 
-def run_shard(job: ShardJob,
+def run_shard(spec: ShardSpec, *, limit: int, deadline_seconds: float,
+              faults: bool, combos: tuple[ComboSpec, ...],
               workload: Optional[Workload] = None) -> list[ComboStats]:
     """Replay this shard's slice of the trace under every combo.
 
-    Module-level (spawn-safe) and self-contained: a spawn worker
-    regenerates the workload from ``(scale, seed)``; in-process callers
-    pass the week they already hold.  The shard takes the first
-    ``limit`` trace rows, keeps the files hashing into its shard, and
-    walks them file by file in sorted order with a per-(combo, file)
-    RNG stream.
+    The :func:`~repro.scale.executor.run_sharded` worker: a spawn
+    worker regenerates the week from the spec's ``(scale, seed)``;
+    in-process callers bind the week they already hold.  The shard
+    takes the first ``limit`` trace rows, keeps the files hashing into
+    its shard, and walks them file by file in sorted order with a
+    per-(combo, file) RNG stream.
     """
     from repro.backends.registry import resolve_strategy
 
     if workload is None:
-        workload = _generate(job.scale, job.seed)
-    trace = workload.requests[:job.limit]
+        workload = _generate(spec.scale, spec.seed)
+    trace = workload.requests[:limit]
     by_file: dict[str, list[RequestRecord]] = {}
     for request in trace:
-        if stable_hash(f"file:{request.file_id}") % job.shards \
-                != job.shard:
+        if stable_hash(f"file:{request.file_id}") % spec.shards \
+                != spec.shard:
             continue
         by_file.setdefault(request.file_id, []).append(request)
 
     injector = None
-    if job.faults:
+    if faults:
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import default_chaos_plan
         injector = FaultInjector(default_chaos_plan())
@@ -340,14 +323,14 @@ def run_shard(job: ShardJob,
     catalog_rows = [workload.catalog[file_id]
                     for file_id in sorted(by_file)]
     results = []
-    for combo in job.combos:
+    for combo in combos:
         database = _seed_database(catalog_rows)
         strategy = resolve_strategy(
             combo.strategy, database=database,
             catalog=workload.catalog, faults=injector,
             backend_names=combo.backend_names,
-            deadline_seconds=job.deadline_seconds)
-        factory = RngFactory(job.seed).fork(f"backends:{combo.name}")
+            deadline_seconds=deadline_seconds)
+        factory = RngFactory(spec.seed).fork(f"backends:{combo.name}")
         stats = ComboStats(combo=combo.name)
         for file_id in sorted(by_file):
             record = workload.catalog[file_id]
@@ -365,29 +348,15 @@ def run_shard(job: ShardJob,
     return results
 
 
-def _float_hex(value: Any) -> Any:
-    """Floats as exact hex so the digest has no formatting slack."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _float_hex(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_float_hex(item) for item in value]
-    return value
-
-
 #: Run-shape keys excluded from the digest: sharding and process count
 #: must not change a byte of the results, and the digest proves it.
 _DIGEST_EXCLUDED = ("digest", "shards")
 
 
 def scorecard_digest(scorecard: dict[str, Any]) -> str:
-    import hashlib
-    payload = {key: value for key, value in scorecard.items()
-               if key not in _DIGEST_EXCLUDED}
-    encoded = json.dumps(_float_hex(payload), sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha256(encoded).hexdigest()
+    return canonical_digest(hex_floats(
+        {key: value for key, value in scorecard.items()
+         if key not in _DIGEST_EXCLUDED}))
 
 
 def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
@@ -421,30 +390,21 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
                         else default_combos())
     if not combo_specs:
         raise ValueError("no combos to compare")
-    jobs = min(jobs, shards)
-    shard_jobs = [ShardJob(shard=shard, shards=shards, scale=scale,
-                           seed=seed, limit=limit,
-                           deadline_seconds=deadline_seconds,
-                           faults=faults, combos=combo_specs)
-                  for shard in range(shards)]
-    if jobs <= 1:
+    week = None
+    if jobs == 1:
+        # In process, every shard replays the one week; spawn workers
+        # regenerate it rather than unpickle it.
         week = workload if workload is not None \
             else _generate(scale, seed)
-        shard_results = [run_shard(job, week) for job in shard_jobs]
-    else:
-        import multiprocessing
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=context) as pool:
-            # map() preserves input order, so the reduction below is
-            # shard-ordered no matter which worker finished first.
-            shard_results = list(pool.map(run_shard, shard_jobs))
-
-    merged = {combo.name: ComboStats(combo=combo.name)
-              for combo in combo_specs}
-    for shard_result in shard_results:
-        for stats in shard_result:
-            merged[stats.combo].merge(stats)
+    worker = functools.partial(
+        run_shard, limit=limit, deadline_seconds=deadline_seconds,
+        faults=faults, combos=combo_specs, workload=week)
+    shard_results, _info = run_sharded(
+        ShardPlan(scale=scale, seed=seed, shards=shards), worker,
+        jobs=jobs)
+    merged = {combo.name: ComboStats.fold(
+        [shard_result[index] for shard_result in shard_results])
+        for index, combo in enumerate(combo_specs)}
 
     baseline = merged[combo_specs[0].name].cloud_bytes
     combo_rows = []

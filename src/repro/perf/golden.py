@@ -11,9 +11,10 @@ one: the samplers, engine and trace IO from the scalar
 pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
 generator-coroutine task path, ``engine_storm`` from the single-heap
 engine that predates batched same-instant dispatch,
-``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, and
-the ``backend_matrix*`` digests from shards that each regenerated
-their week.
+``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, the
+``backend_matrix*`` digests from shards that each regenerated their
+week, and the ``scale_replay*`` digests from the hand-written
+``ShardRunStats`` merge and digest.
 
 Regenerate (only when an output change is intended and understood)::
 
@@ -27,7 +28,9 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
+
+from repro.scale.reducers import canonical_digest
 
 #: Dimensions of the golden scenarios; small enough to run in seconds,
 #: large enough to hit every sampling branch (all three popularity
@@ -42,11 +45,8 @@ SAMPLER_DRAWS = 4000
 FAULTED_FLEET = 32
 
 
-def digest(payload: Any) -> str:
-    """SHA-256 over the canonical JSON form of ``payload``."""
-    encoded = json.dumps(payload, sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha256(encoded).hexdigest()
+#: SHA-256 over the canonical JSON form of a payload.
+digest = canonical_digest
 
 
 def workload_payload(workload) -> list:
@@ -112,6 +112,27 @@ def cloud_bandwidth_series() -> str:
         result.bandwidth_series(only_highly_popular=True).tolist(),
         result.bandwidth_series(include_rejected=False).tolist(),
     ])
+
+
+def _scale_replay(fault_plan) -> str:
+    """The sharded cloud replay's merged stats over the sharded week."""
+    from repro.scale import ShardPlan, sharded_cloud_stats
+    plan = ShardPlan(scale=SHARDED_SCALE, seed=GOLDEN_SEED,
+                     shards=SHARDED_SHARDS)
+    stats, _info = sharded_cloud_stats(plan, jobs=1,
+                                       fault_plan=fault_plan)
+    return stats.digest()
+
+
+def scale_replay() -> str:
+    """The admission-free per-file cloud replay, fault-free."""
+    return _scale_replay(None)
+
+
+def scale_replay_faulted() -> str:
+    """The same replay under the default chaos plan, policies on."""
+    from repro.faults.plan import default_chaos_plan
+    return _scale_replay(default_chaos_plan())
 
 
 def _backend_matrix(faults: bool) -> str:
@@ -604,6 +625,8 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "cloud_replay_faulted": cloud_replay_faulted,
     "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
     "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
+    "scale_replay": scale_replay,
+    "scale_replay_faulted": scale_replay_faulted,
     "ap_replay": ap_replay,
     "ap_replay_faulted": ap_replay_faulted,
     "engine_trace": engine_trace,

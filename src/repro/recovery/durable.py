@@ -1,10 +1,11 @@
 """Durable, worker-failure-tolerant map over picklable work items.
 
 :func:`durable_map` is the recovery-aware core under
-``repro.scale.executor`` (and the AP/experiments fan-outs): it maps a
-module-level worker over keyed payloads, inline or on a spawn-context
-process pool, and survives exactly the failures that kill a plain
-``ProcessPoolExecutor`` run:
+``repro.scale.executor`` (the sharded replays, the backend matrix, and
+the AP/experiments fan-outs); its pool is the only process pool in
+``src/`` outside serving.  It maps a module-level worker over keyed
+payloads, inline or on a spawn-context process pool, and survives
+exactly the failures that kill a plain ``ProcessPoolExecutor`` run:
 
 * **a crashed worker** (SIGKILL, OOM, preemption) surfaces as
   ``BrokenProcessPool`` -- instead of aborting, the pool is rebuilt and

@@ -10,9 +10,13 @@ paper's real dimensions:
   bit-identical for any shard count or worker scheduling;
 * ``replay`` -- the admission-free per-file cloud replay producing
   mergeable :class:`ShardRunStats`;
+* ``reducers`` -- shard-output reductions and
+  :class:`~repro.scale.reducers.MergeableStats`, the one base of
+  ``ShardRunStats`` and the backend matrix's ``ComboStats``;
 * ``executor`` / ``pipelines`` -- spawn-safe process-pool map-reduce over
-  shards (``run_sharded``) and the end-to-end generate / cloud-replay /
-  AP-replay pipelines behind the CLIs' ``--jobs``;
+  shards (``run_sharded``, also under the backend matrix,
+  ``repro.backends.replay.compare``) and the end-to-end generate /
+  cloud-replay / AP-replay pipelines behind the CLIs' ``--jobs``;
 * ``runner`` -- the parallel experiment runner (driver groups with
   disjoint artefact footprints, each in a fresh context);
 * ``bench`` -- the ``BENCH_scale.json`` perf record

@@ -11,7 +11,6 @@ makes ``--jobs`` a pure wall-clock knob.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,12 +26,8 @@ from repro.obs.registry import (
     NOOP,
     merge_registries,
 )
-from repro.recovery.durable import (
-    RecoveryConfig,
-    durable_map,
-    worker_identity,
-)
-from repro.scale.executor import ScaleRunInfo, run_sharded
+from repro.recovery.durable import RecoveryConfig
+from repro.scale.executor import ScaleRunInfo, durable_run, run_sharded
 from repro.scale.plan import ShardPlan, ShardSpec
 from repro.scale.reducers import merge_workloads
 from repro.scale.replay import ShardReplay, ShardRunStats, merge_stats
@@ -214,33 +209,20 @@ def sharded_ap_replay(catalog: FileCatalog,
                               throttle_to_user=throttle_to_user)
                  for index in range(ap_count)
                  if requests[index::ap_count]]
-    identity = {
-        "kind": "ap-replay",
-        "seed": seed,
-        "throttle_to_user": throttle_to_user,
-        "requests": len(requests),
-        "ap_count": ap_count,
-        "worker": worker_identity(ap_replay_worker),
-    }
-    started = time.perf_counter()
-    outcome = durable_map(
+    results, info = durable_run(
         [f"ap-{task.ap_index:02d}" for task in tasks], tasks,
-        ap_replay_worker, jobs=jobs, recovery=recovery,
-        identity=identity, metrics=metrics)
-    wall = time.perf_counter() - started
+        ap_replay_worker, jobs=jobs, metrics=metrics, recovery=recovery,
+        identity={"kind": "ap-replay", "seed": seed,
+                  "throttle_to_user": throttle_to_user,
+                  "requests": len(requests), "ap_count": ap_count})
 
     merged: list[Optional[ApPreDownloadResult]] = [None] * len(requests)
-    for task, results in zip(tasks, outcome.results):
-        for position, result in enumerate(results):
+    for task, ap_results in zip(tasks, results):
+        for position, result in enumerate(ap_results):
             merged[task.ap_index + position * ap_count] = result
     assert all(result is not None for result in merged)
     report = ApBenchmarkReport(list(merged))      # type: ignore[arg-type]
     _record_ap_metrics(report, metrics)
-    info = ScaleRunInfo(jobs=jobs, shards=len(tasks),
-                        wall_seconds=wall, shard_walls=(wall,),
-                        reused_shards=len(outcome.reused),
-                        shard_retries=outcome.retries)
-    metrics.gauge("repro_scale_ap_wall_seconds").set(wall)
     return report, info
 
 

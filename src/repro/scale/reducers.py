@@ -4,29 +4,154 @@ Every reducer here is order-independent up to floating-point summation,
 so the merged result is the same whatever order shards finish in.  The
 shard invariance tests (``tests/test_scale.py``) assert the stronger
 property: merged output at any shard count equals the 1-shard run.
+
+:class:`MergeableStats` is the one base of the per-file replays'
+shard outputs (``ShardRunStats``, the backend matrix's ``ComboStats``):
+merge, tolerant equality and the exact canonical digest all follow
+from the dataclass fields.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import hashlib
+import json
+import math
+from dataclasses import fields
+from enum import Enum
+from typing import Any, ClassVar, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.analysis.cdf import CDF, empirical_cdf
+from repro.obs.histogram import QuantileSketch
 from repro.obs.registry import merge_registries
 from repro.scale.plan import ShardPlan
-from repro.scale.replay import ShardRunStats, merge_stats
 from repro.workload.catalog import FileCatalog
 from repro.workload.generator import Workload
 from repro.workload.records import User
 
 __all__ = [
+    "MergeableStats",
+    "canonical_digest",
+    "hex_floats",
     "merge_workloads",
     "merge_cdfs",
-    "merge_stats",
     "merge_registries",
-    "ShardRunStats",
 ]
+
+S = TypeVar("S", bound="MergeableStats")
+
+
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 over the canonical (sorted, compact) JSON of ``payload``."""
+    encoded = json.dumps(payload, sort_keys=True,
+                         separators=(",", ":")).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def hex_floats(value: Any) -> Any:
+    """Floats as exact ``float.hex`` strings, so a digest has no
+    formatting slack; dicts and lists are walked."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hex_floats(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [hex_floats(item) for item in value]
+    return value
+
+
+def _state(value: Any) -> Any:
+    """JSON-ready state of one stats field (before :func:`hex_floats`)."""
+    if isinstance(value, QuantileSketch):
+        return [sorted(value._buckets.items()), value._zero_count,
+                value.count, float(value.total), float(value.min_value),
+                float(value.max_value)]
+    if isinstance(value, np.ndarray):
+        return [float(item) for item in value]
+    if isinstance(value, dict):
+        return {key.name if isinstance(key, Enum) else key: count
+                for key, count in value.items()}
+    return value
+
+
+def _close(mine: Any, theirs: Any) -> bool:
+    """Field equality: exact, except floats and arrays to round-off."""
+    if isinstance(mine, np.ndarray):
+        return mine.shape == theirs.shape and bool(np.allclose(
+            mine, theirs, rtol=1e-9, atol=1e-6))
+    if isinstance(mine, float):
+        return math.isclose(mine, theirs, rel_tol=1e-9, abs_tol=1e-6)
+    return mine == theirs
+
+
+class MergeableStats:
+    """Base of a shard's mergeable result; subclasses are
+    ``@dataclass(eq=False)`` (so this ``__eq__`` stays).
+
+    Every field is one of: an int or float (summed), a ``dict`` counter
+    (summed key by key), a :class:`QuantileSketch` (merged exactly), an
+    ndarray (added), or an identity field named in :attr:`IDENTITY`,
+    which must match or the merge raises ``ValueError``.  Merging the
+    parts of any partition therefore reproduces the 1-shard stats,
+    floats up to summation order -- which ``__eq__`` tolerates and
+    :meth:`digest`, being exact, does not: fold in a fixed order.
+    """
+
+    IDENTITY: ClassVar[tuple[str, ...]] = ()
+
+    def merge(self: S, other: S) -> None:
+        """Fold another part in, field by field."""
+        for name in self.IDENTITY:
+            if not _close(getattr(self, name), getattr(other, name)):
+                raise ValueError(f"cannot merge {type(self).__name__} "
+                                 f"of different {name}")
+        for spec in fields(self):
+            if spec.name in self.IDENTITY:
+                continue
+            mine, theirs = getattr(self, spec.name), \
+                getattr(other, spec.name)
+            if isinstance(mine, QuantileSketch):
+                mine.merge(theirs)
+            elif isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, spec.name, mine + theirs)
+
+    @classmethod
+    def fold(cls: type[S], parts: Sequence[S]) -> S:
+        """Merge ``parts`` in order into a fresh instance."""
+        if not parts:
+            raise ValueError("nothing to merge")
+        merged = cls(**{name: getattr(parts[0], name)
+                        for name in cls.IDENTITY})
+        for part in parts:
+            merged.merge(part)
+        return merged
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_close(getattr(self, spec.name),
+                          getattr(other, spec.name))
+                   for spec in fields(self))
+
+    __hash__ = None  # type: ignore[assignment]  # mutable container
+
+    def digest(self) -> str:
+        """Canonical SHA-256 of the full state, keyed by field name.
+
+        Floats are serialised via ``float.hex`` so the digest is exact,
+        not tolerance-based: two results digest equal iff every count,
+        sketch bucket, and bit of every float agree.  The kill-resume
+        CI job and the recovery tests compare these -- a resumed run
+        must reproduce an uninterrupted run bit-for-bit, which the
+        fixed shard fold order makes well-defined.
+        """
+        return canonical_digest(hex_floats(
+            {spec.name: _state(getattr(self, spec.name))
+             for spec in fields(self)}))
 
 
 def merge_workloads(plan: ShardPlan,

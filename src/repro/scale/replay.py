@@ -22,8 +22,6 @@ sub-percent correction.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -41,6 +39,7 @@ from repro.netsim.topology import ChinaTopology, PathQuality
 from repro.obs.histogram import QuantileSketch
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.paper import IMPEDED_FETCH_THRESHOLD
+from repro.scale.reducers import MergeableStats
 from repro.sim.randomness import RngFactory
 from repro.transfer.session import DownloadOutcome, DownloadSession, \
     SessionLimits
@@ -53,15 +52,16 @@ from repro.workload.records import CatalogFile, RequestRecord, User
 BURDEN_BIN_WIDTH = 300.0
 
 
-@dataclass
-class ShardRunStats:
+@dataclass(eq=False)
+class ShardRunStats(MergeableStats):
     """Mergeable result of replaying one shard (or a whole week).
 
     Everything in here is either additive (counts, sums, flow bins) or a
-    :class:`QuantileSketch` with an exact, order-independent merge -- so
-    ``merge`` over any partition reproduces the 1-shard stats (floating
-    sums up to summation order, which the equality check tolerates).
+    :class:`QuantileSketch` with an exact, order-independent merge; the
+    horizon and bin width must match (see :class:`MergeableStats`).
     """
+
+    IDENTITY = ("horizon", "bin_width")
 
     horizon: float
     bin_width: float = BURDEN_BIN_WIDTH
@@ -94,79 +94,11 @@ class ShardRunStats:
         default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
+        self.horizon = float(self.horizon)
+        self.bin_width = float(self.bin_width)
         if len(self.burden_bins) == 0:
             bins = int(math.ceil(self.horizon / self.bin_width))
             self.burden_bins = np.zeros(max(bins, 1))
-
-    # -- reduction -------------------------------------------------------------
-
-    def merge(self, other: "ShardRunStats") -> None:
-        """Fold another shard's stats in (order-independent)."""
-        if not math.isclose(other.horizon, self.horizon):
-            raise ValueError("cannot merge stats of different horizons")
-        if not math.isclose(other.bin_width, self.bin_width):
-            raise ValueError("cannot merge stats of different bin widths")
-        self.tasks += other.tasks
-        self.lookups += other.lookups
-        self.hits += other.hits
-        self.attempts += other.attempts
-        self.attempt_failures += other.attempt_failures
-        self.failures += other.failures
-        for klass, count in other.totals_by_class.items():
-            self.totals_by_class[klass] = \
-                self.totals_by_class.get(klass, 0) + count
-        for klass, count in other.failures_by_class.items():
-            self.failures_by_class[klass] = \
-                self.failures_by_class.get(klass, 0) + count
-        self.pre_speed.merge(other.pre_speed)
-        self.pre_delay.merge(other.pre_delay)
-        self.fetch_speed.merge(other.fetch_speed)
-        self.fetch_delay.merge(other.fetch_delay)
-        self.e2e_delay.merge(other.e2e_delay)
-        self.fetch_count += other.fetch_count
-        self.impeded_fetches += other.impeded_fetches
-        self.payload_bytes += other.payload_bytes
-        self.traffic_bytes += other.traffic_bytes
-        self.pre_traffic_bytes += other.pre_traffic_bytes
-        self.fault_impacts += other.fault_impacts
-        self.fault_retries += other.fault_retries
-        self.fault_failovers += other.fault_failovers
-        self.fault_aborts += other.fault_aborts
-        self.fault_recoveries += other.fault_recoveries
-        self.burden_bins = self.burden_bins + other.burden_bins
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShardRunStats):
-            return NotImplemented
-        close = lambda a, b: math.isclose(a, b, rel_tol=1e-9,  # noqa: E731
-                                          abs_tol=1e-6)
-        return (self.tasks == other.tasks
-                and self.lookups == other.lookups
-                and self.hits == other.hits
-                and self.attempts == other.attempts
-                and self.attempt_failures == other.attempt_failures
-                and self.failures == other.failures
-                and self.totals_by_class == other.totals_by_class
-                and self.failures_by_class == other.failures_by_class
-                and self.pre_speed == other.pre_speed
-                and self.pre_delay == other.pre_delay
-                and self.fetch_speed == other.fetch_speed
-                and self.fetch_delay == other.fetch_delay
-                and self.e2e_delay == other.e2e_delay
-                and self.fetch_count == other.fetch_count
-                and self.impeded_fetches == other.impeded_fetches
-                and self.fault_impacts == other.fault_impacts
-                and self.fault_retries == other.fault_retries
-                and self.fault_failovers == other.fault_failovers
-                and self.fault_aborts == other.fault_aborts
-                and self.fault_recoveries == other.fault_recoveries
-                and close(self.payload_bytes, other.payload_bytes)
-                and close(self.traffic_bytes, other.traffic_bytes)
-                and close(self.pre_traffic_bytes, other.pre_traffic_bytes)
-                and np.allclose(self.burden_bins, other.burden_bins,
-                                rtol=1e-9, atol=1e-6))
-
-    __hash__ = None  # type: ignore[assignment]  # mutable container
 
     # -- headline statistics -----------------------------------------------------
 
@@ -203,68 +135,9 @@ class ShardRunStats:
         return self.traffic_bytes / self.payload_bytes \
             if self.payload_bytes > 0 else 0.0
 
-    # -- identity ----------------------------------------------------------------
 
-    def digest(self) -> str:
-        """Canonical SHA-256 of the full stats state.
-
-        Floats are serialised via ``float.hex`` so the digest is exact,
-        not tolerance-based: two runs digest equal iff every count,
-        sketch bucket, and bit of every float agree.  This is what the
-        kill-resume CI job (and the recovery tests) compare -- a
-        resumed run must reproduce an uninterrupted run *bit-for-bit*,
-        which the fixed shard merge order makes well-defined.
-        """
-        def sketch_state(sketch: QuantileSketch) -> list:
-            return [sorted(sketch._buckets.items()),
-                    sketch._zero_count, sketch.count,
-                    float(sketch.total).hex(),
-                    float(sketch.min_value).hex(),
-                    float(sketch.max_value).hex()]
-
-        payload = {
-            "horizon": float(self.horizon).hex(),
-            "bin_width": float(self.bin_width).hex(),
-            "tasks": self.tasks, "lookups": self.lookups,
-            "hits": self.hits, "attempts": self.attempts,
-            "attempt_failures": self.attempt_failures,
-            "failures": self.failures,
-            "totals_by_class": {klass.name: count for klass, count
-                                in self.totals_by_class.items()},
-            "failures_by_class": {klass.name: count for klass, count
-                                  in self.failures_by_class.items()},
-            "pre_speed": sketch_state(self.pre_speed),
-            "pre_delay": sketch_state(self.pre_delay),
-            "fetch_speed": sketch_state(self.fetch_speed),
-            "fetch_delay": sketch_state(self.fetch_delay),
-            "e2e_delay": sketch_state(self.e2e_delay),
-            "fetch_count": self.fetch_count,
-            "impeded_fetches": self.impeded_fetches,
-            "payload_bytes": float(self.payload_bytes).hex(),
-            "traffic_bytes": float(self.traffic_bytes).hex(),
-            "pre_traffic_bytes": float(self.pre_traffic_bytes).hex(),
-            "fault_impacts": self.fault_impacts,
-            "fault_retries": self.fault_retries,
-            "fault_failovers": self.fault_failovers,
-            "fault_aborts": self.fault_aborts,
-            "fault_recoveries": self.fault_recoveries,
-            "burden_bins": [float(value).hex()
-                            for value in self.burden_bins],
-        }
-        encoded = json.dumps(payload, sort_keys=True,
-                             separators=(",", ":")).encode()
-        return hashlib.sha256(encoded).hexdigest()
-
-
-def merge_stats(parts: list[ShardRunStats]) -> ShardRunStats:
-    """Reduce per-shard stats into the week's stats, in shard order."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    merged = ShardRunStats(horizon=parts[0].horizon,
-                           bin_width=parts[0].bin_width)
-    for part in parts:
-        merged.merge(part)
-    return merged
+#: Reduce per-shard stats into the week's stats, in shard order.
+merge_stats = ShardRunStats.fold
 
 
 class ShardReplay:

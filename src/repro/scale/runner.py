@@ -29,11 +29,8 @@ from repro.experiments.base import ExperimentReport
 from repro.experiments.context import ExperimentContext, \
     ExperimentFailure
 from repro.obs.registry import AnyRegistry, NOOP
-from repro.recovery.durable import (
-    RecoveryConfig,
-    durable_map,
-    worker_identity,
-)
+from repro.recovery.durable import RecoveryConfig
+from repro.scale.executor import durable_run
 
 #: Driver groups with disjoint mutable-artefact footprints.  Order maps
 #: group name -> (experiment ids in document order, context artefacts the
@@ -105,14 +102,12 @@ class GroupResult:
     reports: list[tuple[str, ExperimentReport]]
     timings: dict[str, float]
     claims: Optional[list] = None
-    wall_seconds: float = 0.0
     failures: list[ExperimentFailure] = field(default_factory=list)
 
 
 def run_group(task: GroupTask) -> GroupResult:
     """Build a fresh context and run one group's drivers in order."""
     from repro.experiments import REGISTRY
-    started = time.perf_counter()
     context = ExperimentContext(scale=task.scale, seed=task.seed)
     ids, warm = GROUPS[task.group]
     context.warm(*warm)
@@ -134,7 +129,6 @@ def run_group(task: GroupTask) -> GroupResult:
     if task.group == "claims":
         from repro.experiments.scorecard import evaluate_claims
         result.claims = evaluate_claims(context)
-    result.wall_seconds = time.perf_counter() - started
     return result
 
 
@@ -161,20 +155,11 @@ def run_parallel(scale: float, seed: int, *, jobs: int = 1,
     check_group_coverage()
     tasks = [GroupTask(group=group, scale=scale, seed=seed)
              for group in GROUPS]
-    identity = {
-        "kind": "experiment-groups",
-        "scale": scale,
-        "seed": seed,
-        "groups": list(GROUPS),
-        "worker": worker_identity(run_group),
-    }
-    started = time.perf_counter()
-    outcome = durable_map(
+    results, _info = durable_run(
         [f"group-{task.group}" for task in tasks], tasks, run_group,
-        jobs=jobs, recovery=recovery, identity=identity,
-        metrics=metrics)
-    results = outcome.results
-    wall = time.perf_counter() - started
+        jobs=jobs, metrics=metrics, recovery=recovery,
+        identity={"kind": "experiment-groups", "scale": scale,
+                  "seed": seed, "groups": list(GROUPS)})
 
     by_id: dict[str, ExperimentReport] = {}
     timings: dict[str, float] = {}
@@ -187,10 +172,6 @@ def run_parallel(scale: float, seed: int, *, jobs: int = 1,
         failures.extend(result.failures)
         if result.claims is not None:
             claims = result.claims
-        metrics.gauge("repro_scale_group_wall_seconds",
-                      group=result.group).set(result.wall_seconds)
-    metrics.gauge("repro_scale_jobs").set(jobs)
-    metrics.gauge("repro_scale_wall_seconds").set(wall)
     failures.sort(key=lambda failure: failure.experiment_id)
     ordered = [by_id[experiment_id] for experiment_id in ORDER
                if experiment_id in by_id]

@@ -596,6 +596,15 @@ class TestBackendMatrixReusesTheWeek:
                    self.compare(jobs=2)["digest"]}
         assert len(digests) == 1
 
+    def test_a_killed_worker_is_requeued(self, monkeypatch, capfd):
+        """The matrix runs on the durable shard executor: a SIGKILLed
+        worker costs its shard a requeue, not the run or a byte."""
+        clean = self.compare(shards=3)["digest"]
+        monkeypatch.setenv("REPRO_RECOVERY_CRASH", "shard-0001:1:kill")
+        assert self.compare(shards=3, jobs=2)["digest"] == clean
+        warning = capfd.readouterr().err
+        assert "worker pool broke" in warning and "shard-0001" in warning
+
     def test_a_week_of_another_seed_is_refused(self):
         with pytest.raises(ValueError, match="scale, seed"):
             self.compare(seed=self.SEED + 1, workload=self.week())

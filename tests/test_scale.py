@@ -1,7 +1,9 @@
 """Tests for the sharded, multi-process execution subsystem."""
 
 import pickle
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY
@@ -23,7 +25,9 @@ from repro.scale import (
 )
 from repro.scale.executor import run_sharded
 from repro.scale.pipelines import generate_shard_worker
+from repro.scale.reducers import MergeableStats
 from repro.workload.generator import WorkloadConfig
+from repro.workload.popularity import PopularityClass
 
 SCALE = 0.0008
 SEED = 20150222
@@ -150,6 +154,17 @@ class TestShardedApReplay:
         assert sequential.failure_ratio == parallel.failure_ratio
         assert info.shards == 3
 
+    def test_reports_one_wall_per_ap_worker(self, workload):
+        metrics = MetricsRegistry()
+        _report, info = sharded_ap_replay(
+            workload.catalog, workload.requests[:30], jobs=1, seed=7,
+            metrics=metrics)
+        assert len(info.shard_walls) == info.shards
+        assert info.work_seconds == sum(info.shard_walls)
+        walls = [name for name in metrics.snapshot()
+                 if name.startswith("repro_scale_shard_wall_seconds")]
+        assert len(walls) == info.shards
+
 
 class TestExecutor:
     def test_results_arrive_in_shard_order(self):
@@ -222,6 +237,71 @@ class TestReducers:
         assert snapshot['repro_scale_tasks_total{shard="1"}'] == 1
         revived = pickle.loads(pickle.dumps(merged))
         assert revived.snapshot() == snapshot
+
+
+@dataclass(eq=False)
+class _Toy(MergeableStats):
+    """One field of every kind the base knows how to merge."""
+
+    IDENTITY = ("name",)
+
+    name: str
+    count: int = 0
+    total: float = 0.0
+    by_class: dict = field(default_factory=dict)
+    sketch: QuantileSketch = field(default_factory=QuantileSketch)
+    bins: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    def record(self, value: float, klass: PopularityClass) -> None:
+        self.count += 1
+        self.total += value
+        self.by_class[klass] = self.by_class.get(klass, 0) + 1
+        self.sketch.add(value)
+        self.bins[int(value) % 3] += value
+
+
+class TestMergeableStats:
+    VALUES = [0.1 * step + 1.0 / (step + 3) for step in range(40)]
+
+    def toy(self, values):
+        toy = _Toy(name="toy")
+        for value in values:
+            toy.record(value, list(PopularityClass)[int(value) % 3])
+        return toy
+
+    def test_mismatched_identity_refuses_to_merge(self):
+        with pytest.raises(ValueError, match="different name"):
+            _Toy(name="a").merge(_Toy(name="b"))
+        with pytest.raises(ValueError, match="different bin_width"):
+            merge_stats([ShardRunStats(horizon=600.0),
+                         ShardRunStats(horizon=600.0, bin_width=60.0)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_partition_merges_to_the_one_shard_stats(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = rng.integers(1, 6)
+        owner = rng.integers(parts, size=len(self.VALUES))
+        merged = _Toy.fold([
+            self.toy([value for value, part
+                      in zip(self.VALUES, owner) if part == index])
+            for index in range(parts)])
+        whole = self.toy(self.VALUES)
+        assert merged == whole
+        assert merged.count == whole.count
+        assert merged.by_class == whole.by_class
+
+    def test_equality_tolerates_round_off_but_not_counts(self):
+        left, right = self.toy(self.VALUES), self.toy(self.VALUES)
+        right.total += 1e-12
+        assert left == right
+        right.count += 1
+        assert left != right
+
+    def test_digest_is_exact(self):
+        left, right = self.toy(self.VALUES), self.toy(self.VALUES)
+        assert left.digest() == right.digest()
+        right.total += 1e-12
+        assert left.digest() != right.digest()
 
 
 class TestGroupCoverage:
