@@ -37,6 +37,9 @@ class PreDownloaderFleet:
         self.source_model = source_model or SourceModel()
         self.metrics = metrics
         self._sources: dict[str, ContentSource] = {}
+        self._limits = SessionLimits(
+            rate_caps=(config.predownloader_bandwidth,),
+            stagnation_timeout=config.stagnation_timeout)
         self.attempts = 0
         self.failures = 0
         self.traffic_bytes = 0.0
@@ -68,12 +71,9 @@ class PreDownloaderFleet:
         injection forces 1.0 while a swarm's seeds are dead).  Both
         default to the fault-free behaviour.
         """
-        limits = SessionLimits(
-            rate_caps=(self.config.predownloader_bandwidth,),
-            stagnation_timeout=self.config.stagnation_timeout)
         return DownloadSession(self.source_for(record),
                                record.size if size is None else size,
-                               CLOUD_VANTAGE, limits=limits,
+                               CLOUD_VANTAGE, limits=self._limits,
                                mid_failure_probability=mid_failure_probability,
                                metrics=self.metrics)
 
@@ -105,15 +105,21 @@ class PreDownloaderFleet:
 
         Runs one fresh pre-download attempt per given request's file
         (request-weighted, like the paper's 16.4% figure) without
-        touching fleet accounting or the cache.
+        touching fleet accounting, the run's metrics or the cache.
+        Requests for one file share one (stateless) session.
         """
         records = list(records)
         if not records:
             return 0.0
+        sessions: dict[str, DownloadSession] = {}
         failures = 0
         for record in records:
-            outcome = self.session_for(record).simulate(rng)
-            if not outcome.success:
+            session = sessions.get(record.file_id)
+            if session is None:
+                session = sessions[record.file_id] = DownloadSession(
+                    self.source_for(record), record.size, CLOUD_VANTAGE,
+                    limits=self._limits)
+            if not session.simulate(rng).success:
                 failures += 1
         return failures / len(records)
 

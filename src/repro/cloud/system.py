@@ -28,6 +28,7 @@ from repro.faults.plan import CLOUD_KINDS
 from repro.faults.policies import ResiliencePolicies
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.paper import IMPEDED_FETCH_THRESHOLD
+from repro.sim.collector import paused
 from repro.sim.engine import Event, Simulator
 from repro.sim.queueing import SlotResource
 from repro.sim.randomness import RngFactory
@@ -319,9 +320,12 @@ class XuanfengCloud:
         from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
         machine = FastTaskMachine if self.faults is None \
             else FaultedTaskMachine
-        machine(self, sim, workload, workload.user_by_id(), rng, tasks,
-                flows).start()
-        sim.run()
+        # Tasks, flows and the machine's state are one large acyclic
+        # object graph (repro.sim.collector).
+        with paused():
+            machine(self, sim, workload, workload.user_by_id(), rng, tasks,
+                    flows).start()
+            sim.run()
         self._m_dedup_saved.set(self.pool.dedup_bytes_saved)
         # Freeze the clock at the end of the week so observations made
         # after the run (and enclosing spans) keep a meaningful

@@ -484,13 +484,7 @@ def strategy_decisions() -> str:
     return digest(rows)
 
 
-def odr_strategy_replay() -> str:
-    """The section 6.2 replay of all five strategies, outcomes and all.
-
-    Pins the evaluator's RNG-consumption sequence per strategy, so the
-    registry refactor cannot silently change what any legacy strategy
-    executes on the testbed.
-    """
+def _odr_strategy_replay(policies) -> str:
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.core.replay import ReplayEvaluator
     from repro.workload import sample_benchmark_requests
@@ -502,7 +496,8 @@ def odr_strategy_replay() -> str:
     sample = sample_benchmark_requests(workload, 150)
     rows = []
     for strategy in _strategies_under_test(cloud.database):
-        evaluator = ReplayEvaluator(workload.catalog, cloud.database)
+        evaluator = ReplayEvaluator(workload.catalog, cloud.database,
+                                    policies=policies)
         result = evaluator.replay(sample, strategy)
         for outcome in result.outcomes:
             rows.append([strategy.name, outcome.request.file_id,
@@ -516,6 +511,27 @@ def odr_strategy_replay() -> str:
                          outcome.write_path_limited,
                          outcome.failure_cause])
     return digest(rows)
+
+
+def odr_strategy_replay() -> str:
+    """The section 6.2 replay of all five strategies, outcomes and all.
+
+    Pins the evaluator's RNG-consumption sequence per strategy, so the
+    registry refactor cannot silently change what any legacy strategy
+    executes on the testbed.
+    """
+    return _odr_strategy_replay(None)
+
+
+def odr_strategy_replay_failover() -> str:
+    """The same replay with the smart-AP circuit breaker armed.
+
+    Under ``DEFAULT_POLICIES`` a run of smart-AP failures opens each
+    strategy's breaker and later smart-AP routes fail over to the
+    cloud (``smart-ap-only`` fails over on the golden sample).
+    """
+    from repro.faults import DEFAULT_POLICIES
+    return _odr_strategy_replay(DEFAULT_POLICIES)
 
 
 def sampler_popularity() -> str:
@@ -635,6 +651,7 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "backend_matrix": backend_matrix,
     "backend_matrix_faulted": backend_matrix_faulted,
     "odr_strategy_replay": odr_strategy_replay,
+    "odr_strategy_replay_failover": odr_strategy_replay_failover,
     "sampler_popularity": sampler_popularity,
     "sampler_sizes": sampler_sizes,
     "sampler_filetypes": sampler_filetypes,

@@ -48,7 +48,9 @@ class OverheadRange:
                              f"{self.high}]")
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+        # Exactly ``rng.uniform(low, high)``'s computation and draw,
+        # without its per-call argument broadcasting.
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class ProtocolModel:

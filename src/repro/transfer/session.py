@@ -40,10 +40,13 @@ class SessionLimits:
     rate_caps: tuple[float, ...] = ()
     stagnation_timeout: float = STAGNATION_TIMEOUT
     max_duration: float = MAX_SESSION_DURATION
+    #: The tightest positive rate cap, computed once (inf when none).
+    effective_cap: float = field(init=False, repr=False, compare=False)
 
-    def effective_cap(self) -> float:
+    def __post_init__(self) -> None:
         positive = [cap for cap in self.rate_caps if cap > 0]
-        return min(positive) if positive else float("inf")
+        object.__setattr__(self, "effective_cap",
+                           min(positive) if positive else float("inf"))
 
 
 @dataclass
@@ -99,44 +102,54 @@ class DownloadSession:
     # -- core model ---------------------------------------------------------
 
     def simulate(self, rng: np.random.Generator) -> DownloadOutcome:
-        """Draw this session's complete outcome."""
+        """Draw this session's complete outcome.
+
+        ``lo + (hi - lo) * rng.random()`` is the exact computation (and
+        stream consumption) of ``rng.uniform(lo, hi)`` without its
+        per-call argument broadcasting.
+        """
         metrics = self.metrics
-        metrics.counter("repro_transfer_sessions_total").inc()
+        live = metrics.enabled
+        if live:
+            metrics.counter("repro_transfer_sessions_total").inc()
         draw = self.source.draw_attempt(rng, self.vantage)
-        if draw.seed_count is not None:
+        if live and draw.seed_count is not None:
             metrics.histogram("repro_transfer_swarm_seeds").observe(
                 draw.seed_count)
         if not draw.available:
             return self._stalled_outcome(rng, draw)
 
-        rate = min(draw.rate, self.limits.effective_cap())
+        limits = self.limits
+        rate = min(draw.rate, limits.effective_cap)
         if rate <= 0:
             return self._stalled_outcome(rng, draw)
         full_duration = self.size / rate if rate > 0 else float("inf")
 
-        if full_duration > self.limits.max_duration:
+        if full_duration > limits.max_duration:
             # Too slow to ever finish inside the service's patience.
-            obtained = rate * self.limits.max_duration * rng.uniform(0.6, 1.0)
+            obtained = rate * limits.max_duration \
+                * (0.6 + (1.0 - 0.6) * rng.random())
             return self._failure_outcome(
-                rng, duration=self.limits.max_duration,
+                rng, duration=limits.max_duration,
                 bytes_obtained=min(obtained, self.size * 0.95),
                 rate=rate, cause=self._slow_cause())
 
         if rng.random() < self._mid_failure_probability(draw):
-            progress = rng.uniform(0.05, 0.9)
+            progress = 0.05 + (0.9 - 0.05) * rng.random()
             stall_at = full_duration * progress
-            duration = stall_at + self.limits.stagnation_timeout
+            duration = stall_at + limits.stagnation_timeout
             return self._failure_outcome(
                 rng, duration=duration,
                 bytes_obtained=self.size * progress, rate=rate,
                 cause=self._slow_cause())
 
-        peak = min(rate * rng.uniform(1.15, 2.2),
-                   self.limits.effective_cap())
+        peak = min(rate * (1.15 + (2.2 - 1.15) * rng.random()),
+                   limits.effective_cap)
         traffic = self.protocol_model.sample_traffic(
             self.source.protocol, self.size, rng)
-        metrics.counter("repro_transfer_bytes_obtained_total").inc(
-            self.size)
+        if live:
+            metrics.counter("repro_transfer_bytes_obtained_total").inc(
+                self.size)
         return DownloadOutcome(
             success=True, duration=full_duration,
             bytes_obtained=self.size, file_size=self.size,
@@ -169,8 +182,9 @@ class DownloadSession:
                          draw: AttemptDraw) -> DownloadOutcome:
         # A stalled client trickles a negligible number of bytes
         # (handshakes, metadata) before the give-up timer fires.
-        duration = self.limits.stagnation_timeout * rng.uniform(1.0, 1.25)
-        trickle = min(self.size, rng.uniform(0.0, 256e3))
+        duration = self.limits.stagnation_timeout \
+            * (1.0 + (1.25 - 1.0) * rng.random())
+        trickle = min(self.size, 256e3 * rng.random())
         return self._failure_outcome(rng, duration=duration,
                                      bytes_obtained=trickle,
                                      rate=trickle / duration,
@@ -182,11 +196,13 @@ class DownloadSession:
         # Every failure regime ends with the stagnation give-up timer
         # firing (stall at probe, mid-transfer death, too-slow-to-ever-
         # finish), so one counter covers the rule end to end.
-        self.metrics.counter(
-            "repro_transfer_stagnation_timeouts_total").inc()
-        if bytes_obtained > 0:
-            self.metrics.counter(
-                "repro_transfer_bytes_obtained_total").inc(bytes_obtained)
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("repro_transfer_stagnation_timeouts_total").inc()
+            if bytes_obtained > 0:
+                metrics.counter(
+                    "repro_transfer_bytes_obtained_total").inc(
+                        bytes_obtained)
         fraction = bytes_obtained / self.size if self.size > 0 else 0.0
         traffic = self.protocol_model.sample_traffic(
             self.source.protocol, self.size, rng,

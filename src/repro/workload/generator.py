@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.clock import WEEK
+from repro.sim.collector import paused
 from repro.sim.randomness import RngFactory
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.catalog import FileCatalog
@@ -96,11 +97,13 @@ class WorkloadGenerator:
 
     def generate(self) -> Workload:
         rng_factory = RngFactory(self.config.seed)
-        self.catalog.generate(self.config.file_count,
-                              rng_factory.stream("catalog"))
-        self.population.generate(self.config.user_count,
-                                 rng_factory.stream("users"))
-        requests = self._generate_requests(rng_factory)
+        # The week is one large acyclic object graph (repro.sim.collector).
+        with paused():
+            self.catalog.generate(self.config.file_count,
+                                  rng_factory.stream("catalog"))
+            self.population.generate(self.config.user_count,
+                                     rng_factory.stream("users"))
+            requests = self._generate_requests(rng_factory)
         return Workload(config=self.config, catalog=self.catalog,
                         users=self.population.users, requests=requests)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Type, TypeVar
 
 from repro.obs.registry import AnyRegistry, NOOP
+from repro.sim.collector import paused
 from repro.workload.catalog import FileCatalog
 from repro.workload.columnar import is_columnar, read_columnar, \
     write_columnar
@@ -264,14 +265,16 @@ def load_workload(directory: str | Path,
                             seed=raw_config["seed"],
                             horizon=raw_config["horizon"])
     catalog = FileCatalog()
-    for record in read_trace(
-            _resolve_trace(directory, CATALOG_FILE, trace_format),
-            CatalogFile):
-        catalog.files[record.file_id] = record
-    users = read_trace(_resolve_trace(directory, USERS_FILE, trace_format),
-                       User)
-    requests = read_trace(
-        _resolve_trace(directory, REQUESTS_FILE, trace_format),
-        RequestRecord)
+    # The week is one large acyclic object graph (repro.sim.collector).
+    with paused():
+        for record in read_trace(
+                _resolve_trace(directory, CATALOG_FILE, trace_format),
+                CatalogFile):
+            catalog.files[record.file_id] = record
+        users = read_trace(
+            _resolve_trace(directory, USERS_FILE, trace_format), User)
+        requests = read_trace(
+            _resolve_trace(directory, REQUESTS_FILE, trace_format),
+            RequestRecord)
     return Workload(config=config, catalog=catalog, users=users,
                     requests=requests)

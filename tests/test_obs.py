@@ -313,6 +313,26 @@ class TestSimulatorIntegration:
         assert "t=0" in message
 
 
+class TestExperimentAccounting:
+    def test_cloud_text_counterfactual_leaves_the_runs_counters_alone(self):
+        # The "no storage pool" what-if draws thousands of sessions; they
+        # must not be counted as the run's pre-download sessions.
+        from repro.experiments import REGISTRY
+        from repro.experiments.context import ExperimentContext
+        metrics = MetricsRegistry()
+        context = ExperimentContext(scale=0.002, metrics=metrics)
+        REGISTRY["cloud_text"](context)
+        fleet = context.cloud_result.fleet
+        assert fleet.attempts > 0
+        assert metrics.counter(
+            "repro_transfer_sessions_total").value == fleet.attempts
+        assert metrics.counter(
+            "repro_cloud_predownload_attempts_total").value == fleet.attempts
+        assert metrics.counter(
+            "repro_transfer_stagnation_timeouts_total").value \
+            == fleet.failures
+
+
 class TestCliIntegration:
     def test_cloud_metrics_out_writes_parseable_jsonl(self, tmp_path,
                                                       capsys):

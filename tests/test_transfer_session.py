@@ -33,10 +33,10 @@ def dead_source():
 class TestSessionLimits:
     def test_effective_cap_is_min_of_positive_caps(self):
         limits = SessionLimits(rate_caps=(100.0, 50.0, 0.0))
-        assert limits.effective_cap() == 50.0
+        assert limits.effective_cap == 50.0
 
     def test_no_caps_means_unbounded(self):
-        assert SessionLimits().effective_cap() == float("inf")
+        assert SessionLimits().effective_cap == float("inf")
 
 
 class TestSuccessfulSession:
