@@ -13,8 +13,9 @@ generator-coroutine task path, ``engine_storm`` from the single-heap
 engine that predates batched same-instant dispatch,
 ``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, the
 ``backend_matrix*`` digests from shards that each regenerated their
-week, and the ``scale_replay*`` digests from the hand-written
-``ShardRunStats`` merge and digest.
+week, the ``scale_replay*`` digests from the hand-written
+``ShardRunStats`` merge and digest, and ``odr_webapp_decide`` from the
+``json.dumps(payload, indent=2)`` rendering of the decision body.
 
 Regenerate (only when an output change is intended and understood)::
 
@@ -43,6 +44,17 @@ SAMPLER_DRAWS = 4000
 #: Fleet size of the faulted cloud scenario that queues pre-downloads
 #: for VM slots.
 FAULTED_FLEET = 32
+#: Every this-many-th ``/decide`` path of the golden week goes into the
+#: webapp digest, once per registry policy.
+WEBAPP_PATH_STRIDE = 40
+#: The ``/decide`` 400s: missing link, unknown policy, bad ISP and an
+#: unsupported link scheme.
+WEBAPP_BAD_PATHS = (
+    "/decide?popularity=3",
+    "/decide?link=http%3A%2F%2Forigin%2Ff&policy=no-such-policy",
+    "/decide?link=http%3A%2F%2Forigin%2Ff&isp=nowhere",
+    "/decide?link=gopher%3A%2F%2Forigin%2Ff",
+)
 
 
 #: SHA-256 over the canonical JSON form of a payload.
@@ -534,6 +546,33 @@ def odr_strategy_replay_failover() -> str:
     return _odr_strategy_replay(DEFAULT_POLICIES)
 
 
+def odr_webapp_decide() -> str:
+    """The wire responses of ``OdrWebApp.handle_batch`` for ``/decide``.
+
+    A stride sample of the golden week's trace paths under every
+    registry policy, plus the 400 cases, each with a fixed ``odr_user``
+    cookie so no user id is drawn.  Status, content type, body,
+    set-cookie and headers are all pinned, so the rendered JSON body
+    cannot move by a byte.
+    """
+    from repro.backends.registry import strategy_names
+    from repro.core.webapp import OdrWebApp
+    from repro.loadgen.trace import workload_paths
+    from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+    config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+    paths = workload_paths(WorkloadGenerator(config).generate())
+    sample = paths[::WEBAPP_PATH_STRIDE]
+    cookie = "odr_user=golden"
+    app = OdrWebApp()
+    rows = []
+    for policy in strategy_names():
+        rows += app.handle_batch([(f"{path}&policy={policy}", cookie)
+                                  for path in sample])
+    rows += app.handle_batch([(path, cookie)
+                              for path in WEBAPP_BAD_PATHS])
+    return digest([list(row) for row in rows])
+
+
 def sampler_popularity() -> str:
     import numpy as np
     from repro.workload.popularity import PopularityModel
@@ -652,6 +691,7 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "backend_matrix_faulted": backend_matrix_faulted,
     "odr_strategy_replay": odr_strategy_replay,
     "odr_strategy_replay_failover": odr_strategy_replay_failover,
+    "odr_webapp_decide": odr_webapp_decide,
     "sampler_popularity": sampler_popularity,
     "sampler_sizes": sampler_sizes,
     "sampler_filetypes": sampler_filetypes,
