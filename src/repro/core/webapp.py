@@ -33,6 +33,7 @@ import threading
 import time
 import uuid
 from http.cookies import SimpleCookie
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
@@ -89,12 +90,36 @@ bottlenecks.</p>
 """
 
 
+def _malformed_target() -> Response:
+    """The 400 for a request target ``urlparse`` cannot split."""
+    return 400, "application/json", json.dumps(
+        {"error": "malformed request target"}), None, {}
+
+
+def render_decision(action: str, data_source: str,
+                    bottlenecks: tuple[int, ...], explanation: str,
+                    file_id: str, protocol: str, policy: str) -> str:
+    """The ``/decide`` body: byte for byte ``json.dumps(payload,
+    indent=2)`` of the decision payload, built on the C string encoder
+    (``indent`` would drop ``json`` to its pure-Python encoder)."""
+    addressed = "[\n    " + ",\n    ".join(map(str, bottlenecks)) \
+        + "\n  ]" if bottlenecks else "[]"
+    return (f'{{\n  "action": {_json_string(action)},'
+            f'\n  "data_source": {_json_string(data_source)},'
+            f'\n  "bottlenecks_addressed": {addressed},'
+            f'\n  "explanation": {_json_string(explanation)},'
+            f'\n  "file_id": {_json_string(file_id)},'
+            f'\n  "protocol": {_json_string(protocol)},'
+            f'\n  "policy": {_json_string(policy)}\n}}')
+
+
 class OdrWebApp:
     """The HTTP application: routing plus the wrapped :class:`OdrService`.
 
     Transport-free: :class:`~repro.serve.server.AsyncOdrServer` owns the
-    sockets and calls :meth:`handle` / :meth:`handle_batch` on executor
-    threads (hence ``_lock``), and tests drive it without sockets.
+    sockets, calls :meth:`handle_batch` on its event loop and
+    :meth:`handle` on executor threads (hence ``_lock``), and tests
+    drive it without sockets.
     """
 
     def __init__(self, database: Optional[ContentDatabase] = None,
@@ -155,7 +180,10 @@ class OdrWebApp:
         budget rides into the routing policy layer via
         ``UserContext.deadline_seconds``.
         """
-        parsed = urlparse(path)
+        try:
+            parsed = urlparse(path)
+        except ValueError:
+            return _malformed_target()
         if parsed.path in ("/", "/index.html"):
             return 200, "text/html", _FRONT_PAGE, None, {}
         if parsed.path == "/healthz":
@@ -190,7 +218,11 @@ class OdrWebApp:
         for index, entry in enumerate(requests):
             path, cookie_header = entry[0], entry[1]
             deadline = entry[2] if len(entry) > 2 else None
-            parsed = urlparse(path)
+            try:
+                parsed = urlparse(path)
+            except ValueError:
+                responses[index] = _malformed_target()
+                continue
             if parsed.path == "/decide":
                 decide_items.append(
                     (index, parse_qs(parsed.query), cookie_header,
@@ -316,18 +348,12 @@ class OdrWebApp:
 
             if self._breaker is not None:
                 self._breaker.record(True, self._clock())
-            payload = {
-                "action": response.decision.action.value,
-                "data_source": response.decision.data_source.value,
-                "bottlenecks_addressed":
-                    list(response.decision.bottlenecks_addressed),
-                "explanation": response.explanation,
-                "file_id": response.file_id,
-                "protocol": response.protocol.value,
-                "policy": service.policy,
-            }
-            responses[index] = 200, "application/json", \
-                json.dumps(payload, indent=2), set_cookie, {}
+            decision = response.decision
+            responses[index] = 200, "application/json", render_decision(
+                decision.action.value, decision.data_source.value,
+                decision.bottlenecks_addressed, response.explanation,
+                response.file_id, response.protocol.value,
+                service.policy), set_cookie, {}
         return responses   # type: ignore[return-value]
 
     def _user_id_from_cookie(self, cookie_header: str

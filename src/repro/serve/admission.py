@@ -18,10 +18,14 @@ instruments:
 
 plus a per-endpoint latency histogram
 (``repro_serve_latency_seconds{endpoint}``) observed on release.  Tests
-assert the invariant ``admitted + rejected == requests sent``.
+assert the invariant ``admitted + rejected == requests sent``.  The
+hot-path instruments are resolved from the registry once per endpoint
+(and status class) and reused; the server's endpoint labels bound both
+sets.
 
 Thread-safe: the asyncio tier calls it from its loop thread, and counts
-execute-stage deadline sheds from executor threads.
+the unbatched path's execute-stage deadline sheds from executor
+threads.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 import threading
 from typing import Optional
 
+from repro.obs.instruments import Counter, Histogram
 from repro.obs.registry import NOOP, AnyRegistry
 
 #: Default cap on concurrently admitted requests.  Sized for the
@@ -69,8 +74,9 @@ def deadline_response(stage: str, remaining_ms: Optional[float] = None
 
     ``stage`` names where the budget ran out: ``admission`` (predicted
     queue wait already exceeds the remaining budget), ``batch`` (the
-    entry expired waiting for its coalesced tick), or ``execute`` (the
-    deadline passed while the work sat on the executor queue).
+    entry expired waiting for its coalesced tick), or ``execute`` (an
+    unbatched request's deadline passed while it sat on the executor
+    queue).
     """
     import json
     payload: dict[str, object] = {
@@ -106,6 +112,10 @@ class AdmissionController:
         self._inflight_gauge = metrics.gauge("repro_serve_inflight")
         self._effective_gauge = metrics.gauge(
             "repro_serve_effective_max_inflight")
+        #: endpoint -> (admitted counter, latency histogram,
+        #: status class -> responses counter)
+        self._endpoints: dict[str, tuple[Counter, Histogram,
+                                         dict[int, Counter]]] = {}
         # Plain cumulative counters mirrored off the obs instruments:
         # the supervisor reads these through the admin ``/statz``
         # endpoint to sense shed pressure for elastic scaling, without
@@ -127,6 +137,18 @@ class AdmissionController:
         with self._lock:
             return self._effective_cap_locked()
 
+    def _instruments(self, endpoint: str
+                     ) -> tuple[Counter, Histogram, dict[int, Counter]]:
+        instruments = self._endpoints.get(endpoint)
+        if instruments is None:
+            instruments = self._endpoints[endpoint] = (
+                self._metrics.counter("repro_serve_admitted_total",
+                                      endpoint=endpoint),
+                self._metrics.histogram("repro_serve_latency_seconds",
+                                        endpoint=endpoint),
+                {})
+        return instruments
+
     # -- admission ---------------------------------------------------------------
 
     def try_admit(self, endpoint: str) -> bool:
@@ -141,8 +163,7 @@ class AdmissionController:
             self._inflight += 1
             self.admitted_count += 1
             self._inflight_gauge.set(float(self._inflight))
-        self._metrics.counter("repro_serve_admitted_total",
-                              endpoint=endpoint).inc()
+        self._instruments(endpoint)[0].inc()
         return True
 
     def reject(self, endpoint: str, reason: str) -> None:
@@ -186,8 +207,8 @@ class AdmissionController:
         self.count_deadline_shed(stage)
 
     def count_deadline_shed(self, stage: str) -> None:
-        """Bump the deadline-shed counter for post-admission stages
-        (batch expiry, executor no-op) that already hold a slot."""
+        """Bump the deadline-shed counter for a post-admission stage
+        (the unbatched executor no-op) that already holds a slot."""
         self._metrics.counter("repro_serve_deadline_sheds_total",
                               stage=stage).inc()
 
@@ -202,12 +223,15 @@ class AdmissionController:
                     latency_seconds - self._ewma_seconds)
             self._effective_gauge.set(
                 float(self._effective_cap_locked()))
-        self._metrics.counter("repro_serve_responses_total",
-                              endpoint=endpoint,
-                              status=f"{status // 100}xx").inc()
-        self._metrics.histogram("repro_serve_latency_seconds",
-                                endpoint=endpoint).observe(
-            latency_seconds)
+        _admitted, latency, responses = self._instruments(endpoint)
+        status_class = status // 100
+        counter = responses.get(status_class)
+        if counter is None:
+            counter = responses[status_class] = self._metrics.counter(
+                "repro_serve_responses_total", endpoint=endpoint,
+                status=f"{status_class}xx")
+        counter.inc()
+        latency.observe(latency_seconds)
 
     # -- views -------------------------------------------------------------------
 
@@ -258,13 +282,3 @@ class AdmissionController:
                        f"({cap} in flight); retry later",
              "retry_after_seconds": retry_after})
         return 503, body, {"Retry-After": str(retry_after)}
-
-
-def optional_admission(max_inflight: Optional[int],
-                       metrics: AnyRegistry = NOOP
-                       ) -> Optional[AdmissionController]:
-    """An AdmissionController, or None when admission is disabled
-    (``max_inflight`` of 0 or None means 'unbounded')."""
-    if not max_inflight:
-        return None
-    return AdmissionController(max_inflight, metrics=metrics)

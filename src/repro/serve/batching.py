@@ -8,17 +8,22 @@ once *per request*; the :class:`DecisionBatcher` pays them once per
 ``call_soon`` drain evaluates the whole queue through
 :meth:`~repro.core.webapp.OdrWebApp.handle_batch` in one pass.
 
+The pass runs inline on the loop.  ``handle_batch`` is pure Python
+under the GIL, so a worker thread would add no parallelism -- only a
+task, a thread-pool handoff and a cross-thread wake-up per batch.  A
+decision is sub-millisecond and :data:`DEFAULT_MAX_BATCH` bounds one
+pass, which bounds how long the loop stalls.
+
 Latency cost is bounded by construction: the drain callback is
 scheduled the moment the first request of a tick arrives, so an idle
 server still answers in the same iteration -- batching only *appears*
 when concurrency does.
 
 Deadline budgets propagate through the batcher: an entry whose
-``X-Deadline-Ms`` budget has already expired is answered ``504``
-*before* dispatch (no decision work for an answer nobody waits for),
-and the executor pass re-checks each entry when it actually starts, so
-work whose deadline lapsed while queued on the thread pool is no-opped
-instead of evaluated.
+``X-Deadline-Ms`` budget has already expired is answered ``504`` at
+drain time (no decision work for an answer nobody waits for), and the
+live entries' deadlines ride into ``handle_batch`` so the policy layer
+can rank against the remaining budget.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ class DecisionBatcher:
         self.app = app
         self.max_batch = max_batch
         self._metrics = metrics
+        self._batch_size = metrics.histogram("repro_serve_batch_size")
         self._pending: list[tuple[str, str, Optional[float],
                                   asyncio.Future]] = []
         self._drain_scheduled = False
@@ -69,13 +75,6 @@ class DecisionBatcher:
             loop.call_soon(self._drain)
         return future
 
-    def _expire(self, future: asyncio.Future, stage: str) -> None:
-        self.expired += 1
-        self._metrics.counter("repro_serve_deadline_sheds_total",
-                              stage=stage).inc()
-        if not future.done():
-            future.set_result(deadline_response(stage))
-
     def _drain(self) -> None:
         batch = self._pending[:self.max_batch]
         del self._pending[:self.max_batch]
@@ -84,73 +83,34 @@ class DecisionBatcher:
             asyncio.get_running_loop().call_soon(self._drain)
         else:
             self._drain_scheduled = False
-        if not batch:
-            return
-        # Expired entries are answered here, before dispatch: they hold
-        # an admission slot but cost no decision work.
+        # Expired entries are answered here, before evaluation: they
+        # hold an admission slot but cost no decision work.
         now = time.monotonic()
-        live = []
+        live: list[tuple[str, str, Optional[float]]] = []
+        futures: list[asyncio.Future] = []
         for path, cookie, deadline, future in batch:
             if deadline is not None and now > deadline:
-                self._expire(future, "batch")
+                self.expired += 1
+                self._metrics.counter("repro_serve_deadline_sheds_total",
+                                      stage="batch").inc()
+                if not future.done():
+                    future.set_result(deadline_response("batch"))
             else:
-                live.append((path, cookie, deadline, future))
+                live.append((path, cookie, deadline))
+                futures.append(future)
         if not live:
             return
         self.batches += 1
         self.batched_requests += len(live)
-        self._metrics.histogram("repro_serve_batch_size").observe(
-            float(len(live)))
-        # handle_batch is synchronous; evaluating it on the loop would
-        # stall every connection for the whole pass, so it runs on the
-        # default executor while the loop collects the next batch.
-        task = asyncio.ensure_future(self._evaluate(live))
-        task.add_done_callback(lambda _task: None)
-
-    def _execute_batch(self, items: list[tuple[str, str,
-                                               Optional[float]]]
-                       ) -> list[Optional[Response]]:
-        """Executor-side pass: no-op entries that expired while queued
-        on the thread pool, evaluate the rest in one handle_batch."""
-        now = time.monotonic()
-        responses: list[Optional[Response]] = [None] * len(items)
-        live_index: list[int] = []
-        live_requests: list[tuple[str, str, Optional[float]]] = []
-        for position, (path, cookie, deadline) in enumerate(items):
-            if deadline is not None and now > deadline:
-                responses[position] = deadline_response("execute")
-                self.expired += 1
-                self._metrics.counter(
-                    "repro_serve_deadline_sheds_total",
-                    stage="execute").inc()
-            else:
-                live_index.append(position)
-                # The deadline rides into handle_batch so the policy
-                # layer can rank against the remaining budget.
-                live_requests.append((path, cookie, deadline))
-        if live_requests:
-            for position, response in zip(
-                    live_index, self.app.handle_batch(live_requests)):
-                responses[position] = response
-        return responses
-
-    async def _evaluate(self, batch: list[tuple[str, str,
-                                                Optional[float],
-                                                asyncio.Future]]
-                        ) -> None:
-        loop = asyncio.get_running_loop()
+        self._batch_size.observe(float(len(live)))
         try:
-            responses = await loop.run_in_executor(
-                None, self._execute_batch,
-                [(path, cookie, deadline)
-                 for path, cookie, deadline, _future in batch])
+            responses = self.app.handle_batch(live)
         except Exception as error:   # noqa: BLE001 - boundary
-            for _path, _cookie, _deadline, future in batch:
+            for future in futures:
                 if not future.done():
                     future.set_exception(error)
             return
-        for (_path, _cookie, _deadline, future), response \
-                in zip(batch, responses):
+        for future, response in zip(futures, responses):
             if not future.done():
                 future.set_result(response)
 
@@ -162,9 +122,3 @@ class DecisionBatcher:
     @property
     def pending(self) -> int:
         return len(self._pending)
-
-
-def optional_batcher(app: OdrWebApp, enabled: bool,
-                     metrics: AnyRegistry = NOOP
-                     ) -> Optional[DecisionBatcher]:
-    return DecisionBatcher(app, metrics=metrics) if enabled else None

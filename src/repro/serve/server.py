@@ -14,12 +14,18 @@ request path is::
   ``503 + Retry-After`` derived from the EWMA service time.  The
   application-level circuit breaker (PR 4) still guards the decision
   backend underneath.
-* **Batched evaluation** -- requests arriving in the same loop tick are
-  coalesced into one :meth:`~repro.core.webapp.OdrWebApp.handle_batch`
-  pass (one breaker check, one lock scope for the batch).
+* **Batched evaluation** -- ``/decide`` requests arriving in the same
+  loop tick are coalesced into one
+  :meth:`~repro.core.webapp.OdrWebApp.handle_batch` pass (one breaker
+  check, one lock scope for the batch), evaluated inline on the loop.
+  Unbatched work -- other app endpoints, and every ``/decide`` with
+  ``batch=False`` -- runs on the default executor.
 * **Obs** -- per-endpoint request/response counters, an in-flight
   gauge, streaming latency histograms, and a ``/metrics`` endpoint
-  rendering the registry in Prometheus text format.
+  rendering the registry in Prometheus text format.  Each labelled
+  instrument is resolved once and reused.
+* **Errors** -- an exception that escapes the app is answered with a
+  JSON ``500`` on the open connection, never a dropped one.
 * **Graceful drain** -- ``drain()`` stops accepting, lets in-flight
   requests finish (bounded by a grace period), then closes idle
   keep-alive connections; :func:`run_async_server` exits 0 on a clean
@@ -45,6 +51,7 @@ from repro.cloud.database import ContentDatabase
 from repro.core.webapp import OdrWebApp, Response
 from repro.faults.policies import ResiliencePolicies
 from repro.obs.exporters import render_prometheus
+from repro.obs.instruments import Counter
 from repro.obs.registry import NOOP, AnyRegistry
 from repro.serve.admission import DEFAULT_MAX_INFLIGHT, \
     AdmissionController, deadline_response
@@ -73,6 +80,12 @@ def _reason(status: int) -> str:
         return "Unknown"
 
 
+def _internal_error(error: Exception) -> Response:
+    return 500, "application/json", json.dumps(
+        {"error": "internal error",
+         "detail": f"{type(error).__name__}: {error}"}), None, {}
+
+
 class AsyncOdrServer:
     """The asyncio serving tier around one :class:`OdrWebApp`."""
 
@@ -94,6 +107,7 @@ class AsyncOdrServer:
         self.host = host
         self._requested_port = port
         self.metrics = metrics
+        self._requests: dict[str, Counter] = {}
         self.admission = AdmissionController(max_inflight,
                                              metrics=metrics)
         self.batcher = DecisionBatcher(self.app, metrics=metrics) \
@@ -322,8 +336,8 @@ class AsyncOdrServer:
 
     def _guarded_handle(self, path: str, cookie: str,
                         deadline: Optional[float]) -> Response:
-        """Executor-side handle with a deadline no-op guard (the
-        un-batched twin of the batcher's execute-stage check)."""
+        """Executor-side handle with a deadline no-op guard: the
+        ``execute`` shed stage, which only the unbatched path has."""
         if deadline is not None and time.monotonic() > deadline:
             self.admission.count_deadline_shed("execute")
             return deadline_response("execute")
@@ -333,8 +347,11 @@ class AsyncOdrServer:
                        deadline: Optional[float] = None,
                        admin: bool = False) -> Response:
         endpoint = endpoint_label(path)
-        self.metrics.counter("repro_serve_requests_total",
-                             endpoint=endpoint).inc()
+        requests = self._requests.get(endpoint)
+        if requests is None:
+            requests = self._requests[endpoint] = self.metrics.counter(
+                "repro_serve_requests_total", endpoint=endpoint)
+        requests.inc()
         if not admin:
             if deadline is not None and endpoint == "/decide":
                 # Shed before admission when the predicted queue wait
@@ -368,29 +385,11 @@ class AsyncOdrServer:
                     status, body, headers = self.chaos.injected_500()
                     return status, "application/json", body, None, \
                         headers
-            if endpoint == "/statz":
-                # Plain-JSON admission accounting for the supervisor's
-                # elastic-capacity controller (cheaper to poll and to
-                # parse than the full Prometheus rendering).
-                response: Response = (200, "application/json",
-                                      json.dumps(
-                                          self.admission.stats()),
-                                      None, {})
-            elif endpoint == "/metrics":
-                response = (200,
-                            "text/plain; version=0.0.4",
-                            render_prometheus(self.metrics),
-                            None, {})
-            elif self.batcher is not None and endpoint == "/decide":
-                response = await self.batcher.submit(path, cookie,
-                                                     deadline)
-            else:
-                # The app is synchronous; running it on the loop would
-                # let one slow decision block every connection (and
-                # make the admission cap unreachable).
-                response = await asyncio.get_running_loop() \
-                    .run_in_executor(None, self._guarded_handle, path,
-                                     cookie, deadline)
+            try:
+                response = await self._dispatch(endpoint, path, cookie,
+                                                deadline)
+            except Exception as error:   # noqa: BLE001 - boundary
+                response = _internal_error(error)
             status = response[0]
             return response
         finally:
@@ -400,6 +399,26 @@ class AsyncOdrServer:
                 self.admission.release(endpoint,
                                        time.perf_counter() - started,
                                        status)
+
+    async def _dispatch(self, endpoint: str, path: str, cookie: str,
+                        deadline: Optional[float]) -> Response:
+        if endpoint == "/statz":
+            # Plain-JSON admission accounting for the supervisor's
+            # elastic-capacity controller (cheaper to poll and to parse
+            # than the full Prometheus rendering).
+            return (200, "application/json",
+                    json.dumps(self.admission.stats()), None, {})
+        if endpoint == "/metrics":
+            return (200, "text/plain; version=0.0.4",
+                    render_prometheus(self.metrics), None, {})
+        if self.batcher is not None and endpoint == "/decide":
+            # Evaluated inline on the loop by the batcher's drain.
+            return await self.batcher.submit(path, cookie, deadline)
+        # The unbatched path keeps app.handle off the loop: a handle
+        # that blocks stalls only its own request, and the admission
+        # cap stays reachable.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self._guarded_handle, path, cookie, deadline)
 
     # -- response encoding -------------------------------------------------------
 
@@ -448,7 +467,6 @@ class AsyncOdrServer:
     async def _write_simple(self, writer: asyncio.StreamWriter,
                             status: int, detail: str,
                             keep_alive: bool) -> None:
-        import json
         self.admission.reject(endpoint_label("other"),
                               reason=f"http_{status}")
         await self._write_response(

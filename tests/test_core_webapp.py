@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core.webapp import OdrWebApp
+from repro.core.webapp import OdrWebApp, render_decision
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import AsyncOdrServer, AsyncServerThread, \
     run_async_server
@@ -85,6 +85,49 @@ class TestInProcessRouting:
         stored = app.service.cookies.recall(user_id)
         assert stored is not None
         assert stored.access_bandwidth == pytest.approx(1e6)
+
+    def test_malformed_target_is_a_400(self, app):
+        for response in (app.handle("//["),
+                         app.handle_batch([("//[", "")])[0]):
+            status, content_type, body, cookie, _headers = response
+            assert status == 400
+            assert content_type == "application/json"
+            assert json.loads(body) == {
+                "error": "malformed request target"}
+            assert cookie is None
+
+
+class TestDecisionBody:
+    """``render_decision`` is ``json.dumps(payload, indent=2)``."""
+
+    @pytest.mark.parametrize("bottlenecks", [(), (3,), (1, 3),
+                                             (1, 2, 3, 4)])
+    @pytest.mark.parametrize("explanation", [
+        "plain", "", 'quo"te \\ back/slash', "tab\tnew\nline\x00\x1f",
+        "non-ascii: é — 中文 \U0001f600", "\u2028\u2029\x7f"])
+    def test_bytes_match_json_dumps_indent(self, bottlenecks,
+                                           explanation):
+        payload = {"action": "smart_ap", "data_source": "original",
+                   "bottlenecks_addressed": list(bottlenecks),
+                   "explanation": explanation,
+                   "file_id": "f\u00e9", "protocol": "bittorrent",
+                   "policy": "delay-aware"}
+        assert render_decision(
+            payload["action"], payload["data_source"], bottlenecks,
+            explanation, payload["file_id"], payload["protocol"],
+            payload["policy"]) == json.dumps(payload, indent=2)
+
+    def test_served_bodies_match_json_dumps_indent(self):
+        app = OdrWebApp()
+        for _status, _t, body, _c, _h in app.handle_batch([
+                ("/decide?link=magnet://origin/xyz&popularity=200"
+                 "&bandwidth_mbps=20&ap=newifi&device=usb-flash"
+                 "&filesystem=ntfs", "odr_user=u"),
+                ("/decide?link=http://host/f1&popularity=3&cached=1"
+                 "&bandwidth_mbps=0.5&ap=hiwifi", "odr_user=u"),
+                ("/decide?link=http://host/f2&policy=cloud-only",
+                 "odr_user=u")]):
+            assert body == json.dumps(json.loads(body), indent=2)
 
 
 class TestDeadlinePropagation:

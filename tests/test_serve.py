@@ -715,3 +715,170 @@ def test_backend_exception_is_a_structured_500_over_http():
     assert headers["Content-Type"].startswith("application/json")
     assert "backend exploded" in json.loads(body)["detail"]
     assert healthz == 200
+
+
+def raw_exchange(sock, request: bytes):
+    """Send one raw request on ``sock``; (status, headers, body)."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed without a response"
+        data += chunk
+    head, _sep, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    while len(body) < int(headers["Content-Length"]):
+        body += sock.recv(65536)
+    return int(lines[0].split()[1]), headers, body
+
+
+class TestMalformedTarget:
+    """A request target ``urlparse`` rejects gets a 400, not a drop."""
+
+    def test_malformed_target_is_a_400_on_the_open_connection(self):
+        import socket
+        metrics = MetricsRegistry()
+        server = AsyncOdrServer(metrics=metrics)
+        with AsyncServerThread(server):
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5.0) as sock:
+                status, headers, body = raw_exchange(
+                    sock, b"GET //[ HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert status == 400
+                assert headers["Connection"] == "keep-alive"
+                assert json.loads(body) == {
+                    "error": "malformed request target"}
+                # Same connection, next request: still served.
+                status, _headers, _body = raw_exchange(
+                    sock, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert status == 200
+        assert metrics.counter("repro_serve_responses_total",
+                               endpoint="other",
+                               status="4xx").value == 1
+        assert metrics.counter("repro_serve_responses_total",
+                               endpoint="other",
+                               status="5xx").value == 0
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_escaped_exception_is_a_json_500(self, batch):
+        server = AsyncOdrServer(batch=batch)
+
+        def explode(*_args, **_kwargs):
+            raise RuntimeError("app exploded")
+
+        server.app.handle = explode
+        server.app.handle_batch = explode
+        with AsyncServerThread(server):
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=5.0)
+            try:
+                connection.request("GET", DECIDE)
+                response = connection.getresponse()
+                status, body = response.status, response.read()
+                connection.request("GET", "/statz")
+                statz = connection.getresponse()
+                statz.read()
+            finally:
+                connection.close()
+        assert status == 500
+        assert "app exploded" in json.loads(body)["detail"]
+        assert statz.status == 200
+        assert server.admission.inflight == 0
+
+
+class TestDispatch:
+    """Batched decisions run on the loop; unbatched ones off it."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_where_a_decision_runs(self, batch):
+        server = AsyncOdrServer(batch=batch)
+        threads = []
+        name = "handle_batch" if batch else "handle"
+        original = getattr(server.app, name)
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        setattr(server.app, name, recording)
+        with AsyncServerThread(server) as thread:
+            status, _headers, _body = get(server.host, server.port,
+                                          DECIDE)
+            loop_thread = thread._thread.ident
+        assert status == 200
+        assert len(threads) == 1
+        if batch:
+            assert threads == [loop_thread]
+        else:
+            assert threads[0] != loop_thread
+
+    def test_cached_instruments_are_the_registrys_own(self, live_server):
+        server, _thread, metrics = live_server
+        for _ in range(3):
+            get(server.host, server.port, DECIDE)
+        requests = metrics.counter("repro_serve_requests_total",
+                                   endpoint="/decide")
+        assert requests is server._requests["/decide"]
+        assert requests.value == 3
+        admitted, latency, responses = \
+            server.admission._endpoints["/decide"]
+        assert admitted is metrics.counter("repro_serve_admitted_total",
+                                           endpoint="/decide")
+        assert latency is metrics.histogram(
+            "repro_serve_latency_seconds", endpoint="/decide")
+        assert responses[2] is metrics.counter(
+            "repro_serve_responses_total", endpoint="/decide",
+            status="2xx")
+        assert admitted.value == responses[2].value == 3
+        assert latency.count == 3
+        assert server.batcher._batch_size is metrics.histogram(
+            "repro_serve_batch_size")
+
+    def test_accounting_holds_across_a_mixed_batch(self):
+        """One drain holding an expired and a live entry, beside an
+        admission shed: ``admitted + rejected == sent``."""
+        import asyncio
+        metrics = MetricsRegistry()
+        server = AsyncOdrServer(metrics=metrics)
+
+        async def stall():
+            # Runs after every submit and before the drain: the short
+            # budget lapses while its entry waits for the tick.
+            time.sleep(0.05)
+
+        async def scenario():
+            now = time.monotonic()
+            return await asyncio.gather(
+                server._respond(DECIDE, "", now + 0.02),
+                server._respond(DECIDE, "", now + 30.0),
+                server._respond(DECIDE, "", now - 1.0),
+                server._respond(DECIDE, ""),
+                stall())
+
+        responses = asyncio.run(scenario())[:4]
+        assert [response[0] for response in responses] == \
+            [504, 200, 504, 200]
+        assert json.loads(responses[0][2])["stage"] == "batch"
+        assert json.loads(responses[2][2])["stage"] == "admission"
+        assert server.batcher.batches == 1
+        assert server.batcher.batched_requests == 2
+        sent = metrics.counter("repro_serve_requests_total",
+                               endpoint="/decide").value
+        admitted = metrics.counter("repro_serve_admitted_total",
+                                   endpoint="/decide").value
+        rejected = sum(
+            metrics.counter("repro_serve_rejected_total",
+                            endpoint="/decide", reason=reason).value
+            for reason in ("saturated", "deadline"))
+        answered = sum(
+            metrics.counter("repro_serve_responses_total",
+                            endpoint="/decide", status=status).value
+            for status in ("2xx", "4xx", "5xx"))
+        assert sent == 4
+        assert admitted == 3 and rejected == 1
+        assert admitted + rejected == sent
+        assert answered == admitted
+        assert metrics.counter("repro_serve_deadline_sheds_total",
+                               stage="batch").value == 1
+        assert metrics.gauge("repro_serve_inflight").value == 0
