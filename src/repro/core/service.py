@@ -11,7 +11,7 @@ human-readable explanation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 from urllib.parse import urlparse
 
 from repro.cloud.database import ContentDatabase
@@ -85,10 +85,16 @@ class OdrService:
         self.requests_served = 0
 
     def handle_request(self, context: UserContext,
-                       link: str) -> OdrResponse:
-        """One user interaction: merge cookies, decide, explain."""
+                       link: Union[str, tuple[Protocol, str]]
+                       ) -> OdrResponse:
+        """One user interaction: merge cookies, decide, explain.
+
+        ``link`` is the submitted link, or the ``(protocol, file_id)``
+        that :func:`parse_link` already made of it.
+        """
         context = self.cookies.merge(context)
-        protocol, file_id = parse_link(link)
+        protocol, file_id = parse_link(link) if isinstance(link, str) \
+            else link
         decision = self.strategy.decide(context, file_id, protocol)
         self.requests_served += 1
         return OdrResponse(

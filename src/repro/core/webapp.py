@@ -29,19 +29,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import time
-import uuid
 from http.cookies import SimpleCookie
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import unquote, unquote_to_bytes, urlparse
 
 import repro.ap.models as ap_models
 import repro.storage.device as storage_devices
 from repro.cloud.database import ContentDatabase
 from repro.core.auxiliary import SmartApInfo, UserContext
-from repro.core.service import OdrService
+from repro.core.service import OdrService, parse_link
 from repro.faults.policies import ResiliencePolicies
 from repro.netsim.ip import IpAllocator
 from repro.netsim.isp import ISP
@@ -90,10 +90,70 @@ bottlenecks.</p>
 """
 
 
+def split_target(target: str) -> tuple[str, str]:
+    """``urlparse(target)``'s path and query, ``ValueError`` included.
+
+    An origin-form target (``/path?query``) with no fragment, no
+    ``;params`` in its path and none of the tab/CR/LF characters
+    ``urlsplit`` deletes is split on its first ``?``; anything else
+    goes through ``urlparse`` itself.
+    """
+    path, _sep, query = target.partition("?")
+    if path[:1] != "/" or path[1:2] == "/" or ";" in path \
+            or "#" in target or "\t" in target or "\r" in target \
+            or "\n" in target:
+        parsed = urlparse(target)
+        return parsed.path, parsed.query
+    return path, query
+
+
+def _unquote(text: str) -> str:
+    """``unquote(text)``; ASCII text skips its split into ASCII and
+    non-ASCII runs."""
+    if text.isascii():
+        return unquote_to_bytes(text).decode("utf-8", "replace")
+    return unquote(text)
+
+
+def parse_query(query: str) -> dict[str, list[str]]:
+    """``urllib.parse.parse_qs(query)``: fields with a blank or missing
+    value are dropped, ``+`` is a space, ``%`` escapes are decoded as
+    UTF-8 with replacement."""
+    fields: dict[str, list[str]] = {}
+    if not query:
+        return fields
+    for field in query.split("&"):
+        name, _sep, value = field.partition("=")
+        if not value:
+            continue
+        if "+" in name:
+            name = name.replace("+", " ")
+        if "%" in name:
+            name = _unquote(name)
+        if "+" in value:
+            value = value.replace("+", " ")
+        if "%" in value:
+            value = _unquote(value)
+        values = fields.get(name)
+        if values is None:
+            fields[name] = [value]
+        else:
+            values.append(value)
+    return fields
+
+
 def _malformed_target() -> Response:
     """The 400 for a request target ``urlparse`` cannot split."""
     return 400, "application/json", json.dumps(
         {"error": "malformed request target"}), None, {}
+
+
+def internal_error(error: Exception,
+                   set_cookie: Optional[str] = None) -> Response:
+    """The JSON 500 for an exception that escaped a handler."""
+    return 500, "application/json", json.dumps(
+        {"error": "internal error",
+         "detail": f"{type(error).__name__}: {error}"}), set_cookie, {}
 
 
 def render_decision(action: str, data_source: str,
@@ -180,22 +240,7 @@ class OdrWebApp:
         budget rides into the routing policy layer via
         ``UserContext.deadline_seconds``.
         """
-        try:
-            parsed = urlparse(path)
-        except ValueError:
-            return _malformed_target()
-        if parsed.path in ("/", "/index.html"):
-            return 200, "text/html", _FRONT_PAGE, None, {}
-        if parsed.path == "/healthz":
-            return 200, "application/json", json.dumps(
-                {"status": "ok",
-                 "requests_served": self.requests_served}), \
-                None, {}
-        if parsed.path == "/decide":
-            return self._decide(parse_qs(parsed.query), cookie_header,
-                                deadline)
-        return 404, "application/json", json.dumps(
-            {"error": f"no such endpoint {parsed.path!r}"}), None, {}
+        return self.handle_batch([(path, cookie_header, deadline)])[0]
 
     def handle_batch(self, requests: list[tuple]
                      ) -> list[Response]:
@@ -206,7 +251,8 @@ class OdrWebApp:
         them together: one breaker admission check covers the batch, the
         shared lock is taken once for all IP allocations and popularity
         registrations, and only then do the (lock-free) decisions run.
-        Semantics per request are identical to :meth:`handle`.
+        Each target is split once (:func:`split_target`) and each
+        ``/decide`` query parsed once (:func:`parse_query`).
 
         Entries are ``(path, cookie_header)`` or ``(path,
         cookie_header, deadline)`` with the absolute monotonic deadline
@@ -216,19 +262,17 @@ class OdrWebApp:
         decide_items: list[tuple[int, dict[str, list[str]], str,
                                  Optional[float]]] = []
         for index, entry in enumerate(requests):
-            path, cookie_header = entry[0], entry[1]
-            deadline = entry[2] if len(entry) > 2 else None
             try:
-                parsed = urlparse(path)
+                path, query = split_target(entry[0])
             except ValueError:
                 responses[index] = _malformed_target()
                 continue
-            if parsed.path == "/decide":
+            if path == "/decide":
                 decide_items.append(
-                    (index, parse_qs(parsed.query), cookie_header,
-                     deadline))
+                    (index, parse_query(query), entry[1],
+                     entry[2] if len(entry) > 2 else None))
             else:
-                responses[index] = self.handle(path, cookie_header)
+                responses[index] = self._page(path)
         if decide_items:
             batch = [(query, cookie, deadline)
                      for _index, query, cookie, deadline
@@ -238,11 +282,17 @@ class OdrWebApp:
                 responses[index] = response
         return responses   # type: ignore[return-value]
 
-    def _decide(self, query: dict[str, list[str]],
-                cookie_header: str,
-                deadline: Optional[float] = None) -> Response:
-        return self._decide_batch([(query, cookie_header,
-                                    deadline)])[0]
+    def _page(self, path: str) -> Response:
+        """Every endpoint but ``/decide``."""
+        if path in ("/", "/index.html"):
+            return 200, "text/html", _FRONT_PAGE, None, {}
+        if path == "/healthz":
+            return 200, "application/json", json.dumps(
+                {"status": "ok",
+                 "requests_served": self.requests_served}), \
+                None, {}
+        return 404, "application/json", json.dumps(
+            {"error": f"no such endpoint {path!r}"}), None, {}
 
     def _shed_response(self, now: float) -> Optional[Response]:
         """The 503 while the breaker is open, or None when admitted."""
@@ -268,17 +318,17 @@ class OdrWebApp:
         decision evaluation, recording per-request outcomes into the
         breaker.
         """
-        from repro.core.service import parse_link
         responses: list[Optional[Response]] = [None] * len(items)
         now = self._clock()
         shed = self._shed_response(now) if items else None
-        #: (index, first, link, file_id, popularity, cached, isp,
+        #: (index, first, (protocol, file_id), popularity, cached, isp,
         #:  set_cookie, user_id, service, deadline)
         prepared: list[tuple] = []
         for index, (query, cookie_header, deadline) in enumerate(items):
             def first(key: str, default: str = "",
                       _query=query) -> str:
-                return _query.get(key, [default])[0]
+                values = _query.get(key)
+                return values[0] if values else default
 
             link = first("link")
             if not link:
@@ -293,7 +343,7 @@ class OdrWebApp:
                 self._user_id_from_cookie(cookie_header)
             try:
                 isp = ISP(first("isp", "unicom"))
-                _protocol, file_id = parse_link(link)
+                parsed_link = parse_link(link)
                 popularity = int(first("popularity", "0") or 0)
                 service = self._service_for(
                     first("policy", self.default_policy))
@@ -302,7 +352,7 @@ class OdrWebApp:
                     {"error": str(error)}), set_cookie, {}
                 continue
             cached = first("cached", "0") in ("1", "true", "yes")
-            prepared.append((index, first, link, file_id, popularity,
+            prepared.append((index, first, parsed_link, popularity,
                              cached, isp, set_cookie, user_id, service,
                              deadline))
 
@@ -312,22 +362,23 @@ class OdrWebApp:
         addresses: dict[int, str] = {}
         if prepared:
             with self._lock:
-                for (index, first, link, file_id, popularity, cached,
-                     isp, set_cookie, user_id, service,
-                     deadline) in prepared:
+                for (index, _first, (_protocol, file_id), popularity,
+                     cached, isp, _cookie, _user, _service,
+                     _deadline) in prepared:
                     addresses[index] = self._allocator.allocate(isp)
                     row = self.database.row(file_id, size=0.0)
                     if row.request_count < popularity:
                         row.request_count = popularity
                     self.database.set_cached(file_id, cached)
 
-        for (index, first, link, file_id, popularity, cached, isp,
+        for (index, first, parsed_link, _popularity, _cached, _isp,
              set_cookie, user_id, service, deadline) in prepared:
             try:
                 context = self._build_context(
                     first, user_id, ip_address=addresses[index],
                     deadline=deadline)
-                response = service.handle_request(context, link)
+                # The parsed link, so the service does not parse again.
+                response = service.handle_request(context, parsed_link)
             except (ValueError, KeyError) as error:
                 # Malformed input is the client's fault: it must not
                 # trip the breaker or tear anything down.
@@ -340,10 +391,7 @@ class OdrWebApp:
                 # structured 500 and feed the breaker instead.
                 if self._breaker is not None:
                     self._breaker.record(False, self._clock())
-                responses[index] = 500, "application/json", json.dumps(
-                    {"error": "internal error",
-                     "detail": f"{type(error).__name__}: {error}"}), \
-                    set_cookie, {}
+                responses[index] = internal_error(error, set_cookie)
                 continue
 
             if self._breaker is not None:
@@ -358,13 +406,13 @@ class OdrWebApp:
 
     def _user_id_from_cookie(self, cookie_header: str
                              ) -> tuple[str, Optional[str]]:
-        cookie = SimpleCookie()
         if cookie_header:
+            cookie = SimpleCookie()
             cookie.load(cookie_header)
-        morsel = cookie.get("odr_user")
-        if morsel is not None and morsel.value:
-            return morsel.value, None
-        user_id = uuid.uuid4().hex[:16]
+            morsel = cookie.get("odr_user")
+            if morsel is not None and morsel.value:
+                return morsel.value, None
+        user_id = os.urandom(8).hex()
         return user_id, f"odr_user={user_id}; Path=/"
 
     def _build_context(self, first, user_id: str, ip_address: str,

@@ -19,6 +19,11 @@ scheduled the moment the first request of a tick arrives, so an idle
 server still answers in the same iteration -- batching only *appears*
 when concurrency does.
 
+Each entry carries a completion callback that receives its Response:
+the serving tier's connection writes the answer from it directly, with
+no future and no task to resume a loop turn later.  :meth:`submit` is
+the awaitable form for callers that hold no connection.
+
 Deadline budgets propagate through the batcher: an entry whose
 ``X-Deadline-Ms`` budget has already expired is answered ``504`` at
 drain time (no decision work for an answer nobody waits for), and the
@@ -30,15 +35,27 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.webapp import OdrWebApp, Response
+from repro.core.webapp import OdrWebApp, Response, internal_error
 from repro.obs.registry import NOOP, AnyRegistry
 from repro.serve.admission import deadline_response
 
 #: Upper bound on one coalesced pass, so a drain never monopolises the
 #: loop; the remainder re-schedules itself onto the next tick.
 DEFAULT_MAX_BATCH = 512
+
+#: The completion callback of one request.
+Done = Callable[[Response], None]
+
+
+def resolver(future: "asyncio.Future[Response]") -> Done:
+    """A :data:`Done` that resolves ``future`` unless it was
+    cancelled."""
+    def resolve(response: Response) -> None:
+        if not future.done():
+            future.set_result(response)
+    return resolve
 
 
 class DecisionBatcher:
@@ -52,27 +69,32 @@ class DecisionBatcher:
         self.max_batch = max_batch
         self._metrics = metrics
         self._batch_size = metrics.histogram("repro_serve_batch_size")
-        self._pending: list[tuple[str, str, Optional[float],
-                                  asyncio.Future]] = []
+        self._pending: list[tuple[str, str, Optional[float], Done]] = []
         self._drain_scheduled = False
         self.batches = 0
         self.batched_requests = 0
         self.expired = 0
 
-    def submit(self, path: str, cookie_header: str,
-               deadline: Optional[float] = None
-               ) -> "asyncio.Future[Response]":
-        """Queue one request; the future resolves with its Response.
+    def enqueue(self, path: str, cookie_header: str,
+                deadline: Optional[float], done: Done) -> None:
+        """Queue one request; the drain calls ``done`` with its
+        Response.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant after
         which the caller no longer wants the answer.
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((path, cookie_header, deadline, future))
+        self._pending.append((path, cookie_header, deadline, done))
         if not self._drain_scheduled:
             self._drain_scheduled = True
-            loop.call_soon(self._drain)
+            asyncio.get_running_loop().call_soon(self._drain)
+
+    def submit(self, path: str, cookie_header: str,
+               deadline: Optional[float] = None
+               ) -> "asyncio.Future[Response]":
+        """:meth:`enqueue` with a future that resolves with the
+        Response."""
+        future = asyncio.get_running_loop().create_future()
+        self.enqueue(path, cookie_header, deadline, resolver(future))
         return future
 
     def _drain(self) -> None:
@@ -87,17 +109,16 @@ class DecisionBatcher:
         # hold an admission slot but cost no decision work.
         now = time.monotonic()
         live: list[tuple[str, str, Optional[float]]] = []
-        futures: list[asyncio.Future] = []
-        for path, cookie, deadline, future in batch:
+        dones: list[Done] = []
+        for path, cookie, deadline, done in batch:
             if deadline is not None and now > deadline:
                 self.expired += 1
                 self._metrics.counter("repro_serve_deadline_sheds_total",
                                       stage="batch").inc()
-                if not future.done():
-                    future.set_result(deadline_response("batch"))
+                done(deadline_response("batch"))
             else:
                 live.append((path, cookie, deadline))
-                futures.append(future)
+                dones.append(done)
         if not live:
             return
         self.batches += 1
@@ -106,13 +127,9 @@ class DecisionBatcher:
         try:
             responses = self.app.handle_batch(live)
         except Exception as error:   # noqa: BLE001 - boundary
-            for future in futures:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for future, response in zip(futures, responses):
-            if not future.done():
-                future.set_result(response)
+            responses = [internal_error(error)] * len(live)
+        for done, response in zip(dones, responses):
+            done(response)
 
     @property
     def mean_batch_size(self) -> float:

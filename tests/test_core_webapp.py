@@ -11,9 +11,14 @@ import sys
 import threading
 import time
 
-import pytest
+from urllib.parse import parse_qs, urlparse
 
-from repro.core.webapp import OdrWebApp, render_decision
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.webapp import OdrWebApp, parse_query, render_decision, \
+    split_target
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import AsyncOdrServer, AsyncServerThread, \
     run_async_server
@@ -128,6 +133,78 @@ class TestDecisionBody:
                 ("/decide?link=http://host/f2&policy=cloud-only",
                  "odr_user=u")]):
             assert body == json.dumps(json.loads(body), indent=2)
+
+
+#: Text that steers ``urlparse``/``parse_qs``: separators, escapes
+#: (valid, invalid, truncated), brackets of IPv6 hosts, a space and
+#: non-ASCII letters.  ``_ODD`` adds, rarely, the characters that take
+#: a target off the fast path: a fragment, a tab/CR/LF (``urlsplit``
+#: deletes those), a query and a netloc start.
+_ESCAPES = st.sampled_from(["%41", "%2f", "%2F", "%3A", "%c3%a9", "%e9",
+                            "%zz", "%4", "%", "+", "%2B", "%20"])
+_TEXT = st.lists(st.one_of(st.sampled_from(list("/;:=&+[]@ ab09\u00e9"
+                                                "\uff03")), _ESCAPES),
+                 max_size=10).map("".join)
+_ODD = st.sampled_from(["", "", "", "", "#", "\t", "\r", "\n", "?",
+                        "//"])
+_KEY = st.sampled_from(["link", "popularity", "", "a+b", "k%3D", "ap"])
+_FIELD = st.one_of(
+    st.tuples(_KEY, st.sampled_from(["=", ""]), _TEXT, _ODD, _TEXT)
+    .map("".join), _TEXT)
+_QUERY = st.lists(_FIELD, max_size=6).map("&".join)
+_TARGET = st.one_of(
+    st.tuples(st.sampled_from(["", "/", "//", "/decide", "//host",
+                               "//[::1]", "//[", "//]x", "http://h",
+                               "HTTP:", "x:", " /", "\t/", "\x00/",
+                               "//\uff03@h", ";"]),
+              _TEXT, _ODD, _TEXT,
+              st.sampled_from(["", "?"]), _QUERY,
+              st.sampled_from(["", "", "#", "#frag", "#a?b"]))
+    .map("".join),
+    st.text(max_size=40))
+
+
+def _urllib_target(target):
+    try:
+        parsed = urlparse(target)
+    except ValueError:
+        return ValueError
+    return parsed.path, parsed.query
+
+
+def _our_target(target):
+    try:
+        return split_target(target)
+    except ValueError:
+        return ValueError
+
+
+class TestRequestParsers:
+    """The ``/decide`` parsers equal the ``urllib.parse`` calls they
+    replace, on every input."""
+
+    @given(target=_TARGET)
+    @example(target="//[")
+    @example(target="/decide;p?link=x;y#f")
+    @example(target="/a;b?c")
+    @example(target="/\t/x?q=1")
+    @example(target="http://[::1/x")
+    @example(target="//\uff03@x/")
+    @settings(max_examples=600, deadline=None)
+    def test_split_target_is_urlparse(self, target):
+        assert _our_target(target) == _urllib_target(target)
+
+    @given(query=_QUERY)
+    @example(query="a=1&a=2&b=&=c&d&&e=%zz&f=%c3%a9+x&g+h=%2B")
+    @settings(max_examples=600, deadline=None)
+    def test_parse_query_is_parse_qs(self, query):
+        assert list(parse_query(query).items()) == \
+            list(parse_qs(query).items())
+
+    def test_rejected_targets_are_rejected(self):
+        for target in ("//[", "//]x", "http://[::1/x"):
+            assert _urllib_target(target) is ValueError
+            assert _our_target(target) is ValueError
 
 
 class TestDeadlinePropagation:

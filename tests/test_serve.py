@@ -882,3 +882,181 @@ class TestDispatch:
         assert metrics.counter("repro_serve_deadline_sheds_total",
                                stage="batch").value == 1
         assert metrics.gauge("repro_serve_inflight").value == 0
+
+
+def read_responses(sock, count):
+    """Read ``count`` responses off ``sock``; [(status, headers, body)]
+    in arrival order."""
+    data = b""
+    responses = []
+    while len(responses) < count:
+        end = data.find(b"\r\n\r\n")
+        if end >= 0:
+            lines = data[:end].decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines[1:])
+            length = int(headers["Content-Length"])
+            if len(data) >= end + 4 + length:
+                responses.append((int(lines[0].split()[1]), headers,
+                                  data[end + 4:end + 4 + length]))
+                data = data[end + 4 + length:]
+                continue
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before every response came"
+        data += chunk
+    return responses
+
+
+def request(path, headers=""):
+    return f"GET {path} HTTP/1.1\r\nHost: t\r\n{headers}\r\n" \
+        .encode("latin-1")
+
+
+class TestTransport:
+    """The connection protocol: buffered heads, pipelining in order,
+    the head cap, disconnects mid-batch and flow control."""
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        import socket
+        server = AsyncOdrServer()
+        with AsyncServerThread(server):
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5.0) as sock:
+                sock.sendall(request("/nothing-here") + request(DECIDE)
+                             + request("/healthz"))
+                responses = read_responses(sock, 3)
+        assert [status for status, _h, _b in responses] == \
+            [404, 200, 200]
+        assert "action" in json.loads(responses[1][2])
+        assert json.loads(responses[2][2])["status"] == "ok"
+        assert all(headers["Connection"] == "keep-alive"
+                   for _s, headers, _b in responses)
+
+    def test_head_sent_one_byte_per_write_is_answered(self):
+        import socket
+        server = AsyncOdrServer()
+        with AsyncServerThread(server):
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for byte in request(DECIDE):
+                    sock.send(bytes([byte]))
+                    time.sleep(0.0005)
+                [(status, _headers, body)] = read_responses(sock, 1)
+        assert status == 200
+        assert "action" in json.loads(body)
+
+    def test_oversized_head_is_431_and_closed(self):
+        import socket
+
+        from repro.serve.server import MAX_REQUEST_BYTES
+        metrics = MetricsRegistry()
+        server = AsyncOdrServer(metrics=metrics)
+        with AsyncServerThread(server):
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5.0) as sock:
+                sock.sendall(b"GET /" + b"a" * (MAX_REQUEST_BYTES + 8192))
+                [(status, headers, _body)] = read_responses(sock, 1)
+                assert sock.recv(65536) == b""
+        assert status == 431
+        assert headers["Connection"] == "close"
+        assert metrics.counter("repro_serve_rejected_total",
+                               endpoint="other",
+                               reason="http_431").value == 1
+
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_disconnect_while_queued_leaves_nothing_in_flight(self,
+                                                              reset):
+        import asyncio
+        import socket
+        import struct
+        metrics = MetricsRegistry()
+        server = AsyncOdrServer(metrics=metrics)
+        drain = server.batcher._drain
+        queued = threading.Event()
+
+        def later():
+            # Hold the batch past the client's disconnect.
+            queued.set()
+            asyncio.get_running_loop().call_later(0.3, drain)
+
+        server.batcher._drain = later
+        with AsyncServerThread(server):
+            sock = socket.create_connection((server.host, server.port),
+                                            timeout=5.0)
+            sock.sendall(request(DECIDE))
+            assert queued.wait(5.0)
+            if reset:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + 5.0
+            while server.batcher.batches == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            while server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.connections == 0
+            assert server.inflight_requests == 0
+        assert server.batcher.batched_requests == 1
+        assert metrics.gauge("repro_serve_inflight").value == 0
+        sent = metrics.counter("repro_serve_requests_total",
+                               endpoint="/decide").value
+        admitted = metrics.counter("repro_serve_admitted_total",
+                                   endpoint="/decide").value
+        rejected = sum(
+            metrics.counter("repro_serve_rejected_total",
+                            endpoint="/decide", reason=reason).value
+            for reason in ("saturated", "deadline"))
+        assert sent == admitted == 1
+        assert admitted + rejected == sent
+
+    def test_client_that_stops_reading_is_not_buffered_unbounded(self):
+        import socket
+        import struct
+
+        from repro.serve.server import MAX_REQUEST_BYTES
+        server = AsyncOdrServer()
+        pipelined = request(DECIDE) * 20000
+        with AsyncServerThread(server):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(3.0)
+            sock.connect((server.host, server.port))
+
+            def flood():
+                try:
+                    sock.sendall(pipelined)
+                except OSError:
+                    pass   # the server stopped reading: as intended
+
+            sender = threading.Thread(target=flood, daemon=True)
+            sender.start()
+            deadline = time.monotonic() + 5.0
+            while not server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            [connection] = list(server._connections)
+            # Wait for the server to stop answering: the kernel buffers
+            # between the two sides are full.
+            answered = -1
+            deadline = time.monotonic() + 10.0
+            while answered != server.batcher.batched_requests \
+                    and time.monotonic() < deadline:
+                answered = server.batcher.batched_requests
+                time.sleep(0.3)
+            assert 0 < answered < 20000
+            assert connection._write_paused
+            assert connection._reading_paused
+            transport = connection.transport
+            # At most the transport's high-water mark plus one response
+            # waits in user space, and at most one head's worth of
+            # input plus one read.
+            assert transport.get_write_buffer_size() \
+                <= transport.get_write_buffer_limits()[1] + 4096
+            assert len(connection._buffer) \
+                <= MAX_REQUEST_BYTES + 256 * 1024
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            sender.join(5.0)
+        assert server.inflight_requests == 0
+        assert server.admission.inflight == 0
