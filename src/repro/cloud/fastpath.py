@@ -9,7 +9,10 @@ generators, no Process objects, no ``yield`` plumbing.  Constant
 columns (popularity flags, the arrival order) are batch-computed with
 numpy up front; the mutable per-event scalars live in plain Python
 lists, whose single-element reads/writes are several times cheaper
-than numpy fancy indexing.
+than numpy fancy indexing.  Each task's outcome is written straight
+into the columns of the replay's :class:`~repro.cloud.system.RunTable`;
+the machine builds no per-task result, record, flow or admission
+object.
 
 The machine replaced per-task generator coroutines, and its output is
 pinned bit for bit to theirs by the golden digests (fault-free and
@@ -58,12 +61,13 @@ interrupt of a fetch are ignored: the wait resumes to the same deadline.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-import repro.cloud.system as cloud_system
 from repro.cloud.fetch import FetchSpeedModel
+from repro.cloud.system import FETCH_DONE, FETCH_REJECTED, RunTable
 from repro.netsim.isp import ISP
 from repro.obs.registry import NOOP
 from repro.paper import FETCH_SPEED_MEAN
@@ -71,7 +75,6 @@ from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.transfer.session import DownloadOutcome
 from repro.workload.generator import Workload
 from repro.workload.popularity import HIGHLY_POPULAR_ABOVE
-from repro.workload.records import FetchRecord, PreDownloadRecord
 
 if TYPE_CHECKING:
     from repro.cloud.system import XuanfengCloud
@@ -149,16 +152,20 @@ class _FastTask:
 
 
 class FastTaskMachine:
-    """Runs every task of one cloud replay without generator coroutines."""
+    """Runs every task of one cloud replay without generator coroutines.
+
+    Each task's outcome goes straight into the columns of
+    :attr:`table` (a :class:`~repro.cloud.system.RunTable`); the
+    machine allocates no per-task result, record, flow or admission
+    object.
+    """
 
     def __init__(self, cloud: "XuanfengCloud", sim: Simulator,
                  workload: Workload, users: dict,
-                 rng: np.random.Generator, tasks: list, flows: list):
+                 rng: np.random.Generator):
         self.cloud = cloud
         self.sim = sim
         self.rng = rng
-        self.tasks = tasks
-        self.flows = flows
 
         requests = workload.requests
         catalog = workload.catalog
@@ -167,44 +174,43 @@ class FastTaskMachine:
         self.requests = requests
         self.records = [catalog[request.file_id] for request in requests]
         self.users = [users[request.user_id] for request in requests]
+        table = self.table = RunTable(requests, self.records, self.users)
+        # Fetch admission rows, resolved once per user (the per-fetch
+        # path then never hashes an ISP member).
+        uploads = cloud.uploads
+        row_of = {user_id: uploads.admission_row(user.isp)
+                  for user_id, user in users.items()}
+        self.rows = [row_of[request.user_id] for request in requests]
 
         # Columnar per-task state: one row per task, written/read by the
         # phase callbacks.  Constant columns are batch-computed up front
         # with numpy; the mutable scalars are plain lists (single-element
         # list indexing beats numpy scalar indexing by ~5x).
         self.phase = [PHASE_NEW] * n
-        self.pre_start = [0.0] * n
-        self.fetch_start = [0.0] * n
-        self.deadline = [0.0] * n
-        self.rate = [0.0] * n
-        demands = np.fromiter(
-            (record.weekly_demand for record in self.records),
-            dtype=np.float64, count=n)
-        self.highly_popular = (demands > HIGHLY_POPULAR_ABOVE).tolist()
+        self.highly_popular = (table.demand > HIGHLY_POPULAR_ABOVE).tolist()
 
-        # Object slots, live only while the owning phase is.
+        # Object slots, live only while the owning phase is (``pools``
+        # keeps the admitting group's pool, a shared object).
         self.waiters: list[Optional[_FastTask]] = [None] * n
         self.events: list = [None] * n
         self.outcomes: list = [None] * n
         self.slots: list = [None] * n
-        self.results: list = [None] * n
-        self.paths: list = [None] * n
-        self.reservations: list = [None] * n
+        self.pools: list = [None] * n
 
         # Hot-loop bindings: every callback below runs tens of
         # thousands of times per replay, so attribute chains that are
-        # constant for the run (bound methods, config scalars) are
-        # resolved once here.
+        # constant for the run (bound methods, config scalars, table
+        # columns) are resolved once here.
         config = cloud.config
         self._call_in = sim.call_in
         self._sim_event = sim.event
         self._rng_random = rng.random
-        self._rng_normal = rng.normal
+        self._rng_std_normal = rng.standard_normal
         self._collaborative = config.collaborative_cache
         self._lag_median = config.fetch_lag_median
         self._lag_sigma = config.fetch_lag_sigma
         self._max_fetch_rate = config.max_fetch_rate
-        self._select_and_reserve = cloud.uploads.select_and_reserve
+        self._admit = uploads.admit
         self._record_request = cloud.database.record_request
         # The LRU's own ``get`` (recency refresh + hit/miss counters);
         # binding it directly skips the storage pool's one-line
@@ -220,22 +226,33 @@ class FastTaskMachine:
         self._tasks_inc = cloud._m_tasks.inc
         self._hits_inc = cloud._m_cache_hits.inc
         self._misses_inc = cloud._m_cache_misses.inc
-        self._tasks_append = tasks.append
-        self._flows_append = flows.append
-        self._FetchFlow = cloud_system.FetchFlow
-        self._TaskResult = cloud_system.TaskResult
+        self.pre_start = table.pre_start
+        self.pre_finish = table.pre_finish
+        self.pre_bytes = table.pre_bytes
+        self.cache_hit = table.cache_hit
+        self.fetch_start = table.fetch_start
+        self.fetch_finish = table.fetch_finish
+        self.fetch_rate = table.fetch_rate
+        self.fetch_state = table.fetch_state
+        self._order_append = table.order.append
+        self._flow_start = table.flow_start.append
+        self._flow_end = table.flow_end.append
+        self._flow_rate = table.flow_rate.append
+        self._flow_popular = table.flow_popular.append
+        self._flow_rejected = table.flow_rejected.append
 
-        # Specialised speed sampler.  With the stock model (always,
-        # outside subclassing tests) the whole per-fetch draw chain --
-        # server-rate lognormal, path-cap lognormal, degradation coin --
-        # is inlined into one closure over the model's constants: the
-        # same draws from the same stream in the same order as
-        # ``FetchSpeedModel.sample_speed`` + ``PathQuality.sample_cap``,
-        # without their method dispatch and self-attribute traffic.
+        # Specialised speed sampler, ``speed(bandwidth, quality)``.
+        # With the stock model (always, outside subclassing tests) the
+        # whole per-fetch draw chain -- server-rate lognormal, path-cap
+        # lognormal, degradation coin -- is inlined into one closure
+        # over the model's constants: the same draws from the same
+        # stream in the same order as ``FetchSpeedModel.sample_speed`` +
+        # ``PathQuality.sample_cap``, without their method dispatch and
+        # self-attribute traffic.
         model = cloud.fetch_model
         if type(model) is FetchSpeedModel:
             np_exp = np.exp
-            rng_normal = rng.normal
+            std_normal = rng.standard_normal
             rng_random = rng.random
             rate_median = model.server_rate_median
             rate_sigma = model.server_rate_sigma
@@ -245,21 +262,22 @@ class FastTaskMachine:
             degrade_span = model.unknown_degradation_high - degrade_low
 
             def _speed(bandwidth: float, quality) -> float:
+                # ``sigma * z`` is ``rng.normal(0.0, sigma)`` exactly:
+                # numpy computes ``0.0 + sigma * z`` from the same draw,
+                # which differs only in the sign of a zero (exp -> 1.0).
                 speed = min(
-                    rate_median * float(np_exp(rng_normal(0.0, rate_sigma))),
+                    rate_median * float(np_exp(rate_sigma * std_normal())),
                     rate_cap,
                     float(quality.cap_median *
-                          np_exp(rng_normal(0.0, quality.cap_sigma))),
+                          np_exp(quality.cap_sigma * std_normal())),
                     bandwidth)
                 if rng_random() < degrade_p:
                     speed *= degrade_low + degrade_span * rng_random()
                 return speed
 
-            self._speed_for = _speed
+            self._speed = _speed
         else:
-            sample_speed = model.sample_speed
-            self._speed_for = (lambda bandwidth, quality:
-                               sample_speed(bandwidth, quality, rng))
+            self._speed = partial(_model_speed, model.sample_speed, rng)
 
         # Arrival cursor: a stable sort keeps equal-time requests in
         # submission order, matching the seq order of the per-request
@@ -299,7 +317,6 @@ class FastTaskMachine:
     def _begin(self, idx: int) -> None:
         cloud = self.cloud
         sim = self.sim
-        request = self.requests[idx]
         record = self.records[idx]
         file_id = record.file_id
         start = sim._now
@@ -312,9 +329,10 @@ class FastTaskMachine:
         if collaborative and self._cache_get(file_id) is not None:
             if metered:
                 self._hits_inc()
-            self._after_predownload(idx, PreDownloadRecord(
-                request.task_id, file_id, start, start,
-                record.size, 0.0, True, 0.0, 0.0, True))
+            self.pre_finish[idx] = start
+            self.pre_bytes[idx] = record.size
+            self.cache_hit[idx] = True
+            self._after_predownload(idx, True)
             return
         if metered:
             self._misses_inc()
@@ -339,9 +357,8 @@ class FastTaskMachine:
         self._start_predownload(idx)
 
     def _done(self, idx: int) -> None:
-        """Mark the task terminal and drop its per-task objects."""
+        """Mark the task terminal and drop its waiter."""
         self.phase[idx] = PHASE_DONE
-        self.results[idx] = None
         self.waiters[idx] = None
 
     def _waiter(self, idx: int) -> _FastTask:
@@ -367,7 +384,6 @@ class FastTaskMachine:
         # transfer.
         outcome = self._session_for(self.records[idx]).simulate(self.rng)
         self.outcomes[idx] = outcome
-        self.deadline[idx] = self.sim._now + outcome.duration
         self._call_in(outcome.duration, self._session_timeout, idx)
 
     def _session_timeout(self, idx: int) -> None:
@@ -378,7 +394,6 @@ class FastTaskMachine:
     def _session_done(self, idx: int) -> None:
         cloud = self.cloud
         sim = self.sim
-        request = self.requests[idx]
         record = self.records[idx]
         outcome = self.outcomes[idx]
         slot = self.slots[idx]
@@ -394,108 +409,106 @@ class FastTaskMachine:
         self.events[idx].trigger(outcome)
         self.events[idx] = None
         self.outcomes[idx] = None
-        self._after_predownload(idx, PreDownloadRecord(
-            request.task_id, record.file_id,
-            self.pre_start[idx], sim._now,
-            outcome.bytes_obtained, outcome.traffic, False,
-            outcome.average_rate, outcome.peak_rate, outcome.success,
-            outcome.failure_cause))
+        self._predownloaded(idx, outcome)
+
+    def _predownloaded(self, idx: int, outcome: DownloadOutcome) -> None:
+        """Record the task's own pre-download session(s) as ``outcome``."""
+        table = self.table
+        self.pre_finish[idx] = self.sim._now
+        self.pre_bytes[idx] = outcome.bytes_obtained
+        table.pre_traffic[idx] = outcome.traffic
+        table.pre_rate[idx] = outcome.average_rate
+        table.pre_peak[idx] = outcome.peak_rate
+        cause = outcome.failure_cause
+        if cause is not None:
+            table.cause[idx] = cause
+        self._after_predownload(idx, outcome.success)
 
     def _coalesce_done(self, idx: int, outcome: Any) -> None:
-        request = self.requests[idx]
-        record = self.records[idx]
-        start = self.pre_start[idx]
-        finish = self.sim._now
+        self.pre_finish[idx] = self.sim._now
         if outcome.success:
-            self._cache_get(record.file_id)   # count the warm hit
-            pre_record = PreDownloadRecord(
-                request.task_id, record.file_id, start, finish,
-                record.size, 0.0, True, 0.0, 0.0, True)
+            self._cache_get(self.records[idx].file_id)  # count the warm hit
+            self.pre_bytes[idx] = self.records[idx].size
+            self.cache_hit[idx] = True
         else:
-            pre_record = PreDownloadRecord(
-                request.task_id, record.file_id, start, finish,
-                outcome.bytes_obtained, 0.0, False,
-                0.0, 0.0, False, outcome.failure_cause)
-        self._after_predownload(idx, pre_record)
+            self.pre_bytes[idx] = outcome.bytes_obtained
+            self.table.cause[idx] = outcome.failure_cause
+        self._after_predownload(idx, outcome.success)
 
-    def _after_predownload(self, idx: int,
-                           pre_record: PreDownloadRecord) -> None:
-        result = self._TaskResult(
-            self.requests[idx], self.records[idx], pre_record)
-        self._tasks_append(result)
-        if not pre_record.success:
+    def _after_predownload(self, idx: int, success: bool) -> None:
+        self._order_append(idx)
+        if not success:
             self._done(idx)
             return
-        self.results[idx] = result
+        self.table.success[idx] = True
+        # ``sigma * z`` is ``rng.normal(0.0, sigma)`` exactly (see
+        # ``_speed``).
         lag = self._lag_median * float(
-            np.exp(self._rng_normal(0.0, self._lag_sigma)))
+            np.exp(self._lag_sigma * self._rng_std_normal()))
         self.phase[idx] = PHASE_LAG
         self._call_in(lag, self._enter_fetch, idx)
 
     # -- fetch -------------------------------------------------------------------
 
+    def _rejected_flow(self, idx: int, now: float) -> None:
+        """Append the flow a rejected fetch would have been, at the
+        mean fetch speed."""
+        estimated_rate = FETCH_SPEED_MEAN
+        self._flow_start(now)
+        self._flow_end(now + self.records[idx].size / estimated_rate)
+        self._flow_rate(estimated_rate)
+        self._flow_popular(self.highly_popular[idx])
+        self._flow_rejected(True)
+
     def _enter_fetch(self, idx: int) -> None:
-        request = self.requests[idx]
-        record = self.records[idx]
-        user = self.users[idx]
         start = self.sim._now
         self.fetch_start[idx] = start
-
-        speed_for = self._speed_for
-        bandwidth = user.access_bandwidth
-        admitted = self._select_and_reserve(
-            user.isp, start,
-            lambda quality: speed_for(bandwidth, quality))
+        admitted = self._admit(self.rows[idx], start, self._speed,
+                               self.users[idx].access_bandwidth)
         if admitted is None:
-            result = self.results[idx]
-            estimated_rate = FETCH_SPEED_MEAN
-            self._flows_append(self._FetchFlow(
-                start, start + record.size / estimated_rate,
-                estimated_rate, self.highly_popular[idx], True))
-            result.fetch_record = FetchRecord(
-                request.task_id, user.user_id, user.ip_address,
-                user.reported_bandwidth, start, start,
-                0.0, 0.0, 0.0, 0.0, True)
+            self._rejected_flow(idx, start)
+            self.fetch_finish[idx] = start
+            self.fetch_state[idx] = FETCH_REJECTED
             self._done(idx)
             return
 
-        path, reservation, rate = admitted
-        self.paths[idx] = path
-        self.reservations[idx] = reservation
-        self.rate[idx] = rate
-        duration = record.size / rate if rate > 0 else 0.0
-        self.deadline[idx] = start + duration
+        path, pool, rate = admitted
+        self.table.fetch_path[idx] = path
+        self.pools[idx] = pool
+        self.fetch_rate[idx] = rate
         self.phase[idx] = PHASE_FETCH
-        self._call_in(duration, self._finish_fetch, idx)
+        self._call_in(self.records[idx].size / rate if rate > 0 else 0.0,
+                      self._finish_fetch, idx)
 
     def _finish_fetch(self, idx: int) -> None:
         now = self.sim._now
-        request = self.requests[idx]
-        record = self.records[idx]
-        user = self.users[idx]
+        table = self.table
         random = self._rng_random
-        rate = self.rate[idx]
-        start = self.fetch_start[idx]
-        self.reservations[idx].release(now)
-        self.reservations[idx] = None
-        self._flows_append(self._FetchFlow(
-            start, now, rate, self.highly_popular[idx]))
-        result = self.results[idx]
-        result.fetch_path = self.paths[idx]
+        rate = self.fetch_rate[idx]
+        self.pools[idx].release(rate, now)
+        self._flow_start(self.fetch_start[idx])
+        self._flow_end(now)
+        self._flow_rate(rate)
+        self._flow_popular(self.highly_popular[idx])
+        self._flow_rejected(False)
         # ``lo + (hi - lo) * rng.random()`` is the exact computation
         # (and stream consumption) of ``rng.uniform(lo, hi)`` without
         # its per-call argument broadcasting -- bit-identical, ~2x
         # cheaper per draw.
-        size = record.size
-        result.fetch_record = FetchRecord(
-            request.task_id, user.user_id, user.ip_address,
-            user.reported_bandwidth, start, now, size,
-            size * (1.07 + (1.10 - 1.07) * random()),
-            rate,
-            min(rate * (1.0 + (1.4 - 1.0) * random()),
-                self._max_fetch_rate))
-        self.paths[idx] = None
+        size = self.records[idx].size
+        self.fetch_finish[idx] = now
+        table.fetch_bytes[idx] = size
+        table.fetch_traffic[idx] = size * (1.07 + (1.10 - 1.07) * random())
+        table.fetch_peak[idx] = min(rate * (1.0 + (1.4 - 1.0) * random()),
+                                    self._max_fetch_rate)
+        self.fetch_state[idx] = FETCH_DONE
         self._done(idx)
+
+
+def _model_speed(sample_speed, rng: np.random.Generator,
+                 bandwidth: float, quality) -> float:
+    """``speed(bandwidth, quality)`` over a custom fetch-speed model."""
+    return sample_speed(bandwidth, quality, rng)
 
 
 class FaultedTaskMachine(FastTaskMachine):
@@ -508,17 +521,23 @@ class FaultedTaskMachine(FastTaskMachine):
 
     def __init__(self, cloud: "XuanfengCloud", sim: Simulator,
                  workload: Workload, users: dict,
-                 rng: np.random.Generator, tasks: list, flows: list):
-        super().__init__(cloud, sim, workload, users, rng, tasks, flows)
+                 rng: np.random.Generator):
+        super().__init__(cloud, sim, workload, users, rng)
         n = self.n
         self.faults = cloud.faults
         policies = cloud.policies
         self._retry = policies.retry if policies is not None else None
         self._resume = policies is not None and policies.checkpoint_resume
         self._stagnation_timeout = cloud.config.stagnation_timeout
+        # The isp_degrade multiplier of a candidate group, as
+        # ``admit``'s ``rate_scale(label, now)``.
+        self._degrade = partial(self.faults.factor, "isp_degrade")
         # Fault-only columns, reset between the pre-download and the
         # fetch.  Backoff jitter streams are created on first draw: most
         # tasks never back off, and a stream depends only on its label.
+        self.deadline = [0.0] * n
+        self.rate = [0.0] * n
+        self.paths: list = [None] * n
         self.attempts = [0] * n
         self.attempt_start = [0.0] * n
         self.committed = [0.0] * n
@@ -721,11 +740,7 @@ class FaultedTaskMachine(FastTaskMachine):
                 cloud.database.set_cached(file_id, True)
         self.events[idx].trigger(final)
         self.events[idx] = None
-        self._after_predownload(idx, PreDownloadRecord(
-            self.requests[idx].task_id, file_id, start, now,
-            final.bytes_obtained, final.traffic, False,
-            final.average_rate, final.peak_rate, final.success,
-            final.failure_cause))
+        self._predownloaded(idx, final)
 
     # -- faulted fetch -----------------------------------------------------------
     #
@@ -745,18 +760,13 @@ class FaultedTaskMachine(FastTaskMachine):
 
     def _fetch_attempt(self, idx: int) -> None:
         inj = self.faults
-        user = self.users[idx]
+        row = self.rows[idx]
         attempt = self.attempts[idx] = self.attempts[idx] + 1
         now = self.sim._now
         down = inj.crashed_isps(now)
-        speed_for = self._speed_for
-        bandwidth = user.access_bandwidth
-        factor = inj.factor
-        names = self._isp_names
-        admitted = self._select_and_reserve(
-            user.isp, now, lambda quality: speed_for(bandwidth, quality),
-            exclude=down,
-            rate_scale=lambda isp: factor("isp_degrade", names[isp], now))
+        admitted = self._admit(row, now, self._speed,
+                               self.users[idx].access_bandwidth,
+                               exclude=down, rate_scale=self._degrade)
         if admitted is None:
             retry = self._retry
             if down and retry is not None and retry.allows(attempt + 1):
@@ -771,22 +781,17 @@ class FaultedTaskMachine(FastTaskMachine):
                     + self._backoff(idx, attempt, "cloud-fetch"),
                     self._fetch_attempt, idx)
                 return
-            if self.impacted[idx] or names[user.isp] in down:
+            if self.impacted[idx] or row.label in down:
                 inj.abort("cloud-fetch")
-            size = self.records[idx].size
-            estimated_rate = FETCH_SPEED_MEAN
-            self._flows_append(self._FetchFlow(
-                now, now + size / estimated_rate, estimated_rate,
-                self.highly_popular[idx], True))
+            self._rejected_flow(idx, now)
             self._fetch_failed(idx)
             return
-        path, reservation, rate = admitted
-        if down and names[user.isp] in down \
-                and path.server_isp is not user.isp:
+        path, pool, rate = admitted
+        if down and row.label in down and not path.privileged:
             inj.failover("cloud-fetch")
         remaining = self._remaining(idx)
         self.paths[idx] = path
-        self.reservations[idx] = reservation
+        self.pools[idx] = pool
         self.rate[idx] = rate
         self.attempt_start[idx] = now
         self.deadline[idx] = now + (remaining / rate if rate > 0 else 0.0)
@@ -813,32 +818,33 @@ class FaultedTaskMachine(FastTaskMachine):
         self.paths[idx] = None
         inj.unregister(self._isp_entities[path.server_isp],
                        self.waiters[idx])
-        self.reservations[idx].release(now)
-        self.reservations[idx] = None
         start = self.attempt_start[idx]
         rate = self.rate[idx]
-        self._flows_append(self._FetchFlow(
-            start, now, rate, self.highly_popular[idx]))
+        self.pools[idx].release(rate, now)
+        self._flow_start(start)
+        self._flow_end(now)
+        self._flow_rate(rate)
+        self._flow_popular(self.highly_popular[idx])
+        self._flow_rejected(False)
         if self._resume:
             moved = min(rate * (now - start), self._remaining(idx))
             if moved > 0:
                 self.committed[idx] += moved
         if fault is None:
-            request = self.requests[idx]
-            user = self.users[idx]
+            table = self.table
             random = self._rng_random
             size = self.records[idx].size
-            overall = self.fetch_start[idx]
-            duration = now - overall
-            result = self.results[idx]
-            result.fetch_path = path
-            result.fetch_record = FetchRecord(
-                request.task_id, user.user_id, user.ip_address,
-                user.reported_bandwidth, overall, now, size,
-                size * (1.07 + (1.10 - 1.07) * random()),
-                size / duration if duration > 0 else rate,
-                min(rate * (1.0 + (1.4 - 1.0) * random()),
-                    self._max_fetch_rate))
+            duration = now - self.fetch_start[idx]
+            table.fetch_path[idx] = path
+            self.fetch_finish[idx] = now
+            table.fetch_bytes[idx] = size
+            table.fetch_traffic[idx] = \
+                size * (1.07 + (1.10 - 1.07) * random())
+            self.fetch_rate[idx] = size / duration if duration > 0 \
+                else rate
+            table.fetch_peak[idx] = min(
+                rate * (1.0 + (1.4 - 1.0) * random()), self._max_fetch_rate)
+            self.fetch_state[idx] = FETCH_DONE
             if self.impacted[idx]:
                 inj.recover("cloud-fetch", duration)
             self._done(idx)
@@ -861,10 +867,7 @@ class FaultedTaskMachine(FastTaskMachine):
 
     def _fetch_failed(self, idx: int) -> None:
         """Record the fetch as rejected with its committed bytes."""
-        request = self.requests[idx]
-        user = self.users[idx]
-        self.results[idx].fetch_record = FetchRecord(
-            request.task_id, user.user_id, user.ip_address,
-            user.reported_bandwidth, self.fetch_start[idx], self.sim._now,
-            self.committed[idx], 0.0, 0.0, 0.0, True)
+        self.fetch_finish[idx] = self.sim._now
+        self.table.fetch_bytes[idx] = self.committed[idx]
+        self.fetch_state[idx] = FETCH_REJECTED
         self._done(idx)

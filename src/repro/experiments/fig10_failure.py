@@ -32,18 +32,8 @@ def run(context: ExperimentContext | None = None) -> ExperimentReport:
     table = TextTable(["popularity bucket", "requests",
                        "failure ratio"], ["", "d", ".4f"])
     monotone: list[float] = []
-    totals = {}
-    for task in result.tasks:
-        demand = task.file.weekly_demand
-        for low, high in buckets:
-            if low <= demand < high:
-                key = (low, high)
-                total, failed = totals.get(key, (0, 0))
-                totals[key] = (total + 1,
-                               failed + (0 if task.pre_record.success
-                                         else 1))
-    for low, high in buckets:
-        total, failed = totals.get((low, high), (0, 0))
+    counts = result.demand_bucket_counts(buckets)
+    for (low, high), (total, failed) in zip(buckets, counts):
         ratio = failed / total if total else 0.0
         label = f"[{low}, {'inf' if high >= 10**9 else high})"
         table.add_row(label, total, ratio)

@@ -153,8 +153,11 @@ class HttpFtpSource(ContentSource):
         if rng.random() < effective_drop:
             return AttemptDraw(available=False, rate=0.0,
                                failure_cause=CAUSE_POOR_SERVER)
-        rate = self.rate_median * float(np.exp(rng.normal(
-            0.0, self.rate_sigma)))
+        # ``sigma * z`` is ``rng.normal(0.0, sigma)`` exactly: numpy
+        # computes ``0.0 + sigma * z`` from the same draw, which differs
+        # only in the sign of a zero (exp maps both to 1.0).
+        rate = self.rate_median * float(np.exp(
+            self.rate_sigma * rng.standard_normal()))
         return AttemptDraw(
             available=True, rate=min(rate, self.rate_cap),
             mid_failure_probability=0.25 * effective_drop)

@@ -117,7 +117,10 @@ class Swarm:
             return 0.0
         model = self.model
         scale = reachable_seeds ** model.per_seed_rate_exponent
-        jitter = float(np.exp(rng.normal(0.0, model.rate_sigma)))
+        # ``sigma * z`` is ``rng.normal(0.0, sigma)`` exactly: numpy
+        # computes ``0.0 + sigma * z`` from the same draw, which differs
+        # only in the sign of a zero (exp maps both to 1.0).
+        jitter = float(np.exp(model.rate_sigma * rng.standard_normal()))
         return model.per_seed_rate_median * scale * jitter
 
     # -- bandwidth multiplier (Li et al., IWQoS'12) --------------------------

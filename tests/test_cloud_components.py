@@ -138,24 +138,28 @@ class TestUploadingServers:
         assert len(candidates) == 2
         assert ISP.OTHER not in candidates
 
+    @staticmethod
+    def admit(uploads, isp, speed, now=0.0):
+        """Admit one fetch whose every path runs at ``speed`` B/s."""
+        return uploads.admit(uploads.admission_row(isp), now,
+                             lambda bandwidth, quality: bandwidth, speed)
+
     def test_privileged_selection_and_reservation(self):
         uploads = self.make_uploads()
-        admitted = uploads.select_and_reserve(
-            ISP.UNICOM, 0.0, lambda quality: kbps(400.0))
+        admitted = self.admit(uploads, ISP.UNICOM, kbps(400.0))
         assert admitted is not None
-        choice, reservation, rate = admitted
+        choice, pool, rate = admitted
         assert choice.privileged
         assert choice.server_isp is ISP.UNICOM
         assert rate == pytest.approx(kbps(400.0))
         assert uploads.pools[ISP.UNICOM].committed == rate
-        reservation.release(1.0)
+        pool.release(rate, 1.0)
 
     def test_rate_is_capped_at_max_fetch(self):
         uploads = self.make_uploads()
-        admitted = uploads.select_and_reserve(
-            ISP.UNICOM, 0.0, lambda quality: gbps(1.0))
+        admitted = self.admit(uploads, ISP.UNICOM, gbps(1.0))
         assert admitted is not None
-        _choice, _reservation, rate = admitted
+        _choice, _pool, rate = admitted
         assert rate == pytest.approx(mbps(50.0))
 
     def test_full_home_group_overflows_cross_isp(self):
@@ -165,11 +169,10 @@ class TestUploadingServers:
         # Saturate CERNET's tiny pool.
         held = []
         while True:
-            admitted = uploads.select_and_reserve(
-                ISP.CERNET, 0.0, lambda quality: kbps(200.0))
+            admitted = self.admit(uploads, ISP.CERNET, kbps(200.0))
             assert admitted is not None
-            choice, reservation, _rate = admitted
-            held.append(reservation)
+            choice, pool, rate = admitted
+            held.append((pool, rate))
             if not choice.privileged:
                 assert choice.server_isp is not ISP.CERNET
                 break
@@ -179,8 +182,7 @@ class TestUploadingServers:
         uploads = self.make_uploads(scale=1e-7)   # pools of a few KBps
         rejected = False
         for _ in range(100):
-            admitted = uploads.select_and_reserve(
-                ISP.UNICOM, 0.0, lambda quality: kbps(200.0))
+            admitted = self.admit(uploads, ISP.UNICOM, kbps(200.0))
             if admitted is None:
                 rejected = True
                 break
@@ -189,11 +191,10 @@ class TestUploadingServers:
 
     def test_binned_total_usage_aggregates_pools(self):
         uploads = self.make_uploads()
-        admitted = uploads.select_and_reserve(
-            ISP.MOBILE, 0.0, lambda quality: kbps(100.0))
+        admitted = self.admit(uploads, ISP.MOBILE, kbps(100.0))
         assert admitted is not None
-        _choice, reservation, rate = admitted
-        reservation.release(100.0)
+        _choice, pool, rate = admitted
+        pool.release(rate, 100.0)
         usage = uploads.binned_total_usage(bin_width=100.0,
                                            horizon=200.0)
         assert usage[0] == pytest.approx(rate)
