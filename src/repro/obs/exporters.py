@@ -29,11 +29,13 @@ def write_jsonl(metrics: AnyRegistry, path: Union[str, Path]) -> int:
     """Dump the registry as one JSON object per line; returns row count.
 
     Written atomically (tmp + fsync + rename) so a crash mid-export can
-    never leave a truncated log over a previous good one.
+    never leave a truncated log over a previous good one.  Strict JSON:
+    a non-finite value raises instead of writing ``Infinity``/``NaN``.
     """
     rows = metrics.to_rows()
     atomic_write_text(Path(path), "".join(
-        json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+        for row in rows))
     return len(rows)
 
 
