@@ -69,7 +69,6 @@ import numpy as np
 from repro.cloud.fetch import FetchSpeedModel
 from repro.cloud.system import FETCH_DONE, FETCH_REJECTED, RunTable
 from repro.netsim.isp import ISP
-from repro.obs.registry import NOOP
 from repro.paper import FETCH_SPEED_MEAN
 from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.transfer.session import DownloadOutcome
@@ -119,9 +118,7 @@ class _FastTask:
         if self.done:
             return
         sim = self.machine.sim
-        obs = sim._obs
-        if obs is not None:
-            obs.interrupts.inc()
+        sim.interrupts += 1
         sim._schedule_throw(self, Interrupt(cause))
 
     def _step(self, value: Any = None, error: Optional[BaseException] = None,
@@ -219,13 +216,6 @@ class FastTaskMachine:
         self._cache_get = cloud.pool._cache.get
         self._in_flight = cloud._in_flight
         self._session_for = cloud.fleet.session_for
-        # Per-request counter bumps are real work only when a live
-        # metrics registry is attached; under the NOOP registry the
-        # calls are skipped outright instead of dispatched to no-ops.
-        self._metered = cloud.metrics is not NOOP
-        self._tasks_inc = cloud._m_tasks.inc
-        self._hits_inc = cloud._m_cache_hits.inc
-        self._misses_inc = cloud._m_cache_misses.inc
         self.pre_start = table.pre_start
         self.pre_finish = table.pre_finish
         self.pre_bytes = table.pre_bytes
@@ -240,6 +230,7 @@ class FastTaskMachine:
         self._flow_rate = table.flow_rate.append
         self._flow_popular = table.flow_popular.append
         self._flow_rejected = table.flow_rejected.append
+        self._flow_crossed = table.flow_crossed.append
 
         # Specialised speed sampler, ``speed(bandwidth, quality)``.
         # With the stock model (always, outside subclassing tests) the
@@ -320,26 +311,20 @@ class FastTaskMachine:
         record = self.records[idx]
         file_id = record.file_id
         start = sim._now
-        metered = self._metered
-        if metered:
-            self._tasks_inc()
         self._record_request(file_id, record.size, start)
         self.pre_start[idx] = start
         collaborative = self._collaborative
         if collaborative and self._cache_get(file_id) is not None:
-            if metered:
-                self._hits_inc()
             self.pre_finish[idx] = start
             self.pre_bytes[idx] = record.size
             self.cache_hit[idx] = True
             self._after_predownload(idx, True)
             return
-        if metered:
-            self._misses_inc()
 
         in_flight = self._in_flight.get(file_id) \
             if collaborative else None
         if in_flight is not None:
+            self.table.coalesced[idx] = True
             self.phase[idx] = PHASE_COALESCE
             in_flight._add_waiter(self._waiter(idx))
             return
@@ -350,7 +335,6 @@ class FastTaskMachine:
         vm_slots = cloud._vm_slots
         if vm_slots is not None:
             acquire = vm_slots.acquire(sim)
-            cloud._m_queue_depth.set(vm_slots.queue_length)
             self.phase[idx] = PHASE_SLOT_WAIT
             acquire._add_waiter(self._waiter(idx))
             return
@@ -368,8 +352,6 @@ class FastTaskMachine:
         return waiter
 
     def _slot_granted(self, idx: int, slot: Any) -> None:
-        cloud = self.cloud
-        cloud._m_queue_depth.set(cloud._vm_slots.queue_length)
         self.slots[idx] = slot
         self._start_predownload(idx)
 
@@ -459,6 +441,7 @@ class FastTaskMachine:
         self._flow_rate(estimated_rate)
         self._flow_popular(self.highly_popular[idx])
         self._flow_rejected(True)
+        self._flow_crossed(False)
 
     def _enter_fetch(self, idx: int) -> None:
         start = self.sim._now
@@ -491,6 +474,7 @@ class FastTaskMachine:
         self._flow_rate(rate)
         self._flow_popular(self.highly_popular[idx])
         self._flow_rejected(False)
+        self._flow_crossed(not table.fetch_path[idx].privileged)
         # ``lo + (hi - lo) * rng.random()`` is the exact computation
         # (and stream consumption) of ``rng.uniform(lo, hi)`` without
         # its per-call argument broadcasting -- bit-identical, ~2x
@@ -772,6 +756,7 @@ class FaultedTaskMachine(FastTaskMachine):
             if down and retry is not None and retry.allows(attempt + 1):
                 # Candidate groups are dark: wait out the longest
                 # active crash window and try admission again.
+                self.table.retried_rejects.append(now)
                 inj.retry("cloud-fetch")
                 clear = max(inj.clear_time(("server_crash",), name, now)
                             for name in down)
@@ -826,6 +811,7 @@ class FaultedTaskMachine(FastTaskMachine):
         self._flow_rate(rate)
         self._flow_popular(self.highly_popular[idx])
         self._flow_rejected(False)
+        self._flow_crossed(not path.privileged)
         if self._resume:
             moved = min(rate * (now - start), self._remaining(idx))
             if moved > 0:

@@ -95,10 +95,6 @@ class PreDownloaderFleet:
         self.payload_bytes += outcome.bytes_obtained
         self._m_traffic.inc(outcome.traffic)
 
-    @property
-    def attempt_failure_ratio(self) -> float:
-        return self.failures / self.attempts if self.attempts else 0.0
-
     def no_cache_failure_ratio(self, records,
                                rng: np.random.Generator) -> float:
         """Counterfactual: failure ratio if the storage pool vanished.

@@ -16,8 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 from repro.netsim.isp import ISP, MAJOR_ISPS
 from repro.netsim.topology import ChinaTopology, PathQuality
-from repro.obs.registry import AnyRegistry, NOOP
-from repro.sim.clock import kbps, to_gbps
+from repro.sim.clock import kbps
 from repro.sim.resources import ReservationPool
 from repro.cloud.config import CloudConfig
 
@@ -43,9 +42,9 @@ class PathChoice(NamedTuple):
 #: unpacks it: the group's pool, the committed-rate threshold above
 #: which it admits nothing more (the home limit on the privileged path,
 #: the overflow limit otherwise, in absolute B/s), the group's label,
-#: its burden gauge, the path quality to the user, and the shared
-#: :class:`PathChoice` an admission there returns.
-Group = tuple[ReservationPool, float, str, object, PathQuality, PathChoice]
+#: the path quality to the user, and the shared :class:`PathChoice` an
+#: admission there returns.
+Group = tuple[ReservationPool, float, str, PathQuality, PathChoice]
 
 
 class AdmissionRow(NamedTuple):
@@ -96,8 +95,7 @@ class UploadingServers:
     """The per-ISP uploading-server groups and their admission logic."""
 
     def __init__(self, config: CloudConfig,
-                 topology: Optional[ChinaTopology] = None,
-                 metrics: AnyRegistry = NOOP):
+                 topology: Optional[ChinaTopology] = None):
         self.config = config
         self.topology = topology or ChinaTopology()
         self.pools: dict[ISP, ReservationPool] = {
@@ -108,20 +106,6 @@ class UploadingServers:
         self.rejected_fetches = 0
         self.total_fetches = 0
         self._max_fetch_rate = config.max_fetch_rate
-        # With the NOOP registry the per-fetch counter/gauge calls are
-        # skipped entirely (one flag test) instead of dispatched to
-        # do-nothing methods two or three times per admission.
-        self._metered = metrics is not NOOP
-        self._m_fetches = metrics.counter("repro_cloud_fetches_total")
-        self._m_rejects = metrics.counter(
-            "repro_cloud_admission_rejects_total")
-        self._m_crossings = metrics.counter(
-            "repro_cloud_isp_barrier_crossings_total")
-        # Committed upload bandwidth per ISP group, sampled at every
-        # admission into sim-time bins (the Fig. 11 burden series).
-        self._m_upload = {
-            isp: metrics.gauge("repro_cloud_upload_gbps", isp=isp.value)
-            for isp in MAJOR_ISPS}
         self._rows: dict[ISP, AdmissionRow] = {}
 
     # -- selection -------------------------------------------------------------
@@ -143,11 +127,10 @@ class UploadingServers:
             limit = config.admission_utilization_limit if privileged \
                 else config.overflow_utilization_limit
             quality = topology.path_quality(isp, user_isp)
-            groups[isp] = (pool, pool.capacity * limit, isp.value,
-                           self._m_upload[isp], quality,
+            groups[isp] = (pool, pool.capacity * limit, isp.value, quality,
                            PathChoice(isp, privileged, quality))
         ranked = sorted(
-            ((groups[isp][4].latency_ms, isp)
+            ((groups[isp][3].latency_ms, isp)
              for isp in MAJOR_ISPS if isp is not user_isp),
             key=lambda pair: pair[0])
         tiers: list[list[Group]] = []
@@ -190,7 +173,7 @@ class UploadingServers:
 
     def candidate_groups(self, user_isp: ISP) -> tuple[ISP, ...]:
         """Server groups tried for a user homed in ``user_isp``."""
-        return tuple(group[5].server_isp for group
+        return tuple(group[4].server_isp for group
                      in self._candidates(self.admission_row(user_isp)))
 
     def admit(self, row: AdmissionRow, now: float,
@@ -217,9 +200,6 @@ class UploadingServers:
         unchanged.
         """
         self.total_fetches += 1
-        metered = self._metered
-        if metered:
-            self._m_fetches.inc()
         max_fetch_rate = self._max_fetch_rate
         home = row.home
         if home is not None:
@@ -228,7 +208,7 @@ class UploadingServers:
             # the same pool states either way -- a failed home attempt
             # commits nothing) is only resolved when home actually
             # fails.
-            pool, threshold, label, gauge, quality, choice = home
+            pool, threshold, label, quality, choice = home
             if label not in exclude:
                 committed = pool.committed
                 if committed < threshold and \
@@ -237,13 +217,11 @@ class UploadingServers:
                     if rate_scale is not None:
                         rate *= rate_scale(label, now)
                     if rate > 0 and pool.commit(rate, now):
-                        if metered:
-                            gauge.set(to_gbps(pool.committed))
                         return choice, pool, rate
             candidates = (_most_headroom(row.tiers[0]),)
         else:
             candidates = self._candidates(row)
-        for pool, threshold, label, gauge, quality, choice in candidates:
+        for pool, threshold, label, quality, choice in candidates:
             if label in exclude:
                 continue
             committed = pool.committed
@@ -259,14 +237,8 @@ class UploadingServers:
             # admitted at its full rate or not at all -- Xuanfeng rejects
             # rather than degrade (section 2.1).
             if pool.commit(rate, now):
-                if metered:
-                    if not choice.privileged:
-                        self._m_crossings.inc()
-                    gauge.set(to_gbps(pool.committed))
                 return choice, pool, rate
         self.rejected_fetches += 1
-        if metered:
-            self._m_rejects.inc()
         return None
 
     # -- accounting --------------------------------------------------------------
@@ -276,9 +248,6 @@ class UploadingServers:
         if self.total_fetches == 0:
             return 0.0
         return self.rejected_fetches / self.total_fetches
-
-    def total_committed(self) -> float:
-        return sum(pool.committed for pool in self.pools.values())
 
     def binned_total_usage(self, bin_width: float,
                            horizon: float) -> list[float]:

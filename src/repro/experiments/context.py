@@ -106,7 +106,10 @@ class ExperimentContext:
 
     @property
     def peak_heap_depth(self) -> float:
-        """Deepest event heap any instrumented simulation reached."""
+        """Deepest pending-event queue an instrumented simulation
+        showed, among the samples the engine takes as each sim-time
+        bin closes (and as a run starts and returns) -- not a
+        per-event maximum."""
         if not self.metrics.enabled:
             return 0.0
         return max(self.metrics.gauge("repro_sim_heap_depth").peak, 0.0)

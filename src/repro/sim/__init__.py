@@ -24,12 +24,7 @@ from repro.sim.clock import (
 )
 from repro.sim.engine import Interrupt, Process, SimulationError, Simulator, Timeout
 from repro.sim.randomness import RngFactory, derive_seed, substream
-from repro.sim.resources import (
-    CapacityExceeded,
-    FairSharePool,
-    Reservation,
-    ReservationPool,
-)
+from repro.sim.resources import FairSharePool, ReservationPool
 
 __all__ = [
     "SECOND",
@@ -48,8 +43,6 @@ __all__ = [
     "SimulationError",
     "ReservationPool",
     "FairSharePool",
-    "Reservation",
-    "CapacityExceeded",
     "RngFactory",
     "derive_seed",
     "substream",

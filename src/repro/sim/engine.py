@@ -18,6 +18,7 @@ reproducible bit-for-bit given a seeded workload.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, TYPE_CHECKING
@@ -175,9 +176,7 @@ class Process:
         """
         if self._done:
             return
-        obs = self._sim._obs
-        if obs is not None:
-            obs.interrupts.inc()
+        self._sim.interrupts += 1
         self._sim._schedule_throw(self, Interrupt(cause))
 
     # -- internal stepping -------------------------------------------------
@@ -251,34 +250,17 @@ class Process:
             self._sim._record_orphan_error(self, error)
 
 
-class _SimObs:
-    """Cached engine instruments (one attribute lookup per hot event).
-
-    Built only for an *enabled* registry; the engine hot loop guards
-    every instrumentation point with ``if self._obs is not None`` so the
-    default (NOOP / no metrics) path costs a single attribute test.
-    """
-
-    __slots__ = ("scheduled", "fired", "resumes", "interrupts",
-                 "processes", "heap_depth")
-
-    def __init__(self, metrics: "AnyRegistry"):
-        self.scheduled = metrics.counter("repro_sim_events_scheduled_total")
-        self.fired = metrics.counter("repro_sim_events_fired_total")
-        self.resumes = metrics.counter("repro_sim_process_resumes_total")
-        self.interrupts = metrics.counter("repro_sim_interrupts_total")
-        self.processes = metrics.counter("repro_sim_processes_started_total")
-        self.heap_depth = metrics.gauge("repro_sim_heap_depth")
-
-
 class Simulator:
     """The event loop: a clock plus a time-ordered callback heap.
 
     ``metrics`` wires the engine into the observability subsystem: the
     simulator binds its clock as the registry's sim-time source and
     reports events scheduled/fired, process starts/resumes, interrupts,
-    and heap depth per sim-time bin.  The default (``None`` or the
-    ``NOOP`` registry) leaves the hot loop uninstrumented.
+    and the pending-event depth per sim-time bin.  Nothing is counted
+    per event: scheduled is the sequence number, fired the sequence
+    minus the pending queues, the rest plain integers.  They are
+    published as the clock crosses a bin edge and as :meth:`run`
+    starts and returns, each time with a sample of the pending depth.
     """
 
     def __init__(self, metrics: Optional["AnyRegistry"] = None):
@@ -299,10 +281,19 @@ class Simulator:
             deque()
         self._sequence = 0
         self._orphan_errors: list[tuple[str, BaseException]] = []
-        self._obs: Optional[_SimObs] = None
-        if metrics is not None and metrics.enabled:
+        self.processes_started = 0
+        self.process_resumes = 0
+        self.interrupts = 0
+        self._metrics = metrics if metrics is not None \
+            and metrics.enabled else None
+        if self._metrics is not None:
             metrics.set_clock(lambda: self._now)
-            self._obs = _SimObs(metrics)
+            self._counters = [metrics.counter(f"repro_sim_{name}_total")
+                              for name in ("events_scheduled", "events_fired",
+                                           "processes_started",
+                                           "process_resumes", "interrupts")]
+            self._depth = metrics.gauge("repro_sim_heap_depth")
+            self._published = [0] * 5
 
     @property
     def now(self) -> float:
@@ -317,8 +308,6 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}")
-        if self._obs is not None:
-            self._obs.scheduled.inc()
         seq = self._sequence
         self._sequence = seq + 1
         if when == self._now:
@@ -340,8 +329,6 @@ class Simulator:
         if when < now:
             raise SimulationError(
                 f"cannot schedule at {when} before now={now}")
-        if self._obs is not None:
-            self._obs.scheduled.inc()
         seq = self._sequence
         self._sequence = seq + 1
         if when == now:
@@ -352,8 +339,7 @@ class Simulator:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process immediately (first step at the current time)."""
         process = Process(self, generator, name=name)
-        if self._obs is not None:
-            self._obs.processes.inc()
+        self.processes_started += 1
         self.call_in(0.0, process._step, None)
         return process
 
@@ -367,8 +353,7 @@ class Simulator:
         # this wake-up is delivered, the delivery is stale (it belongs
         # to a wait the process has already left) and must be dropped,
         # not delivered to whatever the process waits on next.
-        if self._obs is not None:
-            self._obs.resumes.inc()
+        self.process_resumes += 1
         self.call_in(0.0, process._step, value, None,
                      process._resume_token)
 
@@ -381,6 +366,30 @@ class Simulator:
     def _record_orphan_error(self, process: Process,
                              error: BaseException) -> None:
         self._orphan_errors.append((process.name, error))
+
+    # -- metrics ------------------------------------------------------------
+
+    def _publish(self, upcoming: float) -> float:
+        """Publish the counts since the last call, and a sample of the
+        pending depth, into the clock's sim-time bin; return where the
+        bin holding ``upcoming`` ends (infinity without a registry)."""
+        metrics = self._metrics
+        if metrics is None:
+            return math.inf
+        pending = len(self._heap) + len(self._immediate)
+        counts = [self._sequence, self._sequence - pending,
+                  self.processes_started, self.process_resumes,
+                  self.interrupts]
+        width = metrics.bin_width
+        index = (int(self._now // width),)
+        for counter, count, published in zip(
+                self._counters, counts, self._published):
+            if count != published:
+                metrics.record_bins(counter, index,
+                                    (float(count - published),))
+        self._published = counts
+        metrics.record_bins(self._depth, index, (pending,))
+        return (upcoming // width + 1.0) * width
 
     # -- running -----------------------------------------------------------
 
@@ -396,44 +405,47 @@ class Simulator:
         distinct tick, no per-event heap re-entry.  A heap entry that
         shares the current timestamp (scheduled before the clock reached
         it) is merged in by comparing sequence numbers, so the global
-        firing order is identical to a single time-ordered heap.
+        firing order is identical to a single time-ordered heap.  The
+        clock only moves in the heap branch; metering costs one compare
+        there.
         """
-        obs = self._obs
+        edge = self._publish(self._now)
         heap = self._heap
         immediate = self._immediate
         orphans = self._orphan_errors
         pop = heappop
         popleft = immediate.popleft
-        while True:
-            if immediate:
-                now = self._now
-                if until is not None and now > until:
-                    break
-                if heap and heap[0][0] <= now and heap[0][1] < immediate[0][0]:
-                    _when, _seq, func, args = pop(heap)
+        try:
+            while True:
+                if immediate:
+                    now = self._now
+                    if until is not None and now > until:
+                        break
+                    if heap and heap[0][0] <= now \
+                            and heap[0][1] < immediate[0][0]:
+                        _when, _seq, func, args = pop(heap)
+                    else:
+                        _seq, func, args = popleft()
+                elif heap:
+                    head = heap[0]
+                    when = head[0]
+                    if until is not None and when > until:
+                        break
+                    if when >= edge:
+                        edge = self._publish(when)
+                    pop(heap)
+                    self._now = when
+                    func, args = head[2], head[3]
                 else:
-                    _seq, func, args = popleft()
-            elif heap:
-                head = heap[0]
-                when = head[0]
-                if until is not None and when > until:
                     break
-                pop(heap)
-                self._now = when
-                func, args = head[2], head[3]
-            else:
-                break
-            if obs is not None:
-                obs.fired.inc()
-                # Depth includes the event being fired, so an active
-                # simulation never reads as empty.
-                obs.heap_depth.set(len(heap) + len(immediate) + 1)
-            func(*args)
-            if orphans:
-                name, error = orphans[0]
-                raise SimulationError(
-                    f"unhandled error in process {name!r} "
-                    f"at t={self._now:g}") from error
+                func(*args)
+                if orphans:
+                    name, error = orphans[0]
+                    raise SimulationError(
+                        f"unhandled error in process {name!r} "
+                        f"at t={self._now:g}") from error
+        finally:
+            self._publish(self._now)
         if until is not None and self._now < until:
             self._now = until
         return self._now
