@@ -366,15 +366,17 @@ def cmd_ap(args: argparse.Namespace) -> int:
         if getattr(args, "trace", None):
             # A columnar trace lets every AP worker memory-map its own
             # slice instead of receiving pickled request objects.
+            from repro.workload.columnar import ColumnarTrace
             from repro.workload.traceio import REQUESTS_FILE, \
                 _columnar_name
             columnar = Path(args.trace) / _columnar_name(REQUESTS_FILE)
             if columnar.exists():
-                positions = {id(request): row for row, request
-                             in enumerate(workload.requests)}
+                positions = {task_id: row for row, task_id in enumerate(
+                    ColumnarTrace(columnar).column("task_id").tolist())}
                 requests_trace = (
                     columnar,
-                    [positions[id(request)] for request in sample])
+                    [positions[request.task_id.encode()]
+                     for request in sample])
         with span(registry, "ap_replay", sample=len(sample)):
             report, info = sharded_ap_replay(
                 workload.catalog, sample, jobs=jobs,

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.cloud.fetch import FetchSpeedModel
-from repro.cloud.system import FETCH_DONE, FETCH_REJECTED, RunTable
+from repro.cloud.system import FETCH_DONE, FETCH_REJECTED, RunTable, _take
 from repro.netsim.isp import ISP
 from repro.paper import FETCH_SPEED_MEAN
 from repro.sim.engine import Interrupt, SimulationError, Simulator
@@ -158,26 +158,21 @@ class FastTaskMachine:
     """
 
     def __init__(self, cloud: "XuanfengCloud", sim: Simulator,
-                 workload: Workload, users: dict,
-                 rng: np.random.Generator):
+                 workload: Workload, rng: np.random.Generator):
         self.cloud = cloud
         self.sim = sim
         self.rng = rng
 
-        requests = workload.requests
-        catalog = workload.catalog
-        n = len(requests)
-        self.n = n
-        self.requests = requests
-        self.records = [catalog[request.file_id] for request in requests]
-        self.users = [users[request.user_id] for request in requests]
-        table = self.table = RunTable(requests, self.records, self.users)
+        columns = workload.request_columns()
+        n = self.n = len(workload.requests)
+        table = self.table = RunTable(workload.requests, columns)
+        self.records = table.records
+        self.users = table.users
         # Fetch admission rows, resolved once per user (the per-fetch
         # path then never hashes an ISP member).
         uploads = cloud.uploads
-        row_of = {user_id: uploads.admission_row(user.isp)
-                  for user_id, user in users.items()}
-        self.rows = [row_of[request.user_id] for request in requests]
+        self.rows = _take([uploads.admission_row(user.isp)
+                           for user in columns.users], columns.user_rows)
 
         # Columnar per-task state: one row per task, written/read by the
         # phase callbacks.  Constant columns are batch-computed up front
@@ -273,9 +268,7 @@ class FastTaskMachine:
         # Arrival cursor: a stable sort keeps equal-time requests in
         # submission order, matching the seq order of the per-request
         # ``call_at`` loop it replaces.
-        times = np.fromiter(
-            (request.request_time for request in requests),
-            dtype=np.float64, count=n)
+        times = columns.times
         order = np.argsort(times, kind="stable")
         self._order = order.tolist()
         self._times = times[order].tolist()
@@ -504,9 +497,8 @@ class FaultedTaskMachine(FastTaskMachine):
     """
 
     def __init__(self, cloud: "XuanfengCloud", sim: Simulator,
-                 workload: Workload, users: dict,
-                 rng: np.random.Generator):
-        super().__init__(cloud, sim, workload, users, rng)
+                 workload: Workload, rng: np.random.Generator):
+        super().__init__(cloud, sim, workload, rng)
         n = self.n
         self.faults = cloud.faults
         policies = cloud.policies
@@ -552,7 +544,7 @@ class FaultedTaskMachine(FastTaskMachine):
         jitter = self.jitter[idx]
         if jitter is None:
             jitter = self.jitter[idx] = self.faults.rng(
-                f"{layer}:{self.requests[idx].task_id}")
+                f"{layer}:{self.table.task_id(idx)}")
         return self._retry.backoff(attempt, jitter)
 
     def _sleep(self, idx: int, wake) -> bool:

@@ -35,7 +35,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.queueing import SlotResource
 from repro.sim.randomness import RngFactory
 from repro.transfer.source import SourceModel
-from repro.workload.generator import Workload
+from repro.workload.generator import RequestColumns, Workload
 from repro.workload.popularity import (
     HIGHLY_POPULAR_ABOVE,
     UNPOPULAR_BELOW,
@@ -46,7 +46,6 @@ from repro.workload.records import (
     FetchRecord,
     PreDownloadRecord,
     RequestRecord,
-    User,
 )
 
 #: Fetch states of a task in the run table.
@@ -105,6 +104,11 @@ def _floats(count: int = 0) -> array:
     return array("d", bytes(8 * count))
 
 
+def _take(objects: list, rows: np.ndarray) -> list:
+    """``[objects[row] for row in rows]``."""
+    return list(map(objects.__getitem__, rows.tolist()))
+
+
 def _view(column, dtype) -> np.ndarray:
     """A zero-copy numpy view of an ``array``/``bytearray`` column."""
     return np.frombuffer(column, dtype=dtype) if len(column) \
@@ -115,11 +119,14 @@ class RunTable:
     """The outcome of every task and flow of one replay, as columns.
 
     One row per task, indexed by the task's position in the workload's
-    request list.  The task machine writes each outcome straight into
-    typed columns -- ``array('d')`` floats, ``bytearray`` flags and two
-    object lists (failure cause, fetch path) -- instead of allocating
-    per-task record objects.  Columns start zeroed, so a writer only
-    stores the fields that differ from zero.
+    requests.  Each task's file, user, weekly demand and task id come
+    from :meth:`Workload.request_columns`, so a week mapped from a
+    columnar trace builds no request row to replay.  The task machine
+    writes each outcome straight into typed columns -- ``array('d')``
+    floats, ``bytearray`` flags and two object lists (failure cause,
+    fetch path) -- instead of allocating per-task record objects.
+    Columns start zeroed, so a writer only stores the fields that
+    differ from zero.
 
     ``order`` lists task indexes in pre-download completion order: the
     order the per-task results were produced in, which is the order of
@@ -130,14 +137,16 @@ class RunTable:
     """
 
     def __init__(self, requests: Sequence[RequestRecord],
-                 records: list[CatalogFile], users: list[User]):
+                 columns: RequestColumns):
         n = len(requests)
         self.requests = requests
-        self.records = records
-        self.users = users
+        self.task_id = columns.task_id
+        # Per-task file and user, shared with the task machine.
+        self.records = _take(columns.files, columns.file_rows)
+        self.users = _take(columns.users, columns.user_rows)
         self.demand = np.fromiter(
-            (record.weekly_demand for record in records),
-            dtype=np.int64, count=n)
+            (record.weekly_demand for record in columns.files),
+            dtype=np.int64, count=len(columns.files))[columns.file_rows]
         # Pre-download columns.
         self.pre_start = _floats(n)
         self.pre_finish = _floats(n)
@@ -174,7 +183,7 @@ class RunTable:
     def pre_record(self, idx: int) -> PreDownloadRecord:
         record = self.records[idx]
         return PreDownloadRecord(
-            self.requests[idx].task_id, record.file_id,
+            self.task_id(idx), record.file_id,
             self.pre_start[idx], self.pre_finish[idx], self.pre_bytes[idx],
             self.pre_traffic[idx], bool(self.cache_hit[idx]),
             self.pre_rate[idx], self.pre_peak[idx],
@@ -186,7 +195,7 @@ class RunTable:
             return None
         user = self.users[idx]
         return FetchRecord(
-            self.requests[idx].task_id, user.user_id, user.ip_address,
+            self.task_id(idx), user.user_id, user.ip_address,
             user.reported_bandwidth, self.fetch_start[idx],
             self.fetch_finish[idx], self.fetch_bytes[idx],
             self.fetch_traffic[idx], self.fetch_rate[idx],
@@ -545,8 +554,7 @@ class XuanfengCloud:
         # The machine's state and its run table are one large acyclic
         # object graph (repro.sim.collector).
         with paused():
-            machine = machine_class(self, sim, workload,
-                                    workload.user_by_id(), rng)
+            machine = machine_class(self, sim, workload, rng)
             machine.start()
             sim.run()
         table = machine.table

@@ -93,13 +93,15 @@ def workload_sharded_jobs2() -> str:
 
 
 def cloud_payload(result) -> list:
-    """Canonical JSON-ready form of one cloud replay's tasks + flows."""
+    """Canonical JSON-ready form of one cloud replay's tasks + flows:
+    each task's pre-download and fetch record, in completion order (as
+    ``result.tasks`` lists them)."""
+    table = result.table
     tasks = []
-    for task in result.tasks:
-        tasks.append([
-            task.pre_record.to_dict(),
-            task.fetch_record.to_dict() if task.fetch_record else None,
-        ])
+    for idx in table.order:
+        fetch = table.fetch_record(idx)
+        tasks.append([table.pre_record(idx).to_dict(),
+                      fetch.to_dict() if fetch else None])
     flows = [[flow.start, flow.end, flow.rate, flow.highly_popular,
               flow.rejected] for flow in result.flows]
     return [tasks, flows]

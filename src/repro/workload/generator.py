@@ -15,8 +15,10 @@ what flattens the popularity head and makes the SE model the better fit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from repro.sim.collector import paused
 from repro.sim.randomness import RngFactory
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.catalog import FileCatalog
+from repro.workload.columnar import ColumnarRows
 from repro.workload.popularity import PopularityClass
 from repro.workload.records import CatalogFile, RequestRecord, User
 from repro.workload.users import UserPopulation
@@ -53,14 +56,32 @@ class WorkloadConfig:
         return max(1, int(round(REAL_USER_COUNT * self.scale)))
 
 
+class RequestColumns(NamedTuple):
+    """A week's requests as arrays over its files and users (see
+    :meth:`Workload.request_columns`)."""
+
+    times: np.ndarray           # float64 arrival time per request
+    file_rows: np.ndarray       # row of each request's file in ``files``
+    user_rows: np.ndarray       # row of each request's user in ``users``
+    files: list[CatalogFile]    # the catalog, in row order
+    users: list[User]
+    task_id: Callable[[int], str]   # one request's task id
+
+
 @dataclass
 class Workload:
-    """A complete synthetic week: catalog, users, and the request trace."""
+    """A complete synthetic week: catalog, users, and the request trace.
+
+    ``requests`` is a list when the week was generated or read from
+    JSONL, and a read-only :class:`~repro.workload.columnar.ColumnarRows`
+    view (rows built on access) when it was loaded from a columnar
+    trace.
+    """
 
     config: WorkloadConfig
     catalog: FileCatalog
     users: list[User]
-    requests: list[RequestRecord]
+    requests: Sequence[RequestRecord]
 
     @property
     def horizon(self) -> float:
@@ -69,8 +90,34 @@ class Workload:
     def user_by_id(self) -> dict[str, User]:
         return {user.user_id: user for user in self.users}
 
-    def file_of(self, request: RequestRecord) -> CatalogFile:
-        return self.catalog[request.file_id]
+    def request_columns(self) -> RequestColumns:
+        """Arrival times, file rows and user rows of every request.
+
+        A columnar view resolves its ``file_id`` and ``user_id`` byte
+        columns against the catalog and the users in one dict pass
+        each, and reads task ids one element at a time; a list computes
+        the same arrays from its records.  A repeated user id resolves
+        to its last row, as :meth:`user_by_id` does.
+        """
+        files = list(self.catalog)
+        users = self.users
+        requests = self.requests
+        if isinstance(requests, ColumnarRows):
+            return RequestColumns(
+                requests.column("request_time"),
+                _resolve(requests.column("file_id").tolist(),
+                         [record.file_id.encode() for record in files]),
+                _resolve(requests.column("user_id").tolist(),
+                         [user.user_id.encode() for user in users]),
+                files, users, partial(requests.value, "task_id"))
+        return RequestColumns(
+            np.fromiter((request.request_time for request in requests),
+                        dtype=np.float64, count=len(requests)),
+            _resolve([request.file_id for request in requests],
+                     [record.file_id for record in files]),
+            _resolve([request.user_id for request in requests],
+                     [user.user_id for user in users]),
+            files, users, partial(_task_id, requests))
 
     def request_class_shares(self) -> dict[PopularityClass, float]:
         """Observed request share per popularity class."""
@@ -81,6 +128,17 @@ class Workload:
         total = max(len(self.requests), 1)
         return {klass: counts.get(klass, 0) / total
                 for klass in PopularityClass}
+
+
+def _resolve(keys: list, ids: list) -> np.ndarray:
+    """The row of each key in ``ids`` (the last one, if repeated)."""
+    row_of = {key: row for row, key in enumerate(ids)}
+    return np.fromiter(map(row_of.__getitem__, keys), dtype=np.intp,
+                       count=len(keys))
+
+
+def _task_id(requests: Sequence[RequestRecord], idx: int) -> str:
+    return requests[idx].task_id
 
 
 class WorkloadGenerator:

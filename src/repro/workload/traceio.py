@@ -9,7 +9,8 @@ full-trace scale (``repro.scale``) the request trace alone is millions
 of rows, and JSONL compresses ~10x.  ``save_workload(...,
 compress=True)`` writes ``*.jsonl.gz``; ``load_workload`` auto-detects
 whichever variant is present, including the memory-mapped columnar
-``.col`` files of :mod:`repro.workload.columnar`.
+``.col`` files of :mod:`repro.workload.columnar` (a columnar request
+trace loads as a view over the mapping, not as a list).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import IO, Iterable, Type, TypeVar
+from typing import IO, Iterable, Sequence, Type, TypeVar
 
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.sim.collector import paused
 from repro.workload.catalog import FileCatalog
-from repro.workload.columnar import is_columnar, read_columnar, \
-    write_columnar
+from repro.workload.columnar import ColumnarRows, is_columnar, \
+    open_columnar, read_columnar, write_columnar
 from repro.workload.generator import Workload, WorkloadConfig
 from repro.workload.records import (
     CatalogFile,
@@ -257,7 +258,12 @@ def load_workload(directory: str | Path,
 
     Detects per file which variant is present (columnar beats plain
     beats gzipped); ``trace_format="columnar"``/``"jsonl"`` restricts
-    the search to that format.
+    the search to that format.  The catalog and users are read into
+    objects.  A columnar request trace is memory-mapped, not parsed:
+    ``requests`` is a read-only :class:`ColumnarRows` view that builds
+    each row on access, and a replay reads its columns as arrays
+    (:meth:`Workload.request_columns`).  A JSONL request trace loads
+    as a list.
     """
     directory = Path(directory)
     raw_config = json.loads((directory / CONFIG_FILE).read_text())
@@ -273,8 +279,9 @@ def load_workload(directory: str | Path,
             catalog.files[record.file_id] = record
         users = read_trace(
             _resolve_trace(directory, USERS_FILE, trace_format), User)
-        requests = read_trace(
-            _resolve_trace(directory, REQUESTS_FILE, trace_format),
-            RequestRecord)
+        path = _resolve_trace(directory, REQUESTS_FILE, trace_format)
+        requests: Sequence[RequestRecord] = \
+            ColumnarRows(open_columnar(path, RequestRecord)) \
+            if is_columnar(path) else read_jsonl(path, RequestRecord)
     return Workload(config=config, catalog=catalog, users=users,
                     requests=requests)

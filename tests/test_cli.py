@@ -198,6 +198,22 @@ class TestShardedCommands:
         assert "parallel replay" in out
         assert "failure ratio" in out
 
+    def test_ap_jobs_replay_from_columnar_trace(self, tmp_path, capsys):
+        # The workers map the sampled rows of the saved trace: the
+        # report equals the in-process replay of the same week.
+        trace = tmp_path / "trace"
+        assert main(["generate", "--scale", "0.0015", "--trace-format",
+                     "columnar", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["ap", "--trace", str(trace), "--sample", "30",
+                     "--jobs", "1"]) == 0
+        mapped = capsys.readouterr().out
+        assert main(["ap", "--trace", str(trace), "--sample", "30"]) == 0
+        in_process = capsys.readouterr().out
+        assert "parallel replay" in mapped
+        assert mapped.split("replayed:")[1] == \
+            in_process.split("replayed:")[1]
+
     def test_experiments_jobs_writes_document(self, tmp_path, capsys):
         output = tmp_path / "EXP.md"
         assert main(["experiments", "--scale", "0.0008", "--jobs", "1",
