@@ -248,10 +248,3 @@ class UploadingServers:
         if self.total_fetches == 0:
             return 0.0
         return self.rejected_fetches / self.total_fetches
-
-    def binned_total_usage(self, bin_width: float,
-                           horizon: float) -> list[float]:
-        """Aggregate committed upload bandwidth per time bin (Figure 11)."""
-        per_pool = [pool.binned_usage(bin_width, horizon)
-                    for pool in self.pools.values()]
-        return [sum(values) for values in zip(*per_pool)]

@@ -15,8 +15,10 @@ paper describes:
   concurrent flows genuinely compete (e.g. several devices fetching from
   one smart AP over the LAN).
 
-Both pools record a step-function usage history so experiments can bin
-committed bandwidth over time (Figure 11).
+A reservation pool records its committed level as a step function
+(``step_times``/``step_levels``), which the cloud's per-ISP upload
+gauges sample; the Figure 11 burden series is binned from the replay's
+flow columns (``CloudRunResult.bandwidth_series``), not from the pools.
 """
 
 from __future__ import annotations
@@ -98,37 +100,6 @@ class ReservationPool:
         else:
             times.append(now)
             self.step_levels.append(self.committed)
-
-    # -- usage history -----------------------------------------------------
-
-    def binned_usage(self, bin_width: float, horizon: float) -> list[float]:
-        """Time-average committed bandwidth per bin over ``[0, horizon)``.
-
-        Integrates the step function exactly, so short-lived flows inside a
-        bin contribute their true share.  Used for the 5-minute bins in
-        Figure 11.
-        """
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        n_bins = max(1, int(round(horizon / bin_width)))
-        totals = [0.0] * n_bins
-        times = self.step_times
-        levels = self.step_levels
-        count = len(times)
-        for index in range(count):
-            start = times[index]
-            end = times[index + 1] if index + 1 < count else horizon
-            committed = levels[index]
-            start, end = max(start, 0.0), min(end, horizon)
-            if end <= start or committed == 0.0:
-                continue
-            first_bin = int(start / bin_width)
-            last_bin = min(int((end - 1e-12) / bin_width), n_bins - 1)
-            for b in range(first_bin, last_bin + 1):
-                lo = max(start, b * bin_width)
-                hi = min(end, (b + 1) * bin_width)
-                totals[b] += committed * max(0.0, hi - lo)
-        return [total / bin_width for total in totals]
 
 
 @dataclass

@@ -189,17 +189,6 @@ class TestUploadingServers:
         assert rejected
         assert uploads.rejection_ratio > 0.0
 
-    def test_binned_total_usage_aggregates_pools(self):
-        uploads = self.make_uploads()
-        admitted = self.admit(uploads, ISP.MOBILE, kbps(100.0))
-        assert admitted is not None
-        _choice, pool, rate = admitted
-        pool.release(rate, 100.0)
-        usage = uploads.binned_total_usage(bin_width=100.0,
-                                           horizon=200.0)
-        assert usage[0] == pytest.approx(rate)
-        assert usage[1] == pytest.approx(0.0)
-
 
 class TestFetchSpeedModel:
     def test_speed_bounded_by_user_bandwidth(self):

@@ -87,29 +87,6 @@ class TestReservationPool:
         assert pool.peak_committed == 90.0
         assert pool.committed == 30.0
 
-    def test_binned_usage_integrates_step_function_exactly(self):
-        pool = ReservationPool(100.0)
-        # 10 B/s over [0, 10), then 30 B/s over [10, 20).
-        pool.commit(10.0, now=0.0)
-        pool.commit(20.0, now=10.0)
-        pool.release(10.0, now=20.0)
-        pool.release(20.0, now=20.0)
-        usage = pool.binned_usage(bin_width=10.0, horizon=30.0)
-        assert usage == pytest.approx([10.0, 30.0, 0.0])
-
-    def test_binned_usage_handles_partial_bin_overlap(self):
-        pool = ReservationPool(100.0)
-        # 10 B/s held over [5, 15): half of each 10-second bin.
-        pool.commit(10.0, now=5.0)
-        pool.release(10.0, now=15.0)
-        usage = pool.binned_usage(bin_width=10.0, horizon=20.0)
-        assert usage == pytest.approx([5.0, 5.0])
-
-    def test_binned_usage_validates_bin_width(self):
-        pool = ReservationPool(10.0)
-        with pytest.raises(ValueError):
-            pool.binned_usage(0.0, 10.0)
-
     @given(rates=st.lists(st.floats(min_value=0.1, max_value=30.0),
                           min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
