@@ -24,28 +24,38 @@ class IpAllocator:
 
     Addresses are handed out deterministically (block by block, skipping
     network/broadcast-ish edges is unnecessary at this abstraction level),
-    so a seeded workload always maps users to the same addresses.
+    so a seeded workload always maps users to the same addresses.  Each
+    ISP's cursor is the integer value of its next address and the end of
+    its block, so an allocation is an addition and a dotted-quad format.
     """
 
     def __init__(self, registry: Optional[IspRegistry] = None):
         self._registry = registry or default_registry()
+        # Per ISP: (first, last + 1) usable address of each block --
+        # offsets 1 .. num_addresses - 2 -- and the cursor
+        # (block index, next address).
+        self._blocks: dict[ISP, list[tuple[int, int]]] = {}
         self._cursors: dict[ISP, tuple[int, int]] = {}
-        self._networks: dict[ISP, list] = {}
         for isp in self._registry.isps():
-            self._cursors[isp] = (0, 1)  # (block index, offset in block)
-            self._networks[isp] = self._registry.profile(isp).networks()
+            blocks = [(int(network.network_address) + 1,
+                       int(network.network_address) +
+                       network.num_addresses - 1)
+                      for network in self._registry.profile(isp).networks()]
+            self._blocks[isp] = blocks
+            self._cursors[isp] = (0, blocks[0][0] if blocks else 0)
 
     def allocate(self, isp: ISP) -> str:
         """Return the next unused address homed in ``isp``."""
-        networks = self._networks[isp]
-        block_index, offset = self._cursors[isp]
-        while block_index < len(networks):
-            network = networks[block_index]
-            if offset < network.num_addresses - 1:
-                address = network.network_address + offset
-                self._cursors[isp] = (block_index, offset + 1)
-                return str(address)
-            block_index, offset = block_index + 1, 1
+        blocks = self._blocks[isp]
+        block_index, value = self._cursors[isp]
+        while block_index < len(blocks):
+            if value < blocks[block_index][1]:
+                self._cursors[isp] = (block_index, value + 1)
+                return f"{value >> 24}.{value >> 16 & 255}." \
+                    f"{value >> 8 & 255}.{value & 255}"
+            block_index += 1
+            if block_index < len(blocks):
+                value = blocks[block_index][0]
         raise RuntimeError(f"address space of {isp} exhausted")
 
 

@@ -92,6 +92,43 @@ class TestIpAllocation:
         assert not resolver.is_major(allocator.allocate(ISP.OTHER))
         assert not resolver.is_major("8.8.8.8")
 
+    @staticmethod
+    def reference_addresses(networks):
+        """The addresses an allocator hands out, by ``ipaddress``
+        arithmetic: offsets 1 .. num_addresses - 2 of each block."""
+        for network in networks:
+            for offset in range(1, network.num_addresses - 1):
+                yield str(network.network_address + offset)
+
+    def test_matches_ipaddress_for_every_isp(self):
+        allocator = IpAllocator()
+        registry = default_registry()
+        for isp in registry.isps():
+            expected = self.reference_addresses(
+                registry.profile(isp).networks())
+            for _ in range(300):
+                assert allocator.allocate(isp) == next(expected)
+
+    def test_rolls_over_blocks_then_exhausts(self):
+        # Small blocks, so every ISP crosses block boundaries (a /31
+        # and a /32 hold no usable address and are skipped) and runs
+        # out of addresses.
+        profiles = tuple(
+            IspProfile(isp, (f"10.{row}.0.0/29", f"10.{row}.1.0/31",
+                             f"10.{row}.2.255/32", f"10.{row}.3.0/30",
+                             f"10.{row}.4.248/29"), 0.2)
+            for row, isp in enumerate(default_registry().isps()))
+        registry = IspRegistry(profiles)
+        allocator = IpAllocator(registry)
+        for isp in registry.isps():
+            expected = list(self.reference_addresses(
+                registry.profile(isp).networks()))
+            assert len(expected) == 6 + 2 + 6
+            assert [allocator.allocate(isp) for _ in expected] == expected
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="exhausted"):
+                    allocator.allocate(isp)
+
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_resolution_never_crashes(self, raw):
