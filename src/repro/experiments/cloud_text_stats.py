@@ -22,9 +22,9 @@ def run(context: ExperimentContext | None = None) -> ExperimentReport:
     report.add("request-level failure ratio", paper.CLOUD_FAILURE_RATIO,
                result.request_failure_ratio)
     import numpy as np
+    columns = context.workload.request_columns()
     no_cache = result.fleet.no_cache_failure_ratio(
-        (context.workload.catalog[request.file_id]
-         for request in context.workload.requests),
+        map(columns.files.__getitem__, columns.file_rows.tolist()),
         np.random.default_rng(context.seed + 1))
     report.add("failure ratio without the storage pool",
                paper.CLOUD_FAILURE_RATIO_NO_CACHE, no_cache)

@@ -77,7 +77,9 @@ def workload_payload(workload) -> list:
 
 
 def workload_sequential() -> str:
-    """The sequential generator's full output at the golden scale."""
+    """The sequential generator's week at the golden scale: every
+    catalog file, user and request row, as :func:`workload_payload`
+    lists them (each request row built from the generated columns)."""
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
     return digest(workload_payload(WorkloadGenerator(config).generate()))

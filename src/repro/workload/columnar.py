@@ -25,6 +25,13 @@ opened file that builds each row on access, and a replay reads the
 columns it needs (arrival times, file and user ids) as arrays without
 building a record at all.
 
+Writing is two steps: encode the columns, then write the blocks
+(:func:`write_blocks`, which sizes each string column to its longest
+value and lays out the header).  :func:`write_columnar` encodes record
+objects field by field; a generated week takes its request columns
+from per-file and per-user columns, and a mapped week hands over its
+own blocks, so neither builds a row to be saved.
+
 When to prefer which format: JSONL stays the interchange format --
 greppable, appendable, diff-friendly, gzip-compressible.  Columnar is
 the replay format: reads are ~an order of magnitude faster, slices and
@@ -158,6 +165,40 @@ def _encode_column(kind: str, values: list) -> tuple[np.ndarray,
     raise ColumnarFormatError(f"unknown column kind {kind!r}")
 
 
+#: One encoded column: its data block and its null mask (``None`` for
+#: a field that cannot be null).
+Column = tuple[np.ndarray, Optional[np.ndarray]]
+
+
+def _schema(record_type: Type[_TraceRecord]) -> tuple[tuple[str, str], ...]:
+    schema = SCHEMAS.get(record_type.__name__)
+    if schema is None:
+        raise ColumnarFormatError(
+            f"no columnar schema for {record_type.__name__}")
+    return schema
+
+
+def encode_records(records: Sequence[_TraceRecord],
+                   record_type: Type[_TraceRecord]) -> dict[str, Column]:
+    """Every field of ``records`` (rows of ``record_type``) as a
+    column, keyed by field name."""
+    return {name: _encode_column(kind, [getattr(record, name)
+                                        for record in records])
+            for name, kind in _schema(record_type)}
+
+
+def _fit(data: np.ndarray) -> np.ndarray:
+    """A byte-string column re-cast to the width of its longest value
+    (1 at least), as :func:`_encode_column` sizes it."""
+    data = np.ascontiguousarray(data)
+    width = data.dtype.itemsize
+    raw = data.view(np.uint8).reshape(len(data), width)
+    fitted = width
+    while fitted > 1 and not raw[:, fitted - 1].any():
+        fitted -= 1
+    return data if fitted == width else data.astype(f"|S{fitted}")
+
+
 def write_columnar(path: str | Path, records: Sequence[_TraceRecord],
                    record_type: Optional[Type[_TraceRecord]] = None
                    ) -> int:
@@ -171,54 +212,66 @@ def write_columnar(path: str | Path, records: Sequence[_TraceRecord],
         if not records:
             raise ValueError("record_type is required for an empty trace")
         record_type = type(records[0])
-    name = record_type.__name__
-    schema = SCHEMAS.get(name)
-    if schema is None:
-        raise ColumnarFormatError(f"no columnar schema for {name}")
+    return write_blocks(path, record_type,
+                        encode_records(records, record_type))
 
-    blocks: list[bytes] = []
-    columns: list[dict[str, Any]] = []
+
+def write_blocks(path: str | Path, record_type: Type[_TraceRecord],
+                 columns: dict[str, Column]) -> int:
+    """Write already-encoded columns as one ``.col`` file of
+    ``record_type`` rows; returns the row count.
+
+    ``columns`` maps every schema field to its data and null mask
+    (:func:`encode_records`, or arrays taken from other columns).
+    String and enum columns are re-cast to the width of their longest
+    value, so a column taken from a wider one writes the same bytes as
+    one encoded from the same values.
+    """
+    schema = _schema(record_type)
+    blocks: list[np.ndarray] = []
+    entries: list[dict[str, Any]] = []
+    rows = len(columns[schema[0][0]][0])
     # Offsets are assigned after the header is sized; collect blocks
     # with their (aligned) lengths first.
     for field_name, kind in schema:
-        values = [getattr(record, field_name) for record in records]
-        data, mask = _encode_column(kind, values)
+        data, mask = columns[field_name]
+        if data.dtype.kind == "S":
+            data = _fit(data)
+        if len(data) != rows:
+            raise ValueError(f"column {field_name!r} holds {len(data)} "
+                             f"rows, not {rows}")
         entry: dict[str, Any] = {
             "name": field_name, "kind": kind,
             "dtype": data.dtype.str, "nbytes": int(data.nbytes),
         }
-        blocks.append(data.tobytes())
+        blocks.append(data)
         if mask is not None:
             entry["null_nbytes"] = int(mask.nbytes)
-            blocks.append(mask.tobytes())
-        columns.append(entry)
+            blocks.append(mask)
+        entries.append(entry)
 
     # Two passes over the header: offsets depend on the header length,
     # which depends on the offsets' digit counts.  Fixed-width offset
     # rendering would dodge that; one retry loop is simpler and always
     # converges (offsets only ever grow).
-    def render(header_guess: int) -> tuple[bytes, list[dict[str, Any]]]:
+    def render(header_guess: int) -> bytes:
         cursor = 16 + header_guess
         cursor += _pad(cursor)
         placed = []
-        index = 0
-        for entry in columns:
+        for entry in entries:
             entry = dict(entry)
             entry["offset"] = cursor
             cursor += entry["nbytes"] + _pad(entry["nbytes"])
             if "null_nbytes" in entry:
                 entry["null_offset"] = cursor
                 cursor += entry["null_nbytes"] + _pad(entry["null_nbytes"])
-                index += 1
-            index += 1
             placed.append(entry)
-        header = json.dumps({"record": name, "rows": len(records),
-                             "columns": placed}).encode("utf-8")
-        return header, placed
+        return json.dumps({"record": record_type.__name__, "rows": rows,
+                           "columns": placed}).encode("utf-8")
 
-    header, placed = render(0)
+    header = render(0)
     while True:
-        next_header, placed = render(len(header))
+        next_header = render(len(header))
         if len(next_header) == len(header):
             header = next_header
             break
@@ -231,18 +284,10 @@ def write_columnar(path: str | Path, records: Sequence[_TraceRecord],
         handle.write(struct.pack("<Q", len(header)))
         handle.write(header)
         handle.write(b"\0" * _pad(16 + len(header)))
-        block = 0
-        for entry in placed:
-            data = blocks[block]
-            block += 1
-            handle.write(data)
-            handle.write(b"\0" * _pad(len(data)))
-            if "null_nbytes" in entry:
-                mask = blocks[block]
-                block += 1
-                handle.write(mask)
-                handle.write(b"\0" * _pad(len(mask)))
-    return len(records)
+        for block in blocks:
+            handle.write(np.ascontiguousarray(block))
+            handle.write(b"\0" * _pad(block.nbytes))
+    return rows
 
 
 # -- reading ---------------------------------------------------------------------
@@ -466,6 +511,19 @@ class ColumnarRows(Sequence):
     def value(self, name: str, index: int) -> Any:
         """Field ``name`` of row ``index``, decoding only that element."""
         return self.trace.value(name, self._positions[index])
+
+    def blocks(self) -> dict[str, Column]:
+        """Every column and null mask over these rows, as
+        :func:`write_blocks` takes them: re-saving a mapped trace copies
+        its blocks and decodes no row."""
+        index = _index(self._positions)
+        trace = self.trace
+        blocks = {}
+        for name, _kind in SCHEMAS[trace.record_name]:
+            mask = trace.null_mask(name)
+            blocks[name] = (trace.column(name)[index],
+                            None if mask is None else mask[index])
+        return blocks
 
 
 def open_columnar(path: str | Path,

@@ -11,10 +11,18 @@ The fetch-at-most-once effect (Gummadi et al., SOSP'03) is enforced
 structurally: the requests of one file go to distinct users, which is
 what flattens the popularity head and makes the SE model the better fit
 (paper Figures 6-7).
+
+The generated trace is kept as columns, not rows: per request an
+arrival time, the row of its file in the catalog and the row of its
+user (:class:`RequestColumns`).  ``Workload.requests`` is a
+:class:`GeneratedRequests` view that builds a :class:`RequestRecord`
+only when one is asked for; replays and the drivers that walk every
+request read the columns.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +35,13 @@ from repro.sim.collector import paused
 from repro.sim.randomness import RngFactory
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.catalog import FileCatalog
-from repro.workload.columnar import ColumnarRows
+from repro.workload.columnar import (
+    _ITER_ROWS,
+    Column,
+    ColumnarRows,
+    _index,
+    encode_records,
+)
 from repro.workload.popularity import PopularityClass
 from repro.workload.records import CatalogFile, RequestRecord, User
 from repro.workload.users import UserPopulation
@@ -68,14 +82,147 @@ class RequestColumns(NamedTuple):
     task_id: Callable[[int], str]   # one request's task id
 
 
+class GeneratedRequests(Sequence):
+    """A generated week's requests, built on access from its columns.
+
+    The generator keeps each request as three array elements -- its
+    arrival time, its file's row in ``columns.files`` and its user's
+    row in ``columns.users`` -- and its task id is ``prefix`` plus its
+    index, zero-padded to 8 digits.  Like
+    :class:`~repro.workload.columnar.ColumnarRows`, this is a read-only
+    sequence: length, indexing and slicing are O(1) (a slice is another
+    view, whose task ids keep each row's original index), a row is
+    built from its file and user objects on access, and iteration
+    builds blocks of rows at a time.  Nothing is cached.  It compares
+    equal to any sequence of the same rows, as the list it replaces
+    did.
+    """
+
+    __slots__ = ("columns", "prefix", "_positions")
+
+    def __init__(self, columns: RequestColumns, prefix: str,
+                 positions: Optional[range] = None):
+        self.columns = columns
+        self.prefix = prefix
+        self._positions = range(len(columns.times)) if positions is None \
+            else positions
+
+    def bind(self, files: list[CatalogFile],
+             users: list[User]) -> "GeneratedRequests":
+        """The same requests over other (row-for-row equal) files and
+        users, e.g. a week's snapshot of an evolving catalog."""
+        return GeneratedRequests(
+            self.columns._replace(files=files, users=users), self.prefix,
+            self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GeneratedRequests(self.columns, self.prefix,
+                                     self._positions[index])
+        row = self._positions[index]
+        columns = self.columns
+        return _request(columns.task_id(row), columns.times.item(row),
+                        columns.files[columns.file_rows.item(row)],
+                        columns.users[columns.user_rows.item(row)])
+
+    def __iter__(self):
+        columns = self.columns
+        task_id, files, users = columns.task_id, columns.files, \
+            columns.users
+        positions = self._positions
+        for start in range(0, len(positions), _ITER_ROWS):
+            block = positions[start:start + _ITER_ROWS]
+            index = _index(block)
+            for row, when, file_row, user_row in zip(
+                    block, columns.times[index].tolist(),
+                    columns.file_rows[index].tolist(),
+                    columns.user_rows[index].tolist()):
+                yield _request(task_id(row), when, files[file_row],
+                               users[user_row])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or \
+                isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and \
+            all(mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None     # type: ignore[assignment]
+
+    def request_columns(self) -> RequestColumns:
+        """These rows' columns; the generated arrays themselves when
+        the view spans the whole week."""
+        columns = self.columns
+        positions = self._positions
+        if positions == range(len(columns.times)):
+            return columns
+        index = _index(positions)
+        return RequestColumns(
+            columns.times[index], columns.file_rows[index],
+            columns.user_rows[index], columns.files, columns.users,
+            partial(_task_id_at, columns.task_id, positions))
+
+    def blocks(self) -> dict[str, Column]:
+        """The rows' ``RequestRecord`` columns, encoded for
+        :func:`~repro.workload.columnar.write_blocks`: every file and
+        user field is encoded once per file or user and taken by row."""
+        columns = self.columns
+        index = _index(self._positions)
+        file_rows = columns.file_rows[index]
+        user_rows = columns.user_rows[index]
+        files = encode_records(columns.files, CatalogFile)
+        users = encode_records(columns.users, User)
+        reports = users["reports_bandwidth"][0]
+        reported = np.where(reports, users["access_bandwidth"][0], 0.0)
+        positions = np.arange(len(columns.times))[index]
+        task_ids = np.char.add(self.prefix.encode(),
+                               np.char.zfill(positions.astype("S"), 8))
+        return {
+            "task_id": (task_ids, None),
+            "user_id": (users["user_id"][0][user_rows], None),
+            "ip_address": (users["ip_address"][0][user_rows], None),
+            "access_bandwidth": (reported[user_rows], ~reports[user_rows]),
+            "request_time": (columns.times[index], None),
+            "file_id": (files["file_id"][0][file_rows], None),
+            "file_type": (files["file_type"][0][file_rows], None),
+            "file_size": (files["size"][0][file_rows], None),
+            "source_url": (files["source_url"][0][file_rows], None),
+            "protocol": (files["protocol"][0][file_rows], None),
+        }
+
+
+def _request(task_id: str, when: float, record: CatalogFile,
+             user: User) -> RequestRecord:
+    return RequestRecord(task_id, user.user_id, user.ip_address,
+                         user.reported_bandwidth, when, record.file_id,
+                         record.file_type, record.size, record.source_url,
+                         record.protocol)
+
+
+def _task_id_at(task_id: Callable[[int], str], positions: range,
+                index: int) -> str:
+    return task_id(positions[index])
+
+
 @dataclass
 class Workload:
     """A complete synthetic week: catalog, users, and the request trace.
 
-    ``requests`` is a list when the week was generated or read from
-    JSONL, and a read-only :class:`~repro.workload.columnar.ColumnarRows`
-    view (rows built on access) when it was loaded from a columnar
-    trace.
+    ``requests`` is a read-only sequence of :class:`RequestRecord`:
+
+    * a :class:`GeneratedRequests` view over the generator's columns
+      when the week was generated (including each week of
+      :class:`~repro.workload.multiweek.MultiWeekGenerator`);
+    * a :class:`~repro.workload.columnar.ColumnarRows` view over the
+      mapped file when it was loaded from a columnar trace;
+    * a list when it was read from JSONL or merged from shards
+      (:mod:`repro.scale`).
+
+    Code that walks every request reads :meth:`request_columns`
+    instead of building each row.
     """
 
     config: WorkloadConfig
@@ -93,15 +240,18 @@ class Workload:
     def request_columns(self) -> RequestColumns:
         """Arrival times, file rows and user rows of every request.
 
-        A columnar view resolves its ``file_id`` and ``user_id`` byte
+        A generated week returns the columns it was generated as.  A
+        columnar view resolves its ``file_id`` and ``user_id`` byte
         columns against the catalog and the users in one dict pass
         each, and reads task ids one element at a time; a list computes
         the same arrays from its records.  A repeated user id resolves
         to its last row, as :meth:`user_by_id` does.
         """
+        requests = self.requests
+        if isinstance(requests, GeneratedRequests):
+            return requests.request_columns()
         files = list(self.catalog)
         users = self.users
-        requests = self.requests
         if isinstance(requests, ColumnarRows):
             return RequestColumns(
                 requests.column("request_time"),
@@ -117,14 +267,21 @@ class Workload:
                      [record.file_id for record in files]),
             _resolve([request.user_id for request in requests],
                      [user.user_id for user in users]),
-            files, users, partial(_task_id, requests))
+            files, users, partial(_list_task_id, requests))
+
+    def requests_per_file(self) -> tuple[list[CatalogFile], np.ndarray]:
+        """The catalog in row order and the request count of each file."""
+        columns = self.request_columns()
+        return columns.files, np.bincount(columns.file_rows,
+                                          minlength=len(columns.files))
 
     def request_class_shares(self) -> dict[PopularityClass, float]:
         """Observed request share per popularity class."""
         counts: dict[PopularityClass, int] = {}
-        for request in self.requests:
-            klass = self.catalog[request.file_id].popularity_class
-            counts[klass] = counts.get(klass, 0) + 1
+        files, per_file = self.requests_per_file()
+        for record, count in zip(files, per_file.tolist()):
+            klass = record.popularity_class
+            counts[klass] = counts.get(klass, 0) + count
         total = max(len(self.requests), 1)
         return {klass: counts.get(klass, 0) / total
                 for klass in PopularityClass}
@@ -137,7 +294,7 @@ def _resolve(keys: list, ids: list) -> np.ndarray:
                        count=len(keys))
 
 
-def _task_id(requests: Sequence[RequestRecord], idx: int) -> str:
+def _list_task_id(requests: Sequence[RequestRecord], idx: int) -> str:
     return requests[idx].task_id
 
 
@@ -161,24 +318,23 @@ class WorkloadGenerator:
                                   rng_factory.stream("catalog"))
             self.population.generate(self.config.user_count,
                                      rng_factory.stream("users"))
-            requests = self._generate_requests(rng_factory)
+            requests = build_requests(self.catalog, self.population.users,
+                                      self.arrivals, rng_factory)
         return Workload(config=self.config, catalog=self.catalog,
                         users=self.population.users, requests=requests)
-
-    def _generate_requests(self,
-                           rng_factory: RngFactory) -> list[RequestRecord]:
-        return build_requests(self.catalog, self.population.users,
-                              self.arrivals, rng_factory)
 
 
 def build_requests(catalog: FileCatalog, users: list[User],
                    arrivals: ArrivalProcess, rng_factory: RngFactory,
-                   task_prefix: str = "t") -> list[RequestRecord]:
+                   task_prefix: str = "t") -> GeneratedRequests:
     """Expand a catalog's weekly demands into a timed request trace.
 
     Shared by the single-week generator and the multi-week evolution:
     one request slot per (file, demand unit), arrival times drawn from
-    the arrival process, users assigned fetch-at-most-once.
+    the arrival process, users assigned fetch-at-most-once.  The trace
+    is kept as columns -- arrival times, file rows into
+    ``list(catalog)`` and user rows into ``users`` -- under a
+    :class:`GeneratedRequests` view; no request row is built.
     """
     assign_rng = rng_factory.stream("request-assignment")
     time_rng = rng_factory.stream("request-times")
@@ -195,44 +351,30 @@ def build_requests(catalog: FileCatalog, users: list[User],
     assign_rng.shuffle(slot_indices)
     times = arrivals.sample_times(len(slot_indices), time_rng)
 
-    # Hoist the per-record and per-user attribute reads out of the slot
-    # loop; both sides are immutable for its duration.
-    record_info = [(record.file_id, record.file_type, record.size,
-                    record.source_url, record.weekly_demand > 1)
-                   for record in records]
-    user_info = [(user.user_id, user.ip_address, user.reported_bandwidth)
-                 for user in users]
-    protocols = [record.protocol for record in records]
-
+    # The user picks are sequential draws on one stream, one per slot
+    # in slot order; a file with one demand unit skips the seen set
+    # (any draw is distinct).
     picker = BufferedIndexPicker(len(users), assign_rng)
     pick_fresh = picker.pick
     pick_distinct = picker.pick_distinct
-    used_users: dict[str, set[int]] = {}
-    requests: list[RequestRecord] = []
-    append = requests.append
-    for index, (slot, when) in enumerate(zip(slot_indices.tolist(),
-                                             times.tolist())):
-        file_id, file_type, size, source_url, shared = record_info[slot]
-        if shared:
-            seen = used_users.setdefault(file_id, set())
-            user_id, ip_address, bandwidth = user_info[
-                pick_distinct(seen)]
+    shared = (demands > 1).tolist()
+    seen_by_row: dict[int, set[int]] = {}
+    user_rows = array("q")
+    append = user_rows.append
+    for slot in slot_indices.tolist():
+        if shared[slot]:
+            seen = seen_by_row.get(slot)
+            if seen is None:
+                seen = seen_by_row[slot] = set()
+            append(pick_distinct(seen))
         else:
-            # Single-demand file: any draw is distinct; skip the set.
-            user_id, ip_address, bandwidth = user_info[pick_fresh()]
-        append(RequestRecord(
-            task_id=f"{task_prefix}{index:08d}",
-            user_id=user_id,
-            ip_address=ip_address,
-            access_bandwidth=bandwidth,
-            request_time=when,
-            file_id=file_id,
-            file_type=file_type,
-            file_size=size,
-            source_url=source_url,
-            protocol=protocols[slot],
-        ))
-    return requests
+            append(pick_fresh())
+    return GeneratedRequests(
+        RequestColumns(times, slot_indices,
+                       np.frombuffer(user_rows, dtype=np.int64), records,
+                       users,
+                       partial("{}{:08d}".format, task_prefix)),
+        task_prefix)
 
 
 #: Retries before fetch-at-most-once falls back to a repeat requester.

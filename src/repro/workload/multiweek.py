@@ -31,6 +31,7 @@ from repro.sim.randomness import RngFactory
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.catalog import FileCatalog
 from repro.workload.generator import (
+    GeneratedRequests,
     Workload,
     WorkloadConfig,
     WorkloadGenerator,
@@ -93,7 +94,10 @@ class MultiWeekGenerator:
         self._week += 1
         return self._evolve_week()
 
-    def _snapshot(self, requests) -> Workload:
+    def _snapshot(self, requests: GeneratedRequests) -> Workload:
+        """The week over copies of the live catalog and user list; its
+        requests are rebound to them row for row, so the week reads the
+        demands it was generated with after later weeks evolve them."""
         assert self._catalog is not None and self._population is not None
         catalog = FileCatalog(
             size_model=self._catalog.size_model,
@@ -101,9 +105,9 @@ class MultiWeekGenerator:
             popularity_model=self._catalog.popularity_model,
             files={file_id: dataclass_replace(record)
                    for file_id, record in self._catalog.files.items()})
-        return Workload(config=self.config, catalog=catalog,
-                        users=list(self._population.users),
-                        requests=requests)
+        users = list(self._population.users)
+        return Workload(config=self.config, catalog=catalog, users=users,
+                        requests=requests.bind(list(catalog), users))
 
     def weeks(self, count: int) -> Iterator[Workload]:
         """Yield ``count`` consecutive weeks."""

@@ -22,22 +22,27 @@ def sample_benchmark_requests(workload: Workload, count: int = 1000,
                               seed: int = 20150301) -> list[RequestRecord]:
     """Randomly sample ``count`` replayable requests from ``isp`` users.
 
-    Only requests with reported access bandwidth qualify (the replay
-    needs it).  Sampling is without replacement when the eligible pool is
+    Only requests whose user reports access bandwidth qualify (the
+    replay needs it).  Sampling is without replacement when the eligible pool is
     large enough, mirroring the paper's unbiased sample.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
-    users = workload.user_by_id()
-    eligible = [request for request in workload.requests
-                if request.access_bandwidth is not None
-                and users[request.user_id].isp is isp]
-    if not eligible:
+    # Eligibility is a property of the user, so it is decided once per
+    # user and read off the request columns; only the sampled rows are
+    # built.
+    columns = workload.request_columns()
+    eligible_user = np.fromiter(
+        (user.reports_bandwidth and user.isp is isp
+         for user in columns.users), dtype=bool, count=len(columns.users))
+    eligible = np.flatnonzero(eligible_user[columns.user_rows])
+    if not len(eligible):
         raise ValueError(f"workload has no replayable requests from {isp}")
     if len(eligible) >= count:
         indices = rng.choice(len(eligible), size=count, replace=False)
     else:
         indices = rng.choice(len(eligible), size=count, replace=True)
-    return [eligible[int(index)] for index in sorted(indices)]
+    requests = workload.requests
+    return [requests[int(eligible[index])] for index in sorted(indices)]

@@ -24,8 +24,9 @@ from repro.obs.registry import AnyRegistry, NOOP
 from repro.sim.collector import paused
 from repro.workload.catalog import FileCatalog
 from repro.workload.columnar import ColumnarRows, is_columnar, \
-    open_columnar, read_columnar, write_columnar
-from repro.workload.generator import Workload, WorkloadConfig
+    open_columnar, read_columnar, write_blocks, write_columnar
+from repro.workload.generator import GeneratedRequests, Workload, \
+    WorkloadConfig
 from repro.workload.records import (
     CatalogFile,
     FetchRecord,
@@ -223,6 +224,9 @@ def save_workload(workload: Workload, directory: str | Path,
     plain JSON for greppability).  ``trace_format="columnar"`` writes
     memory-mappable ``*.col`` files instead (see
     :mod:`repro.workload.columnar`), which do not support ``compress``.
+    A generated or mapped week writes its request file from its columns
+    (:func:`~repro.workload.columnar.write_blocks`), building no row;
+    the bytes are the same as encoding every row.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -235,8 +239,12 @@ def save_workload(workload: Workload, directory: str | Path,
                        list(workload.catalog), CatalogFile)
         write_columnar(directory / _columnar_name(USERS_FILE),
                        workload.users, User)
-        write_columnar(directory / _columnar_name(REQUESTS_FILE),
-                       workload.requests, RequestRecord)
+        requests = workload.requests
+        path = directory / _columnar_name(REQUESTS_FILE)
+        if isinstance(requests, (ColumnarRows, GeneratedRequests)):
+            write_blocks(path, RequestRecord, requests.blocks())
+        else:
+            write_columnar(path, requests, RequestRecord)
     elif trace_format == "jsonl":
         suffix = ".gz" if compress else ""
         write_jsonl(directory / (CATALOG_FILE + suffix),

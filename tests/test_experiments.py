@@ -157,3 +157,36 @@ class TestGracefulDegradation:
         assert "workload_stats" in ran and "fig06_07" in ran
         assert [f.experiment_id for f in result.failures] == ["fig05"]
         assert "group driver broke" in result.failures[0].error
+
+
+class TestDriversReadRequestColumns:
+    """The drivers that walk every request read the request columns, so
+    a generated week (a view over its columns) and the same week held
+    as a list of records give identical reports and samples."""
+
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        from repro.workload.generator import GeneratedRequests, Workload
+        viewed = ExperimentContext(scale=0.002)
+        week = viewed.workload
+        assert isinstance(week.requests, GeneratedRequests)
+        listed = ExperimentContext(
+            scale=0.002,
+            _workload=Workload(week.config, week.catalog, week.users,
+                               list(week.requests)),
+            _cloud_result=viewed.cloud_result)
+        return viewed, listed
+
+    @pytest.mark.parametrize("experiment_id",
+                             ["workload_stats", "cloud_text"])
+    def test_same_report(self, contexts, experiment_id):
+        viewed, listed = contexts
+        reports = [REGISTRY[experiment_id](context)
+                   for context in (viewed, listed)]
+        assert reports[0].comparisons == reports[1].comparisons
+        assert reports[0].data == reports[1].data
+
+    def test_same_benchmark_sample(self, contexts):
+        viewed, listed = contexts
+        assert viewed.sample == listed.sample
+        assert len(viewed.sample) == 1000

@@ -1,12 +1,15 @@
 """Tests for arrivals, the workload generator, sampler, and trace IO."""
 
+import gc
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.netsim.isp import ISP
+from repro.perf import golden
 from repro.sim.clock import DAY, WEEK
 from repro.workload import (
     ArrivalProcess,
@@ -16,12 +19,17 @@ from repro.workload import (
     sample_benchmark_requests,
     save_workload,
 )
+from repro.workload.columnar import write_blocks, write_columnar
+from repro.workload.generator import GeneratedRequests, Workload
 from repro.workload.records import (
     FetchRecord,
     PreDownloadRecord,
     RequestRecord,
 )
 from repro.workload.traceio import read_jsonl, write_jsonl
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "golden_digests.json").read_text())
 
 
 class TestArrivalProcess:
@@ -106,6 +114,109 @@ class TestWorkloadGenerator:
     def test_request_class_shares(self, workload):
         shares = workload.request_class_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def golden_week():
+    config = WorkloadConfig(scale=golden.GOLDEN_SCALE,
+                            seed=golden.GOLDEN_SEED)
+    return WorkloadGenerator(config).generate()
+
+
+@pytest.fixture(scope="module")
+def golden_rows(golden_week):
+    """The golden week's requests built one by one, checked against the
+    pinned digest of the generator's output."""
+    assert golden.digest(golden.workload_payload(golden_week)) == \
+        PINNED["workload_sequential"]
+    return list(golden_week.requests)
+
+
+class TestGeneratedRequests:
+    """A generated week holds its requests as columns under a read-only
+    view that builds each row on access."""
+
+    def test_requests_are_a_view(self, golden_week):
+        assert isinstance(golden_week.requests, GeneratedRequests)
+
+    def test_len_and_indexing(self, golden_week, golden_rows):
+        requests = golden_week.requests
+        count = len(golden_rows)
+        assert len(requests) == count
+        for index in (0, 1, count // 2, count - 1, -1, -count):
+            assert requests[index] == golden_rows[index]
+        assert requests[-1].task_id == f"t{count - 1:08d}"
+        for index in (count, -count - 1):
+            with pytest.raises(IndexError):
+                requests[index]
+
+    def test_slices_keep_original_task_ids(self, golden_week,
+                                           golden_rows):
+        requests = golden_week.requests
+        for cut in (slice(3, 40), slice(None, None, 7), slice(-20, None),
+                    slice(50, 10, -3), slice(None, None, -1),
+                    slice(5, 5), slice(None, 0, -1)):
+            view = requests[cut]
+            assert isinstance(view, GeneratedRequests)
+            assert len(view) == len(golden_rows[cut])
+            assert list(view) == golden_rows[cut]
+        nested = requests[10:5000][::3][-40:]
+        assert list(nested) == golden_rows[10:5000][::3][-40:]
+        assert nested[0].task_id == golden_rows[10:5000][::3][-40].task_id
+        assert requests[100:][0].task_id == "t00000100"
+        assert requests[::-1][0].task_id == golden_rows[-1].task_id
+
+    def test_iteration_spans_several_blocks(self, golden_week,
+                                            golden_rows):
+        assert len(golden_rows) > 2 * 4096
+        assert golden_week.requests == golden_rows
+        assert golden_rows == golden_week.requests
+        assert golden_week.requests != golden_rows[:-1]
+
+    def test_request_columns_are_the_generated_arrays(self, golden_week,
+                                                      golden_rows):
+        columns = golden_week.request_columns()
+        assert columns is golden_week.requests.columns
+        listed = Workload(golden_week.config, golden_week.catalog,
+                          golden_week.users,
+                          golden_rows).request_columns()
+        assert np.array_equal(columns.times, listed.times)
+        assert np.array_equal(columns.file_rows, listed.file_rows)
+        assert np.array_equal(columns.user_rows, listed.user_rows)
+        cut = golden_week.requests[7:900:5].request_columns()
+        assert np.array_equal(cut.user_rows, listed.user_rows[7:900:5])
+        assert cut.task_id(2) == golden_rows[17].task_id
+
+    def test_jsonl_of_a_slice_is_the_jsonl_of_its_rows(self, golden_week,
+                                                       golden_rows,
+                                                       tmp_path):
+        # The whole view's JSONL bytes and save/load round trip are
+        # pinned by the traceio_bytes and traceio_roundtrip goldens.
+        cut = slice(-3000, 10, -7)
+        write_jsonl(tmp_path / "view.jsonl", golden_week.requests[cut])
+        write_jsonl(tmp_path / "rows.jsonl", golden_rows[cut])
+        assert (tmp_path / "view.jsonl").read_bytes() == \
+            (tmp_path / "rows.jsonl").read_bytes()
+
+    def test_sliced_view_writes_the_bytes_of_its_rows(self, golden_week,
+                                                      golden_rows,
+                                                      tmp_path):
+        cut = slice(40, 4000, 3)
+        write_blocks(tmp_path / "view.col", RequestRecord,
+                     golden_week.requests[cut].blocks())
+        write_columnar(tmp_path / "rows.col", golden_rows[cut],
+                       RequestRecord)
+        assert (tmp_path / "view.col").read_bytes() == \
+            (tmp_path / "rows.col").read_bytes()
+
+    def test_generate_allocates_no_object_per_request(self):
+        config = WorkloadConfig(scale=golden.GOLDEN_SCALE,
+                                seed=golden.GOLDEN_SEED)
+        gc.collect()
+        before = len(gc.get_objects())
+        week = WorkloadGenerator(config).generate()
+        added = len(gc.get_objects()) - before
+        assert added < len(week.requests)
 
 
 class TestSampler:

@@ -1,5 +1,7 @@
 """Tests for multi-week evolution and persistent-cloud warm-up."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cloud import CloudConfig, XuanfengCloud
@@ -50,6 +52,23 @@ class TestGenerator:
             for request in week.requests:
                 assert request.task_id not in ids
                 ids.add(request.task_id)
+
+    def test_each_week_reads_its_own_snapshot(self, three_weeks):
+        # Rebound to the week's catalog and user copies, so a week's
+        # requests still match its demands after later weeks evolve
+        # the live catalog.
+        for number, week in enumerate(three_weeks, start=1):
+            columns = week.request_columns()
+            assert columns.users is week.users
+            assert all(mine is theirs for mine, theirs
+                       in zip(columns.files, week.catalog, strict=True))
+            demand = Counter(request.file_id for request in week.requests)
+            assert {record.file_id: record.weekly_demand
+                    for record in week.catalog
+                    if record.weekly_demand} == dict(demand)
+            prefix = f"w{number}t" if number > 1 else "t"
+            assert week.requests[-1].task_id == \
+                f"{prefix}{len(week.requests) - 1:08d}"
 
     def test_old_content_cools(self, three_weeks):
         week1_files = {record.file_id
