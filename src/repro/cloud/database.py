@@ -9,10 +9,12 @@ one ODR programs against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.workload.popularity import PopularityClass, classify
+from repro.workload.records import CatalogFile
 
 
 @dataclass
@@ -68,6 +70,23 @@ class ContentDatabase:
         row.request_count += 1
         row.last_request_time = when
         return row
+
+    def record_requests(self, files: Sequence[CatalogFile],
+                        counts: Sequence[int],
+                        last_times: Sequence[float]) -> None:
+        """Record a replay's requests at once: each file's request
+        count and the time of its last request, as that many
+        :meth:`record_request` calls in time order would."""
+        rows = self._rows
+        for record, count, when in zip(files, counts, last_times):
+            file_id = record.file_id
+            row = rows.get(file_id)
+            if row is None:
+                row = rows[file_id] = FileMetadata(file_id=file_id,
+                                                   size=record.size)
+            row.size = record.size
+            row.request_count += count
+            row.last_request_time = when
 
     def record_attempt(self, file_id: str, success: bool) -> None:
         row = self.row(file_id)

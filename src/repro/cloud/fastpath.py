@@ -5,14 +5,17 @@ and without fault injection.  Per-task state lives in preallocated
 parallel tables (phase codes, phase start times, wait deadlines,
 reserved flow rates) plus parallel object slots, and every hop is a
 plain scheduled callback that indexes into those tables -- no
-generators, no Process objects, no ``yield`` plumbing.  Constant
-columns (popularity flags, the arrival order) are batch-computed with
-numpy up front; the mutable per-event scalars live in plain Python
-lists, whose single-element reads/writes are several times cheaper
-than numpy fancy indexing.  Each task's outcome is written straight
-into the columns of the replay's :class:`~repro.cloud.system.RunTable`;
-the machine builds no per-task result, record, flow or admission
-object.
+generators, no Process objects, no ``yield`` plumbing.  The arrival
+order is batch-computed with numpy up front; the mutable per-event
+scalars live in plain Python lists, whose single-element reads/writes
+are several times cheaper than numpy fancy indexing.  Each task's
+outcome is written straight into the columns of the replay's
+:class:`~repro.cloud.system.RunTable`; the machine builds no per-task
+result, record, flow or admission object, and writes only what a later
+decision reads.  A flow row is (task, server group, start, end, rate):
+its popularity, rejection and barrier-crossing flags are derived from
+those after the run, as are the pools' upload gauges and the content
+database's request counts.
 
 The machine replaced per-task generator coroutines, and its output is
 pinned bit for bit to theirs by the golden digests (fault-free and
@@ -21,10 +24,13 @@ faulted alike).  That rests on two invariants:
 * **Hop structure.**  Every ``yield`` of the coroutine a task used to
   be cost exactly one scheduled callback at a fixed ``seq`` position;
   the machine schedules exactly one callback in the same position.
-  The per-request ``call_at`` storm is replaced by a single arrival
-  cursor walking a stable argsort of the request times --
-  order-preserving because the old start events did no observable work
-  before deferring to an immediate ``call_in(0, ...)``.
+  The per-request ``call_at`` storm is replaced by one engine feed
+  (:meth:`~repro.sim.engine.Simulator.feed`) of a stable argsort of
+  the request times -- order-preserving because the old start events
+  did no observable work before deferring to an immediate
+  ``call_in(0, ...)``, which is the ``_begin`` hop the feed fires.  The
+  feed takes one sequence number per distinct arrival time, as the
+  arrival cursor it replaced did with one heap entry each.
 * **Draw order.**  All randomness comes from the one shared per-run
   ``rng`` stream, so event order *is* draw order.  The machine performs
   each draw inside the same hop, in the same argument order.
@@ -67,13 +73,19 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.cloud.fetch import FetchSpeedModel
-from repro.cloud.system import FETCH_DONE, FETCH_REJECTED, RunTable, _take
+from repro.cloud.system import (
+    FETCH_DONE,
+    FETCH_REJECTED,
+    GROUP_CODES,
+    REJECTED_GROUP,
+    RunTable,
+    _take,
+)
 from repro.netsim.isp import ISP
 from repro.paper import FETCH_SPEED_MEAN
 from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.transfer.session import DownloadOutcome
 from repro.workload.generator import Workload
-from repro.workload.popularity import HIGHLY_POPULAR_ABOVE
 
 if TYPE_CHECKING:
     from repro.cloud.system import XuanfengCloud
@@ -175,11 +187,10 @@ class FastTaskMachine:
                            for user in columns.users], columns.user_rows)
 
         # Columnar per-task state: one row per task, written/read by the
-        # phase callbacks.  Constant columns are batch-computed up front
-        # with numpy; the mutable scalars are plain lists (single-element
-        # list indexing beats numpy scalar indexing by ~5x).
+        # phase callbacks.  The mutable scalars are plain lists
+        # (single-element list indexing beats numpy scalar indexing by
+        # ~5x).
         self.phase = [PHASE_NEW] * n
-        self.highly_popular = (table.demand > HIGHLY_POPULAR_ABOVE).tolist()
 
         # Object slots, live only while the owning phase is (``pools``
         # keeps the admitting group's pool, a shared object).
@@ -203,7 +214,9 @@ class FastTaskMachine:
         self._lag_sigma = config.fetch_lag_sigma
         self._max_fetch_rate = config.max_fetch_rate
         self._admit = uploads.admit
-        self._record_request = cloud.database.record_request
+        # A flow row's server group, by the admitting pool.
+        self._group_of = {pool: GROUP_CODES[isp]
+                          for isp, pool in uploads.pools.items()}
         # The LRU's own ``get`` (recency refresh + hit/miss counters);
         # binding it directly skips the storage pool's one-line
         # ``lookup`` wrapper frame on every request.  Returns the
@@ -220,12 +233,11 @@ class FastTaskMachine:
         self.fetch_rate = table.fetch_rate
         self.fetch_state = table.fetch_state
         self._order_append = table.order.append
+        self._flow_task = table.flow_task.append
+        self._flow_group = table.flow_group.append
         self._flow_start = table.flow_start.append
         self._flow_end = table.flow_end.append
         self._flow_rate = table.flow_rate.append
-        self._flow_popular = table.flow_popular.append
-        self._flow_rejected = table.flow_rejected.append
-        self._flow_crossed = table.flow_crossed.append
 
         # Specialised speed sampler, ``speed(bandwidth, quality)``.
         # With the stock model (always, outside subclassing tests) the
@@ -265,36 +277,15 @@ class FastTaskMachine:
         else:
             self._speed = partial(_model_speed, model.sample_speed, rng)
 
-        # Arrival cursor: a stable sort keeps equal-time requests in
-        # submission order, matching the seq order of the per-request
-        # ``call_at`` loop it replaces.
-        times = columns.times
-        order = np.argsort(times, kind="stable")
-        self._order = order.tolist()
-        self._times = times[order].tolist()
-        self._cursor = 0
-
-    # -- arrival cursor ----------------------------------------------------------
+        self._times = columns.times
 
     def start(self) -> None:
-        if self.n:
-            self.sim.call_at(self._times[0], self._arrive)
-
-    def _arrive(self) -> None:
-        sim = self.sim
-        now = sim._now
+        """Feed every arrival to the engine; a stable sort keeps
+        equal-time requests in submission order, matching the seq order
+        of a per-request ``call_at`` loop."""
         times = self._times
-        order = self._order
-        call_in = sim.call_in
-        begin = self._begin
-        k = self._cursor
-        n = self.n
-        while k < n and times[k] == now:
-            call_in(0.0, begin, order[k])
-            k += 1
-        self._cursor = k
-        if k < n:
-            sim.call_at(times[k], self._arrive)
+        order = np.argsort(times, kind="stable")
+        self.sim.feed(times[order], self._begin, order.tolist())
 
     # -- pre-download ------------------------------------------------------------
 
@@ -304,7 +295,6 @@ class FastTaskMachine:
         record = self.records[idx]
         file_id = record.file_id
         start = sim._now
-        self._record_request(file_id, record.size, start)
         self.pre_start[idx] = start
         collaborative = self._collaborative
         if collaborative and self._cache_get(file_id) is not None:
@@ -425,16 +415,21 @@ class FastTaskMachine:
 
     # -- fetch -------------------------------------------------------------------
 
+    def _flow(self, idx: int, group: int, start: float, end: float,
+              rate: float) -> None:
+        """Append one flow row."""
+        self._flow_task(idx)
+        self._flow_group(group)
+        self._flow_start(start)
+        self._flow_end(end)
+        self._flow_rate(rate)
+
     def _rejected_flow(self, idx: int, now: float) -> None:
         """Append the flow a rejected fetch would have been, at the
         mean fetch speed."""
-        estimated_rate = FETCH_SPEED_MEAN
-        self._flow_start(now)
-        self._flow_end(now + self.records[idx].size / estimated_rate)
-        self._flow_rate(estimated_rate)
-        self._flow_popular(self.highly_popular[idx])
-        self._flow_rejected(True)
-        self._flow_crossed(False)
+        self._flow(idx, REJECTED_GROUP, now,
+                   now + self.records[idx].size / FETCH_SPEED_MEAN,
+                   FETCH_SPEED_MEAN)
 
     def _enter_fetch(self, idx: int) -> None:
         start = self.sim._now
@@ -461,13 +456,14 @@ class FastTaskMachine:
         table = self.table
         random = self._rng_random
         rate = self.fetch_rate[idx]
-        self.pools[idx].release(rate, now)
+        pool = self.pools[idx]
+        pool.release(rate)
+        # ``_flow``, open-coded on the hottest fetch hop.
+        self._flow_task(idx)
+        self._flow_group(self._group_of[pool])
         self._flow_start(self.fetch_start[idx])
         self._flow_end(now)
         self._flow_rate(rate)
-        self._flow_popular(self.highly_popular[idx])
-        self._flow_rejected(False)
-        self._flow_crossed(not table.fetch_path[idx].privileged)
         # ``lo + (hi - lo) * rng.random()`` is the exact computation
         # (and stream consumption) of ``rng.uniform(lo, hi)`` without
         # its per-call argument broadcasting -- bit-identical, ~2x
@@ -797,13 +793,9 @@ class FaultedTaskMachine(FastTaskMachine):
                        self.waiters[idx])
         start = self.attempt_start[idx]
         rate = self.rate[idx]
-        self.pools[idx].release(rate, now)
-        self._flow_start(start)
-        self._flow_end(now)
-        self._flow_rate(rate)
-        self._flow_popular(self.highly_popular[idx])
-        self._flow_rejected(False)
-        self._flow_crossed(not path.privileged)
+        pool = self.pools[idx]
+        pool.release(rate)
+        self._flow(idx, self._group_of[pool], start, now, rate)
         if self._resume:
             moved = min(rate * (now - start), self._remaining(idx))
             if moved > 0:

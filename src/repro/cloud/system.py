@@ -27,6 +27,7 @@ from repro.cloud.upload import PathChoice, UploadingServers
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CLOUD_KINDS
 from repro.faults.policies import ResiliencePolicies
+from repro.netsim.isp import MAJOR_ISPS
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.paper import IMPEDED_FETCH_THRESHOLD
 from repro.sim.clock import to_gbps
@@ -52,6 +53,14 @@ from repro.workload.records import (
 FETCH_NONE = 0       # never fetched (the pre-download failed)
 FETCH_DONE = 1
 FETCH_REJECTED = 2
+
+#: Server-group code of a flow row: the group's index in ``MAJOR_ISPS``
+#: (the order of ``UploadingServers.pools``), or this code for a
+#: rejected fetch, which no group carried.  A user outside the four
+#: majors has this code too, so every group it is served from crosses
+#: the ISP barrier.
+REJECTED_GROUP = len(MAJOR_ISPS)
+GROUP_CODES = {isp: code for code, isp in enumerate(MAJOR_ISPS)}
 
 #: Popularity classes by the run table's class code (see ``_class_codes``).
 _CLASSES = (PopularityClass.UNPOPULAR, PopularityClass.POPULAR,
@@ -131,9 +140,12 @@ class RunTable:
     ``order`` lists task indexes in pre-download completion order: the
     order the per-task results were produced in, which is the order of
     :attr:`CloudRunResult.tasks` and of the golden digests.  Flow
-    columns are append-only, one row per fetch flow in creation order.
-    ``retried_rejects`` times the admission rejections a faulted fetch
-    retried, which leave no flow row.
+    columns are append-only, one row per fetch flow in creation order:
+    the task, its server group (a :data:`GROUP_CODES` code, or
+    :data:`REJECTED_GROUP`), start, end and rate.  The flow's flags are
+    derived from those (:meth:`flow_column`).  ``retried_rejects`` times
+    the admission rejections a faulted fetch retried, which leave no
+    flow row.
     """
 
     def __init__(self, requests: Sequence[RequestRecord],
@@ -144,6 +156,7 @@ class RunTable:
         # Per-task file and user, shared with the task machine.
         self.records = _take(columns.files, columns.file_rows)
         self.users = _take(columns.users, columns.user_rows)
+        self._columns = columns
         self.demand = np.fromiter(
             (record.weekly_demand for record in columns.files),
             dtype=np.int64, count=len(columns.files))[columns.file_rows]
@@ -170,12 +183,11 @@ class RunTable:
         self.fetch_path: list[Optional[PathChoice]] = [None] * n
         self.order = array("q")
         # Flow columns.
+        self.flow_task = array("q")
+        self.flow_group = bytearray()
         self.flow_start = _floats()
         self.flow_end = _floats()
         self.flow_rate = _floats()
-        self.flow_popular = bytearray()
-        self.flow_rejected = bytearray()
-        self.flow_crossed = bytearray()     # crossed the ISP barrier
         self.retried_rejects = _floats()
 
     # -- rows ------------------------------------------------------------------
@@ -209,10 +221,24 @@ class RunTable:
                           self.fetch_path[idx])
 
     def flow_row(self, position: int) -> FetchFlow:
-        return FetchFlow(self.flow_start[position], self.flow_end[position],
-                         self.flow_rate[position],
-                         bool(self.flow_popular[position]),
-                         bool(self.flow_rejected[position]))
+        return FetchFlow(
+            self.flow_start[position], self.flow_end[position],
+            self.flow_rate[position],
+            bool(self.demand[self.flow_task[position]]
+                 > HIGHLY_POPULAR_ABOVE),
+            self.flow_group[position] == REJECTED_GROUP)
+
+    def requests_per_file(self) -> tuple[list[CatalogFile], list[int],
+                                         list[float]]:
+        """(file, request count, time of the last request) of every
+        requested file, in catalog row order."""
+        files, file_rows = self._columns.files, self._columns.file_rows
+        counts = np.bincount(file_rows, minlength=len(files))
+        last = np.full(len(files), -np.inf)
+        np.maximum.at(last, file_rows, _view(self.pre_start, np.float64))
+        rows = np.flatnonzero(counts)
+        return (_take(files, rows), counts[rows].tolist(),
+                last[rows].tolist())
 
     # -- numpy views -------------------------------------------------------------
 
@@ -223,9 +249,26 @@ class RunTable:
         return _view(column, dtype)[_view(self.order, np.int64)]
 
     def flow_column(self, name: str) -> np.ndarray:
+        """Flow column ``name`` as numpy: a written column (``task``,
+        ``group``, ``start``, ``end``, ``rate``) or a derived flag --
+        ``popular`` (the task's file is highly popular), ``rejected``
+        or ``crossed`` (served across the ISP barrier)."""
+        if name == "popular":
+            return self.demand[self.flow_column("task")] \
+                > HIGHLY_POPULAR_ABOVE
+        if name == "rejected":
+            return self.flow_column("group") == REJECTED_GROUP
+        if name == "crossed":
+            columns = self._columns
+            home = np.array([GROUP_CODES.get(user.isp, REJECTED_GROUP)
+                             for user in columns.users], dtype=np.uint8)
+            group = self.flow_column("group")
+            return (group != REJECTED_GROUP) & (group != home[
+                columns.user_rows[self.flow_column("task")]])
         column = getattr(self, f"flow_{name}")
-        return _view(column, np.uint8 if isinstance(column, bytearray)
-                     else np.float64)
+        if isinstance(column, bytearray):
+            return _view(column, np.uint8)
+        return _view(column, np.int64 if name == "task" else np.float64)
 
 
 T = TypeVar("T")
@@ -472,9 +515,9 @@ class CloudRunResult:
                                  table.flow_column("rate")])
         keep = np.ones(len(flows), dtype=bool)
         if not include_rejected:
-            keep &= table.flow_column("rejected") == 0
+            keep &= ~table.flow_column("rejected")
         if only_highly_popular:
-            keep &= table.flow_column("popular") != 0
+            keep &= table.flow_column("popular")
         return bin_rate_series(flows[keep], bin_width, self.horizon)
 
     def user_traffic_overhead(self) -> float:
@@ -484,6 +527,29 @@ class CloudRunResult:
         traffic = sum(table.ordered("fetch_traffic")[done].tolist())
         payload = sum(table.ordered("fetch_bytes")[done].tolist())
         return traffic / payload if payload > 0 else 0.0
+
+
+def _pool_levels(starts: np.ndarray, ends: np.ndarray, rates: np.ndarray,
+                 peak: float) -> tuple[np.ndarray, np.ndarray]:
+    """(time, committed level) after each commit and release of one
+    pool's flows, in time order.
+
+    Each flow commits its rate at its start and releases it at its end;
+    at equal times, commits come first.  The running sum restarts
+    wherever no flow is outstanding, where the pool snaps its level to
+    0.0, and is clipped to ``[0, peak]``: the levels are the pool's own
+    up to float rounding.
+    """
+    count = len(starts)
+    times = np.concatenate([starts, ends])
+    order = np.argsort(times, kind="stable")
+    commits = order < count
+    levels = np.cumsum(np.concatenate([rates, -rates])[order])
+    idle = np.cumsum(np.where(commits, 1, -1)) == 0
+    restart = np.maximum.accumulate(
+        np.where(idle, np.arange(len(order)), -1))
+    levels -= np.where(restart >= 0, levels[restart], 0.0)
+    return times[order], np.clip(levels, 0.0, peak)
 
 
 def _cdf(values: np.ndarray) -> CDF:
@@ -546,7 +612,6 @@ class XuanfengCloud:
                 if record.file_id in self.pool:
                     self.database.set_cached(record.file_id, True)
 
-        marks = [len(pool.step_times) for pool in self.uploads.pools.values()]
         # Imported here: the machine module imports this one.
         from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
         machine_class = FastTaskMachine if self.faults is None \
@@ -559,8 +624,11 @@ class XuanfengCloud:
             sim.run()
         table = machine.table
         del machine
+        # Nothing reads a file's request count during the replay, so
+        # the week's counts are added once, here.
+        self.database.record_requests(*table.requests_per_file())
         if self.metrics.enabled:
-            self._publish(table, marks)
+            self._publish(table)
         # Freeze the clock at the end of the week so observations made
         # after the run (and enclosing spans) keep a meaningful
         # sim-time stamp instead of reading a dead simulator.
@@ -571,13 +639,14 @@ class XuanfengCloud:
             uploads=self.uploads, fleet=self.fleet,
             database=self.database, horizon=workload.horizon)
 
-    def _publish(self, table: RunTable, marks: list[int]) -> None:
+    def _publish(self, table: RunTable) -> None:
         """Publish a replay's metrics from its run table and pools.
 
-        Each counter is a column filter binned by the column's times;
-        each upload gauge samples its pool's step function (steps from
-        ``marks`` on) at the last step of a bin, peaking at the pool's
-        peak; the VM queue reports its final length and peak."""
+        Each counter is a column filter binned by the column's times.
+        Each upload gauge takes, per bin, its pool's committed level
+        after the bin's last commit or release, rebuilt from the pool's
+        flow rows (:func:`_pool_levels`), and peaks at the pool's peak.
+        The VM queue reports its final length and peak."""
         metrics = self.metrics
         width = metrics.bin_width
 
@@ -591,24 +660,28 @@ class XuanfengCloud:
         hit = (_view(table.cache_hit, np.uint8) != 0) \
             & (_view(table.coalesced, np.uint8) == 0)
         starts = table.flow_column("start")
+        groups = table.flow_column("group")
         retried = _view(table.retried_rejects, np.float64)
         count("repro_cloud_tasks_total", arrivals)
         count("repro_cloud_cache_hits_total", arrivals[hit])
         count("repro_cloud_cache_misses_total", arrivals[~hit])
         count("repro_cloud_fetches_total", np.concatenate([starts, retried]))
         count("repro_cloud_admission_rejects_total", np.concatenate(
-            [starts[table.flow_column("rejected") != 0], retried]))
+            [starts[table.flow_column("rejected")], retried]))
         count("repro_cloud_isp_barrier_crossings_total",
-              starts[table.flow_column("crossed") != 0])
-        for (isp, pool), mark in zip(self.uploads.pools.items(), marks):
+              starts[table.flow_column("crossed")])
+        ends = table.flow_column("end")
+        rates = table.flow_column("rate")
+        for isp, pool in self.uploads.pools.items():
             gauge = metrics.gauge("repro_cloud_upload_gbps", isp=isp.value)
-            if len(pool.step_times) > mark:
-                times = _view(pool.step_times[mark:], np.float64)
+            mine = groups == GROUP_CODES[isp]
+            times, levels = _pool_levels(starts[mine], ends[mine],
+                                         rates[mine], pool.peak_committed)
+            if len(times):
                 bins = (times // width).astype(np.int64)
                 last = np.append(bins[1:] != bins[:-1], True)
-                levels = _view(pool.step_levels[mark:], np.float64)[last]
                 metrics.record_bins(gauge, bins[last].tolist(),
-                                    to_gbps(levels).tolist(),
+                                    to_gbps(levels[last]).tolist(),
                                     peak=to_gbps(pool.peak_committed))
         metrics.gauge("repro_cloud_dedup_bytes_saved").set(
             self.pool.dedup_bytes_saved)

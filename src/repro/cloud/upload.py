@@ -189,7 +189,7 @@ class UploadingServers:
         path cap and the user's ``bandwidth``); the group's pool commits
         that rate, capped at the config's maximum fetch rate.  Returns
         the shared path choice, the pool and the committed rate -- the
-        caller hands the rate back with ``pool.release(rate, now)`` --
+        caller hands the rate back with ``pool.release(rate)`` --
         or ``None`` when every candidate is exhausted (the fetch is
         rejected).
 
@@ -216,7 +216,7 @@ class UploadingServers:
                     rate = min(speed(bandwidth, quality), max_fetch_rate)
                     if rate_scale is not None:
                         rate *= rate_scale(label, now)
-                    if rate > 0 and pool.commit(rate, now):
+                    if rate > 0 and pool.commit(rate):
                         return choice, pool, rate
             candidates = (_most_headroom(row.tiers[0]),)
         else:
@@ -236,7 +236,7 @@ class UploadingServers:
             # "No limitation on the user's fetching speed": the flow is
             # admitted at its full rate or not at all -- Xuanfeng rejects
             # rather than degrade (section 2.1).
-            if pool.commit(rate, now):
+            if pool.commit(rate):
                 return choice, pool, rate
         self.rejected_fetches += 1
         return None

@@ -10,6 +10,8 @@ simulation dependency:
   resumed when the waitable fires.
 * ``simulator.call_at`` / ``call_in`` schedule plain callbacks for code that
   does not need a coroutine.
+* ``simulator.feed`` hands the loop a sorted column of arrivals, which it
+  merges into dispatch without a heap entry per arrival.
 
 Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so simulations are
@@ -22,6 +24,8 @@ import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.registry import AnyRegistry
@@ -258,7 +262,8 @@ class Simulator:
     reports events scheduled/fired, process starts/resumes, interrupts,
     and the pending-event depth per sim-time bin.  Nothing is counted
     per event: scheduled is the sequence number, fired the sequence
-    minus the pending queues, the rest plain integers.  They are
+    minus the pending events (both queues and the feed's reserved
+    group), the rest plain integers.  They are
     published as the clock crosses a bin edge and as :meth:`run`
     starts and returns, each time with a sample of the pending depth.
     """
@@ -280,6 +285,16 @@ class Simulator:
         self._immediate: deque[tuple[int, Callable[..., None], tuple]] = \
             deque()
         self._sequence = 0
+        # The arrival feed (see :meth:`feed`): sorted times, one item
+        # per time, the callback, the cursor, and the (when, seq) of the
+        # pending group -- ``when`` is infinity once the feed drains.
+        self._feed_times: list[float] = []
+        self._feed_items: list = []
+        self._feed_func: Optional[Callable[..., None]] = None
+        self._feed_next = 0
+        self._feed_when = math.inf
+        self._feed_seq = 0
+        self._running = False
         self._orphan_errors: list[tuple[str, BaseException]] = []
         self.processes_started = 0
         self.process_resumes = 0
@@ -336,6 +351,44 @@ class Simulator:
         else:
             heappush(self._heap, (when, seq, func, args))
 
+    def feed(self, times: Iterable[float], func: Callable[..., None],
+             items: Iterable[Any]) -> None:
+        """Fire ``func(item)`` for each of ``items`` at its time in ``times``.
+
+        ``times`` is sorted and none is before now; items due at the
+        same time fire in their order.  The feed is exactly a cursor
+        callback that ``call_at``-s itself once per distinct time and
+        there queues ``call_in(0.0, func, item)`` for each item due --
+        the same firing order, the same sequence numbers, the same
+        pending count (the cursor's one reserved event) -- but its head
+        is merged into :meth:`run`'s dispatch instead of taking a heap
+        push and pop per time.  One feed at a time; set it up before
+        :meth:`run` or between runs.  A drained feed drops ``func``.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        items = list(items)
+        if self._running:
+            raise SimulationError(
+                f"feed set up inside run() at t={self._now:g}")
+        if self._feed_when != math.inf:
+            raise SimulationError(
+                f"feed set up while another is pending at t={self._now:g}")
+        if len(times) != len(items):
+            raise SimulationError(
+                f"feed of {len(times)} times and {len(items)} items")
+        if not len(times):
+            return
+        if times[0] < self._now or bool(np.any(times[1:] < times[:-1])):
+            raise SimulationError(
+                f"feed times are not sorted from now={self._now}")
+        self._feed_times = times.tolist()
+        self._feed_items = items
+        self._feed_func = func
+        self._feed_next = 0
+        self._feed_when = self._feed_times[0]
+        self._feed_seq = self._sequence
+        self._sequence += 1
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process immediately (first step at the current time)."""
         process = Process(self, generator, name=name)
@@ -376,7 +429,8 @@ class Simulator:
         metrics = self._metrics
         if metrics is None:
             return math.inf
-        pending = len(self._heap) + len(self._immediate)
+        pending = len(self._heap) + len(self._immediate) \
+            + (self._feed_when != math.inf)
         counts = [self._sequence, self._sequence - pending,
                   self.processes_started, self.process_resumes,
                   self.interrupts]
@@ -406,27 +460,44 @@ class Simulator:
         shares the current timestamp (scheduled before the clock reached
         it) is merged in by comparing sequence numbers, so the global
         firing order is identical to a single time-ordered heap.  The
-        clock only moves in the heap branch; metering costs one compare
+        feed's head (:meth:`feed`) is one more such entry, held in two
+        locals instead of the heap.  The clock only moves when the heap
+        head or the feed head is taken; metering costs one compare
         there.
         """
+        self._running = True
         edge = self._publish(self._now)
         heap = self._heap
         immediate = self._immediate
         orphans = self._orphan_errors
         pop = heappop
         popleft = immediate.popleft
+        inf = math.inf
+        feed_times = self._feed_times
+        feed_items = self._feed_items
+        feed_func = self._feed_func
+        feed_count = len(feed_times)
+        feed_next = self._feed_next
+        feed_when = self._feed_when
+        feed_seq = self._feed_seq
         try:
             while True:
                 if immediate:
                     now = self._now
                     if until is not None and now > until:
                         break
-                    if heap and heap[0][0] <= now \
-                            and heap[0][1] < immediate[0][0]:
+                    seq = immediate[0][0]
+                    timer = heap and heap[0][0] <= now and heap[0][1] < seq
+                    if timer:
+                        seq = heap[0][1]
+                    if feed_when <= now and feed_seq < seq:
+                        func = None
+                    elif timer:
                         _when, _seq, func, args = pop(heap)
                     else:
                         _seq, func, args = popleft()
-                elif heap:
+                elif heap and (heap[0][0] < feed_when or (
+                        heap[0][0] == feed_when and heap[0][1] < feed_seq)):
                     head = heap[0]
                     when = head[0]
                     if until is not None and when > until:
@@ -436,8 +507,47 @@ class Simulator:
                     pop(heap)
                     self._now = when
                     func, args = head[2], head[3]
-                else:
+                elif feed_when == inf or (until is not None
+                                          and feed_when > until):
                     break
+                else:
+                    if feed_when >= edge:
+                        edge = self._publish(feed_when)
+                    self._now = feed_when
+                    func = None
+                if func is None:
+                    # The feed's head is next in (when, seq) order: give
+                    # each item due its zero-delay hop, then reserve the
+                    # next group's sequence number.  A lone item whose
+                    # hop would be the very next event skips the queue.
+                    now = feed_when
+                    seq = self._sequence
+                    k = feed_next + 1
+                    if not immediate and (k == feed_count
+                                          or feed_times[k] != now) \
+                            and not (heap and heap[0][0] <= now):
+                        func, args = feed_func, (feed_items[feed_next],)
+                        seq += 1
+                    else:
+                        k = feed_next
+                        while k < feed_count and feed_times[k] == now:
+                            immediate.append(
+                                (seq, feed_func, (feed_items[k],)))
+                            seq += 1
+                            k += 1
+                    feed_next = k
+                    if k < feed_count:
+                        feed_when = feed_times[k]
+                        feed_seq = seq
+                        seq += 1
+                    else:
+                        feed_when = inf
+                        self._feed_times = self._feed_items = []
+                        self._feed_func = None
+                    self._feed_when = feed_when
+                    self._sequence = seq
+                    if func is None:
+                        continue
                 func(*args)
                 if orphans:
                     name, error = orphans[0]
@@ -445,6 +555,9 @@ class Simulator:
                         f"unhandled error in process {name!r} "
                         f"at t={self._now:g}") from error
         finally:
+            self._running = False
+            self._feed_next = feed_next
+            self._feed_seq = feed_seq
             self._publish(self._now)
         if until is not None and self._now < until:
             self._now = until

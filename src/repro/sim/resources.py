@@ -15,15 +15,14 @@ paper describes:
   concurrent flows genuinely compete (e.g. several devices fetching from
   one smart AP over the LAN).
 
-A reservation pool records its committed level as a step function
-(``step_times``/``step_levels``), which the cloud's per-ISP upload
-gauges sample; the Figure 11 burden series is binned from the replay's
-flow columns (``CloudRunResult.bandwidth_series``), not from the pools.
+A reservation pool keeps only its committed level, its peak and its
+counts.  The cloud's per-ISP upload gauges and the Figure 11 burden
+series are both rebuilt from the replay's flow rows after the run
+(``XuanfengCloud._publish``, ``CloudRunResult.bandwidth_series``).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,13 +46,6 @@ class ReservationPool:
         self.admissions = 0
         #: Commits not yet released.
         self.outstanding = 0
-        # The step function as two parallel float arrays: admissions and
-        # releases hit this on every flow, and appending a float is
-        # several times cheaper than constructing a sample object per
-        # step (and an array holds 8 bytes per step, not a float
-        # object).
-        self.step_times = array("d", [0.0])
-        self.step_levels = array("d", [0.0])
 
     @property
     def available(self) -> float:
@@ -61,7 +53,7 @@ class ReservationPool:
             return float("inf")
         return self.capacity - self.committed
 
-    def commit(self, rate: float, now: float) -> bool:
+    def commit(self, rate: float) -> bool:
         """Commit ``rate`` B/s if it fits; False (a counted rejection)
         when it does not.  The caller hands the rate back with
         :meth:`release`."""
@@ -76,10 +68,9 @@ class ReservationPool:
         self.outstanding += 1
         if committed > self.peak_committed:
             self.peak_committed = committed
-        self._record(now)
         return True
 
-    def release(self, rate: float, now: float) -> None:
+    def release(self, rate: float) -> None:
         """Return a committed rate to the pool.  Only a release with no
         commit outstanding is an over-release; when the last flow leaves,
         the level snaps to 0.0, dropping the float residue of the pairs."""
@@ -91,15 +82,6 @@ class ReservationPool:
         if committed < 0.0 or not outstanding:
             committed = 0.0
         self.committed = committed
-        self._record(now)
-
-    def _record(self, now: float) -> None:
-        times = self.step_times
-        if times[-1] == now:
-            self.step_levels[-1] = self.committed
-        else:
-            times.append(now)
-            self.step_levels.append(self.committed)
 
 
 @dataclass

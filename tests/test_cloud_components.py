@@ -153,7 +153,7 @@ class TestUploadingServers:
         assert choice.server_isp is ISP.UNICOM
         assert rate == pytest.approx(kbps(400.0))
         assert uploads.pools[ISP.UNICOM].committed == rate
-        pool.release(rate, 1.0)
+        pool.release(rate)
 
     def test_rate_is_capped_at_max_fetch(self):
         uploads = self.make_uploads()

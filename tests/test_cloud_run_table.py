@@ -14,6 +14,7 @@ without the default policies, and under each cloud ablation.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -22,12 +23,18 @@ import pytest
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.timeseries import bin_rate_series
 from repro.cloud import CloudConfig, XuanfengCloud
+from repro.cloud.database import ContentDatabase
+from repro.cloud.system import FETCH_DONE
 from repro.faults import DEFAULT_POLICIES, FaultInjector
 from repro.faults.plan import default_chaos_plan
+from repro.obs import MetricsRegistry
 from repro.paper import IMPEDED_FETCH_THRESHOLD
 from repro.perf.golden import FAULTED_FLEET, GOLDEN_SCALE, GOLDEN_SEED
+from repro.sim.clock import to_gbps
+from repro.sim.resources import ReservationPool
 from repro.workload.generator import Workload, WorkloadConfig, \
     WorkloadGenerator
+from repro.workload.popularity import PopularityClass
 
 #: The fig10 driver's popularity buckets.
 BUCKETS = [(0, 7), (7, 28), (28, 84), (84, 10 ** 9)]
@@ -285,3 +292,97 @@ def test_empty_week_reduces_to_zeros(week):
     assert not result.bandwidth_series().any()
     with pytest.raises(ValueError):
         result.fetch_speed_cdf()
+
+
+# -- what is derived after the run ---------------------------------------------
+
+
+class TestDerivedAfterRun:
+    """Flow flags and request counts are not written per event; each is
+    derived from the run table once the replay ends and must equal what
+    per-event bookkeeping gives."""
+
+    def test_flow_flags(self, result):
+        table = result.table
+        tasks = table.flow_column("task").tolist()
+        rejected = table.flow_column("rejected").tolist()
+        crossed = table.flow_column("crossed").tolist()
+        popular = table.flow_column("popular").tolist()
+        assert len(tasks) == len(result.flows) > 0
+        flows_of = Counter(tasks)
+        checked = 0
+        for task, was_rejected, was_crossed, was_popular in zip(
+                tasks, rejected, crossed, popular):
+            assert was_popular == (table.records[task].popularity_class
+                                   is PopularityClass.HIGHLY_POPULAR)
+            if was_rejected:
+                assert not was_crossed
+            elif flows_of[task] == 1 and table.fetch_state[task] == \
+                    FETCH_DONE:
+                # The task's one flow took its recorded path.
+                assert was_crossed == (not table.fetch_path[task].privileged)
+                checked += 1
+        assert checked > 0
+
+    def test_request_counts(self, week, result):
+        reference = ContentDatabase()
+        columns = week.request_columns()
+        for position in np.argsort(columns.times, kind="stable").tolist():
+            record = columns.files[columns.file_rows[position]]
+            reference.record_request(record.file_id, record.size,
+                                     columns.times[position].item())
+        for record in columns.files:
+            expected = reference.get(record.file_id)
+            live = result.database.get(record.file_id)
+            if expected is None:
+                assert live is None or live.request_count == 0
+                continue
+            assert (live.size, live.request_count,
+                    live.last_request_time) == (
+                expected.size, expected.request_count,
+                expected.last_request_time)
+
+
+@pytest.mark.parametrize("faulted", [False, True],
+                         ids=["fault-free", "chaos-policies"])
+def test_upload_gauges_follow_the_pools(week, monkeypatch, faulted):
+    """Each ``repro_cloud_upload_gbps`` level is rebuilt from the pool's
+    flow rows; a brute-force walk records the pool's own level after
+    every commit and release, and the last one in each bin must match."""
+    steps: dict = {}
+    registry = MetricsRegistry()
+    clock = registry.now    # the replay's sim clock
+    commit, release = ReservationPool.commit, ReservationPool.release
+
+    def logged_commit(pool, rate):
+        admitted = commit(pool, rate)
+        if admitted:
+            steps.setdefault(pool.name, []).append((clock(), pool.committed))
+        return admitted
+
+    def logged_release(pool, rate):
+        release(pool, rate)
+        steps.setdefault(pool.name, []).append((clock(), pool.committed))
+
+    monkeypatch.setattr(ReservationPool, "commit", logged_commit)
+    monkeypatch.setattr(ReservationPool, "release", logged_release)
+    injector = FaultInjector(default_chaos_plan()) if faulted else None
+    cloud = XuanfengCloud(
+        CloudConfig(scale=GOLDEN_SCALE), metrics=registry, faults=injector,
+        policies=DEFAULT_POLICIES if faulted else None)
+    cloud.run(week)
+    width = registry.bin_width
+    for isp, pool in cloud.uploads.pools.items():
+        by_bin = {}
+        for now, level in steps[pool.name]:
+            by_bin[int(now // width)] = to_gbps(level)
+        live = registry.series("repro_cloud_upload_gbps", isp=isp.value)
+        assert [start for start, _level in live] == \
+            [index * width for index in sorted(by_bin)]
+        assert [level for _start, level in live] == pytest.approx(
+            [by_bin[index] for index in sorted(by_bin)], rel=1e-9)
+        assert live[-1][1] == 0.0 and pool.committed == 0.0
+        gauge = [instrument for instrument in registry.instruments()
+                 if instrument.name == "repro_cloud_upload_gbps"
+                 and dict(instrument.labels)["isp"] == isp.value]
+        assert gauge[0].peak == to_gbps(pool.peak_committed) > 0.0

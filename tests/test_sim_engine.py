@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.perf import golden
 from repro.sim import (
     Interrupt,
@@ -556,3 +557,146 @@ class TestSameInstantDispatchOrder:
         second = by_time[2.0]
         assert second.index("burst-2") < second.index("r3-timer")
         assert second.index("r3-timer") < second.index("r3-late-timer")
+
+
+class TestFeed:
+    """``Simulator.feed`` against the cursor it replaces.
+
+    The reference is a cursor callback built from ``call_at``: at each
+    distinct arrival time it queues ``call_in(0.0, func, item)`` per
+    item due, then ``call_at``-s itself at the next time.  The feed must
+    fire the same log in the same order, with the same event counts and
+    pending depths.
+    """
+
+    #: Ties with heap entries and immediates, and lone arrivals (4.5,
+    #: 8.5) whose hop is the next event.
+    TIMES = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.5, 6.0, 8.5]
+
+    @staticmethod
+    def cursor(sim, times, func, items):
+        times, items = list(times), list(items)
+        position = [0]
+
+        def arrive():
+            k = position[0]
+            while k < len(times) and times[k] == sim.now:
+                sim.call_in(0.0, func, items[k])
+                k += 1
+            position[0] = k
+            if k < len(times):
+                sim.call_at(times[k], arrive)
+
+        if times:
+            sim.call_at(times[0], arrive)
+
+    @staticmethod
+    def scenario(sim, log, arrivals):
+        """Heap entries before and after the arrivals, immediates and a
+        process, all tying with arrival times."""
+        def hit(tag):
+            log.append((sim.now, tag))
+
+        def arrive(tag):
+            log.append((sim.now, tag))
+            sim.call_in(0.0, hit, f"{tag}-now")
+            sim.call_in(1.0, hit, f"{tag}-later")
+
+        def walker():
+            for step in range(4):
+                yield Timeout(1.0)
+                hit(f"walk-{step}")
+                yield Timeout(0.0)
+                hit(f"walk-{step}-again")
+
+        sim.call_at(0.0, hit, "before-at-0")
+        for when in (1.0, 2.0, 2.0, 3.0, 5.0):
+            sim.call_at(when, hit, f"before-{when:g}")
+        sim.process(walker(), name="walker")
+        arrivals(sim, TestFeed.TIMES, arrive,
+                 [f"a{k}" for k in range(len(TestFeed.TIMES))])
+        sim.call_at(0.0, hit, "after-at-0")
+        for when in (1.0, 3.0, 3.0, 6.0):
+            sim.call_at(when, hit, f"after-{when:g}")
+
+    def replay(self, arrivals, stops=()):
+        registry = MetricsRegistry(bin_width=1.0)
+        sim = Simulator(metrics=registry)
+        log: list = []
+        self.scenario(sim, log, arrivals)
+        for until in stops:
+            sim.run(until=until)
+            log.append((sim.now, "stopped"))
+        sim.run()
+        series = {name: registry.series(f"repro_sim_{name}")
+                  for name in ("events_scheduled_total",
+                               "events_fired_total", "heap_depth")}
+        return log, registry.snapshot(), series
+
+    @staticmethod
+    def fed(sim, times, func, items):
+        sim.feed(times, func, items)
+
+    def test_ties_with_heap_entries_and_immediates(self):
+        log, counts, series = self.replay(self.fed)
+        assert (log, counts, series) == self.replay(self.cursor)
+        assert counts["repro_sim_events_scheduled_total"] == \
+            counts["repro_sim_events_fired_total"] > len(self.TIMES)
+        at_one = [tag for when, tag in log if when == 1.0]
+        # Every heap entry due at 1.0 fires before the group's items,
+        # whose hops take their sequence numbers only when the group
+        # fires; the items precede the zero-delay work they queue.
+        for tag in ("before-1", "after-1", "a0-later"):
+            assert at_one.index(tag) < at_one.index("a1")
+        assert at_one.index("a2") < at_one.index("a1-now")
+
+    @pytest.mark.parametrize("stops", [(1.0,), (0.5, 2.0, 2.5), (3.0, 7.0)])
+    def test_run_until_stops_and_resumes(self, stops):
+        assert self.replay(self.fed, stops) == \
+            self.replay(self.cursor, stops)
+
+    def test_feed_at_now_orders_by_sequence(self):
+        def run(arrivals):
+            sim = Simulator()
+            log: list = []
+            sim.call_in(0.0, log.append, "first")
+            arrivals(sim, [0.0, 0.0], log.append, ["x", "y"])
+            sim.call_in(0.0, log.append, "last")
+            sim.run()
+            return log
+
+        # The group's items are queued when its reserved event fires,
+        # after the immediates scheduled before and after the feed.
+        assert run(self.fed) == run(self.cursor) == \
+            ["first", "last", "x", "y"]
+
+    def test_drained_feed_drops_its_callback(self):
+        import weakref
+
+        class Target:
+            def hit(self, item):
+                pass
+
+        sim = Simulator()
+        target = Target()
+        ref = weakref.ref(target)
+        sim.feed([1.0, 2.0], target.hit, [0, 1])
+        del target
+        sim.run()
+        assert ref() is None
+
+    def test_invalid_feeds_are_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="not sorted"):
+            sim.feed([2.0, 1.0], print, [0, 1])
+        with pytest.raises(SimulationError, match="items"):
+            sim.feed([1.0], print, [0, 1])
+        sim.feed([1.0], print, [0])
+        with pytest.raises(SimulationError, match="pending"):
+            sim.feed([2.0], print, [0])
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="not sorted"):
+            sim.feed([4.0], print, [0])
+        sim.call_in(1.0, lambda: sim.feed([9.0], print, [0]))
+        with pytest.raises(SimulationError, match="inside run"):
+            sim.run()

@@ -14,18 +14,18 @@ class TestReservationPool:
 
     def test_reserve_and_release_roundtrip(self):
         pool = ReservationPool(100.0)
-        assert pool.commit(40.0, now=0.0)
+        assert pool.commit(40.0)
         assert pool.committed == 40.0
         assert pool.available == 60.0
-        pool.release(40.0, now=5.0)
+        pool.release(40.0)
         assert pool.committed == 0.0
 
     def test_over_capacity_raises_and_counts(self):
         # The name is kept from the raising ``reserve`` this first tested;
         # ``commit`` refuses without raising, and the counts are the same.
         pool = ReservationPool(100.0)
-        assert pool.commit(80.0, now=0.0)
-        assert not pool.commit(30.0, now=1.0)
+        assert pool.commit(80.0)
+        assert not pool.commit(30.0)
         assert pool.committed == 80.0
         assert pool.rejections == 1
         assert pool.admissions == 1
@@ -33,57 +33,57 @@ class TestReservationPool:
     def test_try_reserve_returns_none_when_full(self):
         # The name is kept from ``try_reserve``; ``commit`` answers False.
         pool = ReservationPool(10.0)
-        assert pool.commit(8.0, now=0.0)
-        assert not pool.commit(5.0, now=0.0)
+        assert pool.commit(8.0)
+        assert not pool.commit(5.0)
         assert pool.committed == 8.0
 
     def test_exact_fit_is_admitted(self):
         pool = ReservationPool(10.0)
-        assert pool.commit(10.0, now=0.0)
+        assert pool.commit(10.0)
         assert pool.available == 0.0
 
     def test_negative_rate_rejected(self):
         pool = ReservationPool(10.0)
         with pytest.raises(ValueError):
-            pool.commit(-1.0, now=0.0)
+            pool.commit(-1.0)
 
     def test_float_residue_is_not_an_over_release(self):
         # 1e12 + 0.1 rounds the 0.1; handing both rates back leaves a
         # float residue below zero that is not a double release.
         pool = ReservationPool(None, name="x")
-        pool.commit(1e12, now=0.0)
-        pool.commit(0.1, now=0.0)
-        pool.release(1e12, now=1.0)
-        pool.release(0.1, now=1.0)
+        pool.commit(1e12)
+        pool.commit(0.1)
+        pool.release(1e12)
+        pool.release(0.1)
         assert pool.committed == 0.0
 
     def test_empty_pool_snaps_to_zero(self):
         pool = ReservationPool(10.0)
         for rate in (0.1, 0.2, 0.3):
-            pool.commit(rate, now=0.0)
+            pool.commit(rate)
         for rate in (0.1, 0.2, 0.3):
-            pool.release(rate, now=1.0)
+            pool.release(rate)
         assert pool.committed == 0.0
-        assert pool.step_levels[-1] == 0.0
+        assert pool.outstanding == 0
 
     def test_releasing_more_flows_than_committed_raises(self):
         pool = ReservationPool(10.0, name="x")
-        pool.commit(4.0, now=0.0)
-        pool.release(4.0, now=1.0)
+        pool.commit(4.0)
+        pool.release(4.0)
         with pytest.raises(RuntimeError, match="over-released"):
-            pool.release(1e-9, now=2.0)
+            pool.release(1e-9)
 
     def test_unmetered_pool_always_admits(self):
         pool = ReservationPool(None)
         for _ in range(10):
-            assert pool.commit(1e12, now=0.0)
+            assert pool.commit(1e12)
         assert pool.available == float("inf")
 
     def test_peak_committed_tracks_high_water_mark(self):
         pool = ReservationPool(100.0)
-        pool.commit(60.0, now=0.0)
-        pool.commit(30.0, now=1.0)
-        pool.release(60.0, now=2.0)
+        pool.commit(60.0)
+        pool.commit(30.0)
+        pool.release(60.0)
         assert pool.peak_committed == 90.0
         assert pool.committed == 30.0
 
@@ -93,12 +93,12 @@ class TestReservationPool:
     def test_committed_never_exceeds_capacity(self, rates):
         pool = ReservationPool(100.0)
         held = []
-        for index, rate in enumerate(rates):
-            if pool.commit(rate, now=float(index)):
+        for rate in rates:
+            if pool.commit(rate):
                 held.append(rate)
             assert 0.0 <= pool.committed <= pool.capacity + 1e-9
-        for index, rate in enumerate(held):
-            pool.release(rate, now=100.0 + index)
+        for rate in held:
+            pool.release(rate)
         assert pool.committed == 0.0
 
 
