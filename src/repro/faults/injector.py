@@ -50,9 +50,11 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, metrics=NOOP):
         self.plan = plan
         self.metrics = metrics
-        # (domain, entity) -> waiters currently exposed to faults
-        # (several fetch flows can share one ISP group).
-        self._registered: Dict[Tuple[str, str], list[Process]] = {}
+        # (domain, entity) -> waiters currently exposed to faults, by
+        # identity, in registration order: the waiters on one ISP are
+        # that group's concurrent fetch flows, so removal must not scan
+        # them.
+        self._registered: Dict[Tuple[str, str], Dict[int, Process]] = {}
         # Query memos.  Every answer depends only on the (frozen) plan,
         # so each is computed once: the gated specs per (kinds, entity)
         # -- a per-entity gate is a SHA-256 draw -- and the answers that
@@ -193,17 +195,19 @@ class FaultInjector:
 
         ``process`` is duck-typed: it needs only ``interrupt(cause)``,
         called once per matching window that opens while registered.
+        Waiters are interrupted in registration order; registering a
+        waiter again after :meth:`unregister` moves it to the end.
         """
-        self._registered.setdefault(entity, []).append(process)
+        procs = self._registered.get(entity)
+        if procs is None:
+            procs = self._registered[entity] = {}
+        procs[id(process)] = process
 
     def unregister(self, entity: Tuple[str, str],
                    process: Process) -> None:
         procs = self._registered.get(entity)
         if procs is not None:
-            try:
-                procs.remove(process)
-            except ValueError:
-                pass
+            procs.pop(id(process), None)
             if not procs:
                 del self._registered[entity]
 
@@ -231,7 +235,7 @@ class FaultInjector:
                    for entity, procs in list(self._registered.items())
                    if entity[0] == spec.domain
                    and self.plan.applies(spec, entity[1])
-                   for proc in list(procs)]
+                   for proc in procs.values()]
         for proc in targets:
             proc.interrupt(cause=spec)
 

@@ -319,6 +319,52 @@ class TestInjectorQueries:
                 board["recoveries"]) == (1, 1, 1, 1)
 
 
+class TestInjectorRegistry:
+    """Waiters registered on an entity are interrupted in registration
+    order when a window on that entity opens."""
+
+    class Waiter:
+        def __init__(self, name, log):
+            self.name = name
+            self.log = log
+
+        def interrupt(self, cause=None):
+            self.log.append((self.name, cause.kind))
+
+    def test_interrupt_order_and_reregistration(self):
+        from repro.sim.engine import Simulator
+        plan = FaultPlan(name="r", seed=1, specs=(
+            spec(start=10.0, duration=5.0),
+            spec(kind="isp_degrade", target="isp:telecom", start=20.0,
+                 duration=5.0, severity=0.5),
+            spec(start=30.0, duration=5.0)))
+        injector = FaultInjector(plan)
+        sim = Simulator()
+        injector.bind(sim)
+        log: list = []
+        telecom, unicom = ("isp", "telecom"), ("isp", "unicom")
+        a, b, c, d = (self.Waiter(name, log) for name in "abcd")
+        for waiter in (a, b, c):
+            injector.register(telecom, waiter)
+        injector.register(unicom, d)
+        sim.run(until=15.0)
+        assert log == [("a", "server_crash"), ("b", "server_crash"),
+                       ("c", "server_crash")]
+        # Unregistered and registered again: a moves to the end.
+        injector.unregister(telecom, a)
+        injector.unregister(telecom, b)
+        injector.register(telecom, a)
+        injector.unregister(telecom, b)   # not registered: a no-op
+        log.clear()
+        sim.run()
+        # isp_degrade interrupts nothing; the second crash finds c, a.
+        assert log == [("c", "server_crash"), ("a", "server_crash")]
+        for waiter in (a, c):
+            injector.unregister(telecom, waiter)
+        injector.unregister(unicom, d)
+        assert injector._registered == {}
+
+
 def run_cloud(scale, seed, plan=None, policies=None):
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.workload import WorkloadConfig, WorkloadGenerator
