@@ -165,16 +165,24 @@ class GeneratedRequests(Sequence):
             columns.user_rows[index], columns.files, columns.users,
             partial(_task_id_at, columns.task_id, positions))
 
-    def blocks(self) -> dict[str, Column]:
+    def blocks(self, files: Optional[dict[str, Column]] = None,
+               users: Optional[dict[str, Column]] = None
+               ) -> dict[str, Column]:
         """The rows' ``RequestRecord`` columns, encoded for
         :func:`~repro.workload.columnar.write_blocks`: every file and
-        user field is encoded once per file or user and taken by row."""
+        user field is encoded once per file or user and taken by row.
+
+        ``files``/``users`` are ``columns.files``/``columns.users``
+        already encoded (:func:`~repro.workload.columnar.encode_records`),
+        e.g. for the week's own catalog and users files."""
         columns = self.columns
         index = _index(self._positions)
         file_rows = columns.file_rows[index]
         user_rows = columns.user_rows[index]
-        files = encode_records(columns.files, CatalogFile)
-        users = encode_records(columns.users, User)
+        if files is None:
+            files = encode_records(columns.files, CatalogFile)
+        if users is None:
+            users = encode_records(columns.users, User)
         reports = users["reports_bandwidth"][0]
         reported = np.where(reports, users["access_bandwidth"][0], 0.0)
         positions = np.arange(len(columns.times))[index]

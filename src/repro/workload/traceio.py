@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import gzip
 import json
+from operator import is_
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Type, TypeVar
 
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.sim.collector import paused
 from repro.workload.catalog import FileCatalog
-from repro.workload.columnar import ColumnarRows, is_columnar, \
-    open_columnar, read_columnar, write_blocks, write_columnar
+from repro.workload.columnar import ColumnarRows, encode_records, \
+    is_columnar, open_columnar, read_columnar, write_blocks, \
+    write_columnar
 from repro.workload.generator import GeneratedRequests, Workload, \
     WorkloadConfig
 from repro.workload.records import (
@@ -214,6 +216,11 @@ def read_trace(path: str | Path, record_type: Type[R],
                       metrics=metrics)
 
 
+def _same_rows(rows: Sequence, others: Sequence) -> bool:
+    """Whether two sequences hold the same objects, row for row."""
+    return len(rows) == len(others) and all(map(is_, rows, others))
+
+
 def save_workload(workload: Workload, directory: str | Path,
                   compress: bool = False,
                   trace_format: str = "jsonl") -> Path:
@@ -226,7 +233,9 @@ def save_workload(workload: Workload, directory: str | Path,
     :mod:`repro.workload.columnar`), which do not support ``compress``.
     A generated or mapped week writes its request file from its columns
     (:func:`~repro.workload.columnar.write_blocks`), building no row;
-    the bytes are the same as encoding every row.
+    the bytes are the same as encoding every row.  A generated week
+    over the workload's own catalog and users takes its file and user
+    fields from the columns just written for those, encoding each once.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -235,13 +244,21 @@ def save_workload(workload: Workload, directory: str | Path,
             raise ValueError(
                 "columnar traces do not support compress=True "
                 "(the fixed-width blocks must stay memory-mappable)")
-        write_columnar(directory / _columnar_name(CATALOG_FILE),
-                       list(workload.catalog), CatalogFile)
-        write_columnar(directory / _columnar_name(USERS_FILE),
-                       workload.users, User)
+        catalog = list(workload.catalog)
+        files = encode_records(catalog, CatalogFile)
+        users = encode_records(workload.users, User)
+        write_blocks(directory / _columnar_name(CATALOG_FILE), CatalogFile,
+                     files)
+        write_blocks(directory / _columnar_name(USERS_FILE), User, users)
         requests = workload.requests
         path = directory / _columnar_name(REQUESTS_FILE)
-        if isinstance(requests, (ColumnarRows, GeneratedRequests)):
+        if isinstance(requests, GeneratedRequests):
+            columns = requests.columns
+            write_blocks(path, RequestRecord, requests.blocks(
+                files if _same_rows(columns.files, catalog) else None,
+                users if _same_rows(columns.users, workload.users)
+                else None))
+        elif isinstance(requests, ColumnarRows):
             write_blocks(path, RequestRecord, requests.blocks())
         else:
             write_columnar(path, requests, RequestRecord)
