@@ -9,7 +9,9 @@ a change to a single output byte fails loudly.  Where the live code
 replaced an older implementation, the digest was pinned from the older
 one: the samplers, engine and trace IO from the scalar
 pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
-generator-coroutine task path, ``cloud_replay_ablations`` from the
+generator-coroutine task path (``cloud_replay_faulted_dense`` from the
+task machine that registered every wait with the fault injector),
+``cloud_replay_ablations`` from the
 task machines that built a result object per task, ``engine_storm``
 from the single-heap engine that predates batched same-instant dispatch,
 ``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, the
@@ -187,13 +189,55 @@ def backend_matrix_faulted() -> str:
     return _backend_matrix(faults=True)
 
 
-def _faulted_cloud_replay(policies, predownloader_count=None) -> str:
-    """The golden week under the default chaos plan.
+def dense_chaos_plan():
+    """A fault plan that opens cloud windows every day of the week.
 
-    The plan is ``default_chaos_plan()``, which is what
-    ``examples/chaos_plan.json`` holds.  Pins every task and flow plus
-    the injector's scoreboard, so a change to any retry, failover,
-    checkpoint or interrupt decision shows.
+    Per day: a ``server_crash`` on each of the four ISPs separately
+    (unicom's opens exactly at telecom's end, and mobile's second opens
+    exactly at its first's end), ``file:*`` ``vm_stall`` and
+    ``seed_death`` windows that hit a seeded fraction of files, an
+    ``isp:*`` ``isp_degrade`` that overlaps the cernet crash, and
+    ``pool_pressure``.  No crash targets more than one ISP.
+    """
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.sim.clock import DAY, HOUR
+    specs = []
+    for day in range(7):
+        at = day * DAY
+        specs += [
+            FaultSpec("server_crash", "isp:telecom", at + 2.0 * HOUR,
+                      1.5 * HOUR),
+            FaultSpec("server_crash", "isp:unicom", at + 3.5 * HOUR,
+                      1.0 * HOUR),
+            FaultSpec("server_crash", "isp:mobile", at + 8.0 * HOUR,
+                      1.0 * HOUR),
+            FaultSpec("server_crash", "isp:mobile", at + 9.0 * HOUR,
+                      2.0 * HOUR),
+            FaultSpec("server_crash", "isp:cernet", at + 14.0 * HOUR,
+                      0.75 * HOUR),
+            FaultSpec("vm_stall", "file:*", at + 5.0 * HOUR, 0.75 * HOUR,
+                      probability=0.4),
+            FaultSpec("vm_stall", "file:*", at + 17.0 * HOUR, 0.5 * HOUR,
+                      probability=0.3),
+            FaultSpec("seed_death", "file:*", at + 11.0 * HOUR,
+                      3.0 * HOUR, probability=0.5),
+            FaultSpec("seed_death", "file:*", at + 20.0 * HOUR,
+                      2.0 * HOUR, probability=0.35),
+            FaultSpec("isp_degrade", "isp:*", at + 12.0 * HOUR,
+                      6.0 * HOUR, severity=0.4),
+            FaultSpec("pool_pressure", "*", at + 6.0 * HOUR, 4.0 * HOUR),
+        ]
+    return FaultPlan(name="dense-chaos", seed=20150667, specs=specs)
+
+
+def _faulted_cloud_replay(policies, predownloader_count=None,
+                          plan=None) -> str:
+    """The golden week under a chaos plan (by default
+    ``default_chaos_plan()``, which is what ``examples/chaos_plan.json``
+    holds).
+
+    Pins every task and flow plus the injector's scoreboard, so a change
+    to any retry, failover, checkpoint or interrupt decision shows.
     """
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.faults import FaultInjector
@@ -201,7 +245,8 @@ def _faulted_cloud_replay(policies, predownloader_count=None) -> str:
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
     workload = WorkloadGenerator(config).generate()
-    injector = FaultInjector(default_chaos_plan())
+    injector = FaultInjector(plan if plan is not None
+                             else default_chaos_plan())
     cloud = XuanfengCloud(
         CloudConfig(scale=GOLDEN_SCALE,
                     predownloader_count=predownloader_count),
@@ -226,6 +271,13 @@ def cloud_replay_faulted_fleet() -> str:
     from repro.faults import DEFAULT_POLICIES
     return _faulted_cloud_replay(DEFAULT_POLICIES,
                                  predownloader_count=FAULTED_FLEET)
+
+
+def cloud_replay_faulted_dense() -> str:
+    """Faulted week under :func:`dense_chaos_plan`, default policies:
+    back-to-back crash windows, gated file windows on every day."""
+    from repro.faults import DEFAULT_POLICIES
+    return _faulted_cloud_replay(DEFAULT_POLICIES, plan=dense_chaos_plan())
 
 
 #: Metrics left out of ``cloud_metrics``: the engine's heap-depth gauge
@@ -758,6 +810,7 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "cloud_replay_faulted": cloud_replay_faulted,
     "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
     "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
+    "cloud_replay_faulted_dense": cloud_replay_faulted_dense,
     "cloud_metrics": cloud_metrics,
     "scale_replay": scale_replay,
     "scale_replay_faulted": scale_replay_faulted,
