@@ -8,7 +8,12 @@ Two modes of use, both deterministic:
   interrupt machinery (``Interrupt.cause`` is the :class:`FaultSpec`).
   A waiter is anything with ``Process.interrupt(cause)`` semantics: a
   :class:`~repro.sim.engine.Process`, or a cloud task of
-  :class:`~repro.cloud.fastpath.FastTaskMachine`.
+  :class:`~repro.cloud.fastpath.FastTaskMachine`.  ``bind`` runs
+  before the run schedules anything else, so a window opening at ``s``
+  fires first among the events at ``s`` and reaches exactly the waits
+  that started before ``s`` and end at or after it.
+  :meth:`FaultInjector.exposed` answers that for a wait about to start;
+  only a wait it exposes needs to register.
 
 * **Query mode** (analytic replay paths -- ``ShardReplay``, the AP
   benchrig, ODR): callers ask "is fault X active on entity E at time
@@ -50,18 +55,23 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, metrics=NOOP):
         self.plan = plan
         self.metrics = metrics
-        # (domain, entity) -> waiters currently exposed to faults, by
-        # identity, in registration order: the waiters on one ISP are
-        # that group's concurrent fetch flows, so removal must not scan
-        # them.
-        self._registered: Dict[Tuple[str, str], Dict[int, Process]] = {}
+        # ((domain, entity), waiter identity) -> waiter, for every
+        # waiter currently exposed to faults, in registration order
+        # across all entities: removal must not scan, and an activation
+        # interrupts its targets in that one order.
+        self._registered: Dict[Tuple[Tuple[str, str], int], Process] = {}
+        # domain -> (starts, windows): the bound interrupt-kind windows
+        # by start, and their starts (see :meth:`exposed`).
+        self._openings: Dict[str, Tuple[list[float], list[FaultSpec]]] = {}
         # Query memos.  Every answer depends only on the (frozen) plan,
         # so each is computed once: the gated specs per (kinds, entity)
         # -- a per-entity gate is a SHA-256 draw -- and the answers that
-        # only change at a window boundary (the dark ISP set, severity
-        # factors) per interval between consecutive boundaries.
+        # only change at a window boundary (the active kinds, the dark
+        # ISP set, severity factors) per interval between consecutive
+        # boundaries.
         self._gate_memo: Dict[tuple, Tuple[tuple, Dict[str, tuple]]] = {}
-        self._crash_bounds = _boundaries(plan.specs_of(("server_crash",)))
+        self._bounds = _boundaries(plan.specs)
+        self._kinds_memo: Dict[int, frozenset[str]] = {}
         self._crash_memo: Dict[int, frozenset[str]] = {}
         self._factor_memo: Dict[Tuple[str, str], tuple] = {}
         # Scoreboard (plain ints so analytic paths can read them back
@@ -89,6 +99,21 @@ class FaultInjector:
             gated = by_entity[entity] = tuple(
                 spec for spec in specs_of if applies(spec, entity))
         return gated
+
+    def active_kinds(self, now: float) -> frozenset[str]:
+        """The kinds with a window open at ``now``, on any entity.
+
+        A kind outside the answer has no active window, so
+        :meth:`active` of that kind is None and its :meth:`factor` 1.0
+        on every entity: a caller can skip the query.
+        """
+        interval = bisect_right(self._bounds, now)
+        kinds = self._kinds_memo.get(interval)
+        if kinds is None:
+            kinds = self._kinds_memo[interval] = frozenset(
+                spec.kind for spec in self.plan.specs
+                if spec.active_at(now))
+        return kinds
 
     def active(self, kind: str, entity: str,
                now: float) -> Optional[FaultSpec]:
@@ -168,10 +193,10 @@ class FaultInjector:
     def crashed_isps(self, now: float) -> frozenset[str]:
         """ISP names whose upload-server groups are dark at ``now``.
 
-        The answer only changes at a server_crash window boundary, so it
-        is computed once per interval between consecutive boundaries.
+        The answer only changes at a window boundary, so it is computed
+        once per interval between consecutive boundaries.
         """
-        interval = bisect_right(self._crash_bounds, now)
+        interval = bisect_right(self._bounds, now)
         down = self._crash_memo.get(interval)
         if down is None:
             names = set()
@@ -195,21 +220,15 @@ class FaultInjector:
 
         ``process`` is duck-typed: it needs only ``interrupt(cause)``,
         called once per matching window that opens while registered.
-        Waiters are interrupted in registration order; registering a
-        waiter again after :meth:`unregister` moves it to the end.
+        Waiters are interrupted in registration order, across entities;
+        registering a waiter again after :meth:`unregister` moves it to
+        the end.
         """
-        procs = self._registered.get(entity)
-        if procs is None:
-            procs = self._registered[entity] = {}
-        procs[id(process)] = process
+        self._registered[entity, id(process)] = process
 
     def unregister(self, entity: Tuple[str, str],
                    process: Process) -> None:
-        procs = self._registered.get(entity)
-        if procs is not None:
-            procs.pop(id(process), None)
-            if not procs:
-                del self._registered[entity]
+        self._registered.pop((entity, id(process)), None)
 
     def bind(self, sim: Simulator,
              kinds: Optional[Iterable[str]] = None) -> None:
@@ -218,24 +237,56 @@ class FaultInjector:
         ``kinds`` restricts binding to the given fault kinds (the cloud
         engine binds only cloud-domain kinds; AP windows run on the
         benchrig's own replay clocks and are consumed via queries).
+        The bound interrupt-kind windows are what :meth:`exposed`
+        answers from.
         """
         specs = self.plan.specs if kinds is None \
             else self.plan.specs_of(kinds)
         for spec in specs:
             sim.call_at(spec.start, self._activate, spec)
+            if spec.kind in INTERRUPT_KINDS:
+                starts, windows = self._openings.setdefault(spec.domain,
+                                                            ([], []))
+                at = bisect_right(starts, spec.start)
+                starts.insert(at, spec.start)
+                windows.insert(at, spec)
+
+    def exposed(self, entity: Tuple[str, str], now: float,
+                until: float) -> bool:
+        """Can a bound window interrupt a wait on ``entity`` over
+        ``(now, until]``?
+
+        True iff a bound interrupt-kind window that applies to the
+        entity opens after ``now`` and at or before ``until``.  The
+        activations were scheduled at bind, ahead of every other event:
+        a window opening at ``now`` has already fired, and one opening
+        at ``until`` fires before the wait's own deadline event.  Only
+        the windows opening inside the wait evaluate the entity's
+        probability gate.
+        """
+        opening = self._openings.get(entity[0])
+        if opening is None:
+            return False
+        starts, windows = opening
+        for j in range(bisect_right(starts, now), len(starts)):
+            if starts[j] > until:
+                return False
+            if self.plan.applies(windows[j], entity[1]):
+                return True
+        return False
 
     def _activate(self, spec: FaultSpec) -> None:
-        """A window just opened: interrupt matching registered work."""
+        """A window just opened: interrupt matching registered work, in
+        registration order."""
         self.injected += 1
         self.metrics.counter("repro_faults_injected_total",
                              kind=spec.kind).inc()
         if spec.kind not in INTERRUPT_KINDS:
             return
-        targets = [proc
-                   for entity, procs in list(self._registered.items())
-                   if entity[0] == spec.domain
-                   and self.plan.applies(spec, entity[1])
-                   for proc in procs.values()]
+        domain = spec.domain
+        applies = self.plan.applies
+        targets = [proc for (entity, _), proc in self._registered.items()
+                   if entity[0] == domain and applies(spec, entity[1])]
         for proc in targets:
             proc.interrupt(cause=spec)
 
