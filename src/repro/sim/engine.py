@@ -21,9 +21,11 @@ reproducible bit-for-bit given a seeded workload.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, TYPE_CHECKING
+from typing import (Any, Callable, Generator, Iterable, Optional, Sequence,
+                    TYPE_CHECKING)
 
 import numpy as np
 
@@ -288,8 +290,8 @@ class Simulator:
         # The arrival feed (see :meth:`feed`): sorted times, one item
         # per time, the callback, the cursor, and the (when, seq) of the
         # pending group -- ``when`` is infinity once the feed drains.
-        self._feed_times: list[float] = []
-        self._feed_items: list = []
+        self._feed_times: Sequence[float] = ()
+        self._feed_items: Sequence[Any] = ()
         self._feed_func: Optional[Callable[..., None]] = None
         self._feed_next = 0
         self._feed_when = math.inf
@@ -352,21 +354,23 @@ class Simulator:
             heappush(self._heap, (when, seq, func, args))
 
     def feed(self, times: Iterable[float], func: Callable[..., None],
-             items: Iterable[Any]) -> None:
+             items: Sequence[Any]) -> None:
         """Fire ``func(item)`` for each of ``items`` at its time in ``times``.
 
         ``times`` is sorted and none is before now; items due at the
-        same time fire in their order.  The feed is exactly a cursor
-        callback that ``call_at``-s itself once per distinct time and
-        there queues ``call_in(0.0, func, item)`` for each item due --
-        the same firing order, the same sequence numbers, the same
-        pending count (the cursor's one reserved event) -- but its head
-        is merged into :meth:`run`'s dispatch instead of taking a heap
-        push and pop per time.  One feed at a time; set it up before
-        :meth:`run` or between runs.  A drained feed drops ``func``.
+        same time fire in their order.  The feed keeps the times as one
+        ``array('d')`` and holds ``items`` as given, uncopied (a replay
+        passes an ``array('q')`` of task indices: 16 bytes per arrival
+        in all).  It is exactly a cursor callback that ``call_at``-s
+        itself once per distinct time and there queues ``call_in(0.0,
+        func, item)`` for each item due -- the same firing order, the
+        same sequence numbers, the same pending count (the cursor's one
+        reserved event) -- but its head is merged into :meth:`run`'s
+        dispatch instead of taking a heap push and pop per time.  One
+        feed at a time; set it up before :meth:`run` or between runs.
+        A drained feed drops ``func``.
         """
-        times = np.asarray(times, dtype=np.float64)
-        items = list(items)
+        times = np.ascontiguousarray(times, dtype=np.float64)
         if self._running:
             raise SimulationError(
                 f"feed set up inside run() at t={self._now:g}")
@@ -381,7 +385,8 @@ class Simulator:
         if times[0] < self._now or bool(np.any(times[1:] < times[:-1])):
             raise SimulationError(
                 f"feed times are not sorted from now={self._now}")
-        self._feed_times = times.tolist()
+        self._feed_times = array("d")
+        self._feed_times.frombytes(times.data.cast("B"))
         self._feed_items = items
         self._feed_func = func
         self._feed_next = 0
@@ -542,7 +547,7 @@ class Simulator:
                         seq += 1
                     else:
                         feed_when = inf
-                        self._feed_times = self._feed_items = []
+                        self._feed_times = self._feed_items = ()
                         self._feed_func = None
                     self._feed_when = feed_when
                     self._sequence = seq
