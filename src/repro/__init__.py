@@ -25,47 +25,33 @@ Quickstart::
     print(f"cache hit ratio: {result.cache_hit_ratio:.2%}")
 """
 
-from repro.obs import MetricsRegistry, NOOP, span
-from repro.workload import Workload, WorkloadConfig, WorkloadGenerator, \
-    sample_benchmark_requests
-from repro.cloud import CloudConfig, CloudRunResult, XuanfengCloud
-from repro.ap import ApBenchmarkRig, SmartAP, HIWIFI_1S, MIWIFI, NEWIFI
-from repro.core import (
-    OdrMiddleware,
-    OdrService,
-    OdrStrategy,
-    CloudOnlyStrategy,
-    SmartApOnlyStrategy,
-    AlwaysHybridStrategy,
-    AmsStrategy,
-    ReplayEvaluator,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Workload",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "sample_benchmark_requests",
-    "XuanfengCloud",
-    "CloudConfig",
-    "CloudRunResult",
-    "SmartAP",
-    "ApBenchmarkRig",
-    "HIWIFI_1S",
-    "MIWIFI",
-    "NEWIFI",
-    "OdrMiddleware",
-    "OdrService",
-    "OdrStrategy",
-    "CloudOnlyStrategy",
-    "SmartApOnlyStrategy",
-    "AlwaysHybridStrategy",
-    "AmsStrategy",
-    "ReplayEvaluator",
-    "MetricsRegistry",
-    "NOOP",
-    "span",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Workload": "repro.workload.generator",
+    "WorkloadConfig": "repro.workload.generator",
+    "WorkloadGenerator": "repro.workload.generator",
+    "sample_benchmark_requests": "repro.workload.sampler",
+    "XuanfengCloud": "repro.cloud.system",
+    "CloudConfig": "repro.cloud.config",
+    "CloudRunResult": "repro.cloud.system",
+    "SmartAP": "repro.ap.smartap",
+    "ApBenchmarkRig": "repro.ap.benchrig",
+    "HIWIFI_1S": "repro.ap.models",
+    "MIWIFI": "repro.ap.models",
+    "NEWIFI": "repro.ap.models",
+    "OdrMiddleware": "repro.core.odr",
+    "OdrService": "repro.core.service",
+    "OdrStrategy": "repro.core.strategies",
+    "CloudOnlyStrategy": "repro.core.strategies",
+    "SmartApOnlyStrategy": "repro.core.strategies",
+    "AlwaysHybridStrategy": "repro.core.strategies",
+    "AmsStrategy": "repro.core.strategies",
+    "ReplayEvaluator": "repro.core.replay",
+    "MetricsRegistry": "repro.obs.registry",
+    "NOOP": "repro.obs.registry",
+    "span": "repro.obs.tracing",
+})
+__all__ += ["__version__"]

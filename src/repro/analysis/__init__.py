@@ -1,38 +1,22 @@
 """Measurement-analysis toolkit used by experiments and benches."""
 
-from repro.analysis.cdf import CDF, empirical_cdf
-from repro.analysis.fitting import (
-    FitResult,
-    average_relative_error,
-    fit_se,
-    fit_zipf,
-)
-from repro.analysis.stats import SummaryStats, summarize
-from repro.analysis.timeseries import bin_rate_series, peak_of_series
-from repro.analysis.tables import TextTable
-from repro.analysis.compare import (
-    SimilarityVerdict,
-    compare,
-    ks_distance,
-    quantile_ratios,
-)
-from repro.analysis.svg import SvgFigure
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CDF",
-    "empirical_cdf",
-    "FitResult",
-    "fit_zipf",
-    "fit_se",
-    "average_relative_error",
-    "SummaryStats",
-    "summarize",
-    "bin_rate_series",
-    "peak_of_series",
-    "TextTable",
-    "ks_distance",
-    "quantile_ratios",
-    "compare",
-    "SimilarityVerdict",
-    "SvgFigure",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CDF": "repro.analysis.cdf",
+    "empirical_cdf": "repro.analysis.cdf",
+    "FitResult": "repro.analysis.fitting",
+    "fit_zipf": "repro.analysis.fitting",
+    "fit_se": "repro.analysis.fitting",
+    "average_relative_error": "repro.analysis.fitting",
+    "SummaryStats": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "bin_rate_series": "repro.analysis.timeseries",
+    "peak_of_series": "repro.analysis.timeseries",
+    "TextTable": "repro.analysis.tables",
+    "ks_distance": "repro.analysis.compare",
+    "quantile_ratios": "repro.analysis.compare",
+    "compare": "repro.analysis.compare",
+    "SimilarityVerdict": "repro.analysis.compare",
+    "SvgFigure": "repro.analysis.svg",
+})

@@ -7,27 +7,18 @@ attached storage device, then serve the file over the LAN.  Bottlenecks 3
 write path throttles throughput) both materialise here.
 """
 
-from repro.ap.models import (
-    ApHardware,
-    HIWIFI_1S,
-    MIWIFI,
-    NEWIFI,
-    BENCHMARKED_APS,
-)
-from repro.ap.openwrt import DownloadClient, OpenWrtSystem
-from repro.ap.smartap import SmartAP, ApPreDownloadResult
-from repro.ap.benchrig import ApBenchmarkRig, ApBenchmarkReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ApHardware",
-    "HIWIFI_1S",
-    "MIWIFI",
-    "NEWIFI",
-    "BENCHMARKED_APS",
-    "OpenWrtSystem",
-    "DownloadClient",
-    "SmartAP",
-    "ApPreDownloadResult",
-    "ApBenchmarkRig",
-    "ApBenchmarkReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ApHardware": "repro.ap.models",
+    "HIWIFI_1S": "repro.ap.models",
+    "MIWIFI": "repro.ap.models",
+    "NEWIFI": "repro.ap.models",
+    "BENCHMARKED_APS": "repro.ap.models",
+    "OpenWrtSystem": "repro.ap.openwrt",
+    "DownloadClient": "repro.ap.openwrt",
+    "SmartAP": "repro.ap.smartap",
+    "ApPreDownloadResult": "repro.ap.smartap",
+    "ApBenchmarkRig": "repro.ap.benchrig",
+    "ApBenchmarkReport": "repro.ap.benchrig",
+})

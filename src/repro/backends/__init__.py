@@ -8,76 +8,38 @@ plus a DAWN-style delay-aware scorer), composed by name into drop-in
 policy) comparison scorecard.
 """
 
-from repro.backends.base import (
-    UNREACHABLE_DELAY,
-    Backend,
-    BackendEstimate,
-    Policy,
-    backend_by_name,
-)
-from repro.backends.builtin import (
-    CloudBackend,
-    CoopApCacheBackend,
-    D2dBackend,
-    SmartApBackend,
-)
-from repro.backends.coopcache import CooperativeApCache
-from repro.backends.faultgate import FaultGate
-from repro.backends.policies import (
-    AlwaysHybridPolicy,
-    AmsPolicy,
-    CloudOnlyPolicy,
-    DelayAwarePolicy,
-    OdrPolicy,
-    SmartApOnlyPolicy,
-)
-from repro.backends.registry import (
-    STRATEGY_SPECS,
-    BuildContext,
-    UnknownBackendError,
-    UnknownPolicyError,
-    UnknownStrategyError,
-    backend_names,
-    compose,
-    create_backend,
-    create_policy,
-    policy_names,
-    register_backend,
-    register_policy,
-    resolve_strategy,
-    strategy_names,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "UNREACHABLE_DELAY",
-    "Backend",
-    "BackendEstimate",
-    "Policy",
-    "backend_by_name",
-    "CloudBackend",
-    "SmartApBackend",
-    "D2dBackend",
-    "CoopApCacheBackend",
-    "CooperativeApCache",
-    "FaultGate",
-    "CloudOnlyPolicy",
-    "SmartApOnlyPolicy",
-    "AlwaysHybridPolicy",
-    "AmsPolicy",
-    "OdrPolicy",
-    "DelayAwarePolicy",
-    "STRATEGY_SPECS",
-    "BuildContext",
-    "UnknownBackendError",
-    "UnknownPolicyError",
-    "UnknownStrategyError",
-    "backend_names",
-    "compose",
-    "create_backend",
-    "create_policy",
-    "policy_names",
-    "register_backend",
-    "register_policy",
-    "resolve_strategy",
-    "strategy_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "UNREACHABLE_DELAY": "repro.backends.base",
+    "Backend": "repro.backends.base",
+    "BackendEstimate": "repro.backends.base",
+    "Policy": "repro.backends.base",
+    "backend_by_name": "repro.backends.base",
+    "CloudBackend": "repro.backends.builtin",
+    "SmartApBackend": "repro.backends.builtin",
+    "D2dBackend": "repro.backends.builtin",
+    "CoopApCacheBackend": "repro.backends.builtin",
+    "CooperativeApCache": "repro.backends.coopcache",
+    "FaultGate": "repro.backends.faultgate",
+    "CloudOnlyPolicy": "repro.backends.policies",
+    "SmartApOnlyPolicy": "repro.backends.policies",
+    "AlwaysHybridPolicy": "repro.backends.policies",
+    "AmsPolicy": "repro.backends.policies",
+    "OdrPolicy": "repro.backends.policies",
+    "DelayAwarePolicy": "repro.backends.policies",
+    "STRATEGY_SPECS": "repro.backends.registry",
+    "BuildContext": "repro.backends.registry",
+    "UnknownBackendError": "repro.backends.registry",
+    "UnknownPolicyError": "repro.backends.registry",
+    "UnknownStrategyError": "repro.backends.registry",
+    "backend_names": "repro.backends.registry",
+    "compose": "repro.backends.registry",
+    "create_backend": "repro.backends.registry",
+    "create_policy": "repro.backends.registry",
+    "policy_names": "repro.backends.registry",
+    "register_backend": "repro.backends.registry",
+    "register_policy": "repro.backends.registry",
+    "resolve_strategy": "repro.backends.registry",
+    "strategy_names": "repro.backends.registry",
+})

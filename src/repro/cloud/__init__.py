@@ -8,24 +8,18 @@ network paths to same-ISP users and admission control that rejects new
 fetches rather than degrade active ones.
 """
 
-from repro.cloud.config import CloudConfig
-from repro.cloud.database import ContentDatabase, FileMetadata
-from repro.cloud.storagepool import CloudStoragePool
-from repro.cloud.upload import PathChoice, UploadingServers
-from repro.cloud.fetch import FetchSpeedModel
-from repro.cloud.predownload import PreDownloaderFleet
-from repro.cloud.system import CloudRunResult, TaskResult, XuanfengCloud
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CloudConfig",
-    "ContentDatabase",
-    "FileMetadata",
-    "CloudStoragePool",
-    "UploadingServers",
-    "PathChoice",
-    "FetchSpeedModel",
-    "PreDownloaderFleet",
-    "XuanfengCloud",
-    "CloudRunResult",
-    "TaskResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CloudConfig": "repro.cloud.config",
+    "ContentDatabase": "repro.cloud.database",
+    "FileMetadata": "repro.cloud.database",
+    "CloudStoragePool": "repro.cloud.storagepool",
+    "UploadingServers": "repro.cloud.upload",
+    "PathChoice": "repro.cloud.upload",
+    "FetchSpeedModel": "repro.cloud.fetch",
+    "PreDownloaderFleet": "repro.cloud.predownload",
+    "XuanfengCloud": "repro.cloud.system",
+    "CloudRunResult": "repro.cloud.system",
+    "TaskResult": "repro.cloud.system",
+})

@@ -15,53 +15,33 @@ ODR never moves file bytes itself; it only answers "where should this
 download run" (Figure 15's state machine).
 """
 
-from repro.core.decision import Action, DataSource, Decision
-from repro.core.auxiliary import CookieJar, SmartApInfo, UserContext
-from repro.core.bottlenecks import BottleneckDetector
-from repro.core.odr import OdrConfig, OdrMiddleware
-from repro.core.service import OdrService, OdrResponse
-from repro.core.strategies import (
-    AlwaysHybridStrategy,
-    AmsStrategy,
-    CloudOnlyStrategy,
-    OdrStrategy,
-    SmartApOnlyStrategy,
-    Strategy,
-)
-from repro.core.replay import OdrReplayResult, ReplayEvaluator, RouteOutcome
-from repro.core.bba import BbaConfig, simulate_playback, \
-    streaming_verdict
-from repro.core.prestaging import (
-    DeferrableFlow,
-    PrestagingScheduler,
-    deferrable_from_flows,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Action",
-    "DataSource",
-    "Decision",
-    "UserContext",
-    "SmartApInfo",
-    "CookieJar",
-    "BottleneckDetector",
-    "OdrConfig",
-    "OdrMiddleware",
-    "OdrService",
-    "OdrResponse",
-    "Strategy",
-    "CloudOnlyStrategy",
-    "SmartApOnlyStrategy",
-    "AlwaysHybridStrategy",
-    "AmsStrategy",
-    "OdrStrategy",
-    "ReplayEvaluator",
-    "OdrReplayResult",
-    "RouteOutcome",
-    "BbaConfig",
-    "simulate_playback",
-    "streaming_verdict",
-    "DeferrableFlow",
-    "PrestagingScheduler",
-    "deferrable_from_flows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Action": "repro.core.decision",
+    "DataSource": "repro.core.decision",
+    "Decision": "repro.core.decision",
+    "UserContext": "repro.core.auxiliary",
+    "SmartApInfo": "repro.core.auxiliary",
+    "CookieJar": "repro.core.auxiliary",
+    "BottleneckDetector": "repro.core.bottlenecks",
+    "OdrConfig": "repro.core.odr",
+    "OdrMiddleware": "repro.core.odr",
+    "OdrService": "repro.core.service",
+    "OdrResponse": "repro.core.service",
+    "Strategy": "repro.core.strategies",
+    "CloudOnlyStrategy": "repro.core.strategies",
+    "SmartApOnlyStrategy": "repro.core.strategies",
+    "AlwaysHybridStrategy": "repro.core.strategies",
+    "AmsStrategy": "repro.core.strategies",
+    "OdrStrategy": "repro.core.strategies",
+    "ReplayEvaluator": "repro.core.replay",
+    "OdrReplayResult": "repro.core.replay",
+    "RouteOutcome": "repro.core.replay",
+    "BbaConfig": "repro.core.bba",
+    "simulate_playback": "repro.core.bba",
+    "streaming_verdict": "repro.core.bba",
+    "DeferrableFlow": "repro.core.prestaging",
+    "PrestagingScheduler": "repro.core.prestaging",
+    "deferrable_from_flows": "repro.core.prestaging",
+})

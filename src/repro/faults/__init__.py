@@ -13,59 +13,32 @@ Public surface:
   recovery side.
 
 The chaos driver lives in :mod:`repro.faults.chaos` (also ``python -m
-repro.faults``) and is intentionally NOT imported here: it pulls in
-``repro.scale`` -> ``repro.cloud``, and the cloud package itself
-imports :mod:`repro.faults.injector`, so eagerly importing the driver
-would create a cycle.
+repro.faults``).
 """
 
-from repro.faults.injector import INTERRUPT_KINDS, FaultInjector
-from repro.faults.plan import (
-    AP_KILL_KINDS,
-    CLOUD_KINDS,
-    DEFAULT_CHAOS_SEED,
-    KIND_DOMAINS,
-    SERVE_KILL_KINDS,
-    SERVE_KINDS,
-    WEDGE_KINDS,
-    FaultPlan,
-    FaultSpec,
-    ap_entity_name,
-    correlated_slots,
-    default_chaos_plan,
-    serve_slot_of,
-    validate_serve_plan,
-)
-from repro.faults.policies import (
-    DEFAULT_POLICIES,
-    CircuitBreaker,
-    ResiliencePolicies,
-    RetryPolicy,
-    TransferCheckpoint,
-)
-from repro.faults.resilience import ap_chaos_predownload
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AP_KILL_KINDS",
-    "CLOUD_KINDS",
-    "DEFAULT_CHAOS_SEED",
-    "INTERRUPT_KINDS",
-    "DEFAULT_POLICIES",
-    "KIND_DOMAINS",
-    "SERVE_KILL_KINDS",
-    "SERVE_KINDS",
-    "WEDGE_KINDS",
-    "CircuitBreaker",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "ResiliencePolicies",
-    "RetryPolicy",
-    "TransferCheckpoint",
-    "ap_chaos_predownload",
-    "ap_entity_name",
-    "correlated_slots",
-    "default_chaos_plan",
-    "serve_slot_of",
-    "validate_serve_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AP_KILL_KINDS": "repro.faults.plan",
+    "CLOUD_KINDS": "repro.faults.plan",
+    "DEFAULT_CHAOS_SEED": "repro.faults.plan",
+    "INTERRUPT_KINDS": "repro.faults.injector",
+    "DEFAULT_POLICIES": "repro.faults.policies",
+    "KIND_DOMAINS": "repro.faults.plan",
+    "SERVE_KILL_KINDS": "repro.faults.plan",
+    "SERVE_KINDS": "repro.faults.plan",
+    "WEDGE_KINDS": "repro.faults.plan",
+    "CircuitBreaker": "repro.faults.policies",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "FaultSpec": "repro.faults.plan",
+    "ResiliencePolicies": "repro.faults.policies",
+    "RetryPolicy": "repro.faults.policies",
+    "TransferCheckpoint": "repro.faults.policies",
+    "ap_chaos_predownload": "repro.faults.resilience",
+    "ap_entity_name": "repro.faults.plan",
+    "correlated_slots": "repro.faults.plan",
+    "default_chaos_plan": "repro.faults.plan",
+    "serve_slot_of": "repro.faults.plan",
+    "validate_serve_plan": "repro.faults.plan",
+})

@@ -31,6 +31,7 @@ from bisect import bisect_right
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.faults.plan import WEDGE_KINDS, FaultPlan, FaultSpec
+from repro.netsim.isp import MAJOR_ISPS
 from repro.obs import NOOP
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.randomness import substream
@@ -40,6 +41,9 @@ from repro.sim.randomness import substream
 #: attempt boundaries and are consumed through the query API.
 INTERRUPT_KINDS: tuple[str, ...] = ("server_crash", "vm_stall",
                                     "seed_death")
+
+#: The ``isp`` entities with an upload-server group a crash can darken.
+_UPLOAD_GROUPS: tuple[str, ...] = tuple(isp.value for isp in MAJOR_ISPS)
 
 
 def _boundaries(specs: Iterable[FaultSpec]) -> list[float]:
@@ -193,20 +197,20 @@ class FaultInjector:
     def crashed_isps(self, now: float) -> frozenset[str]:
         """ISP names whose upload-server groups are dark at ``now``.
 
-        The answer only changes at a window boundary, so it is computed
-        once per interval between consecutive boundaries.
+        Each active ``server_crash`` darkens every group it applies to,
+        so an ``isp:*`` or ``*`` target darkens all four, as its opening
+        interrupts all four.  The answer only changes at a window
+        boundary, so it is computed once per interval between
+        consecutive boundaries.
         """
         interval = bisect_right(self._bounds, now)
         down = self._crash_memo.get(interval)
         if down is None:
-            names = set()
-            for spec in self.plan.specs_of(("server_crash",)):
-                if not spec.active_at(now):
-                    continue
-                name = spec.target.partition(":")[2]
-                if name and name != "*" and self.plan.applies(spec, name):
-                    names.add(name)
-            down = self._crash_memo[interval] = frozenset(names)
+            applies = self.plan.applies
+            down = self._crash_memo[interval] = frozenset(
+                name for spec in self.plan.specs_of(("server_crash",))
+                if spec.active_at(now)
+                for name in _UPLOAD_GROUPS if applies(spec, name))
         return down
 
     def rng(self, label: str):

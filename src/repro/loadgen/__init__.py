@@ -18,44 +18,22 @@ CLI: ``python -m repro.loadgen --target http://host:port --rps 50``
 (add ``--ramp`` for the saturation search).
 """
 
-from repro.loadgen.client import (
-    Ewma,
-    RequestOutcome,
-    Target,
-    TargetSet,
-)
-from repro.loadgen.ramp import (
-    ramp_rates,
-    saturation_rps,
-    scorecard,
-    step_healthy,
-    stepped_ramp,
-)
-from repro.loadgen.replay import (
-    DEFAULT_ERROR_BUDGET,
-    LoadGenerator,
-    StepScorecard,
-)
-from repro.loadgen.trace import (
-    decide_path,
-    load_or_generate_paths,
-    workload_paths,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_ERROR_BUDGET",
-    "Ewma",
-    "LoadGenerator",
-    "RequestOutcome",
-    "StepScorecard",
-    "Target",
-    "TargetSet",
-    "decide_path",
-    "load_or_generate_paths",
-    "ramp_rates",
-    "saturation_rps",
-    "scorecard",
-    "step_healthy",
-    "stepped_ramp",
-    "workload_paths",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_ERROR_BUDGET": "repro.loadgen.replay",
+    "Ewma": "repro.loadgen.client",
+    "LoadGenerator": "repro.loadgen.replay",
+    "RequestOutcome": "repro.loadgen.client",
+    "StepScorecard": "repro.loadgen.replay",
+    "Target": "repro.loadgen.client",
+    "TargetSet": "repro.loadgen.client",
+    "decide_path": "repro.loadgen.trace",
+    "load_or_generate_paths": "repro.loadgen.trace",
+    "ramp_rates": "repro.loadgen.ramp",
+    "saturation_rps": "repro.loadgen.ramp",
+    "scorecard": "repro.loadgen.ramp",
+    "step_healthy": "repro.loadgen.ramp",
+    "stepped_ramp": "repro.loadgen.ramp",
+    "workload_paths": "repro.loadgen.trace",
+})

@@ -6,30 +6,18 @@ cross-ISP paths (the "ISP barrier"), CIDR-based IP-to-ISP resolution (the
 role APNIC plays for the real ODR), and residential access links.
 """
 
-from repro.netsim.isp import (
-    ISP,
-    MAJOR_ISPS,
-    IspRegistry,
-    default_registry,
-)
-from repro.netsim.ip import IpAllocator, IpResolver
-from repro.netsim.topology import ChinaTopology, PathQuality
-from repro.netsim.link import (
-    AccessLink,
-    AccessTechnology,
-    AccessBandwidthModel,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ISP",
-    "MAJOR_ISPS",
-    "IspRegistry",
-    "default_registry",
-    "IpAllocator",
-    "IpResolver",
-    "ChinaTopology",
-    "PathQuality",
-    "AccessLink",
-    "AccessTechnology",
-    "AccessBandwidthModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ISP": "repro.netsim.isp",
+    "MAJOR_ISPS": "repro.netsim.isp",
+    "IspRegistry": "repro.netsim.isp",
+    "default_registry": "repro.netsim.isp",
+    "IpAllocator": "repro.netsim.ip",
+    "IpResolver": "repro.netsim.ip",
+    "ChinaTopology": "repro.netsim.topology",
+    "PathQuality": "repro.netsim.topology",
+    "AccessLink": "repro.netsim.link",
+    "AccessTechnology": "repro.netsim.link",
+    "AccessBandwidthModel": "repro.netsim.link",
+})

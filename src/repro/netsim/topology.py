@@ -16,10 +16,10 @@ a constant.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.netsim.isp import ISP, IspRegistry, default_registry
@@ -59,8 +59,21 @@ _INTRA_LATENCY_MS = 18.0
 _CROSS_LATENCY_MS = 55.0
 
 
+def _bfs_hops(graph: dict[ISP, frozenset[ISP]], src: ISP) -> dict[ISP, int]:
+    """Hop count from ``src`` to every ISP reachable from it."""
+    hops = {src: 0}
+    frontier = deque([src])
+    while frontier:
+        node = frontier.popleft()
+        for peer in graph[node]:
+            if peer not in hops:
+                hops[peer] = hops[node] + 1
+                frontier.append(peer)
+    return hops
+
+
 class ChinaTopology:
-    """The per-ISP AS graph with peering-quality annotations."""
+    """The per-ISP AS mesh with peering-quality annotations."""
 
     def __init__(self, registry: Optional[IspRegistry] = None,
                  cross_cap_median: float = _CROSS_CAP_MEDIAN,
@@ -73,44 +86,40 @@ class ChinaTopology:
         self._intra_cap_median = intra_cap_median
         self._intra_cap_sigma = intra_cap_sigma
         self._graph = self._build_graph()
-        # The graph is immutable after construction and has a handful of
-        # nodes, so both queries are memoised per (src, dst) pair; cloud
-        # replay used to spend a third of its time re-running networkx
-        # shortest paths over this static mesh.
-        self._hop_cache: dict[tuple[ISP, ISP], int] = {}
+        # The mesh is immutable and has a handful of nodes: every hop
+        # count is known up front, and path qualities are memoised per
+        # (src, dst) pair.
+        self._hops = {(src, dst): hops for src in self._graph
+                      for dst, hops in _bfs_hops(self._graph, src).items()}
         self._quality_cache: dict[tuple[ISP, ISP], PathQuality] = {}
 
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
+    def _build_graph(self) -> dict[ISP, frozenset[ISP]]:
         isps = self._registry.isps()
-        for isp in isps:
-            graph.add_node(isp)
         # Full peering mesh among the giants: China's majors interconnect
         # directly (through national exchange points), and the long-tail
         # "other" ISPs buy transit from Telecom and Unicom.
         majors = [isp for isp in isps if self._registry.is_major(isp)]
-        for index, a in enumerate(majors):
-            for b in majors[index + 1:]:
-                graph.add_edge(a, b, kind="peering")
+        links = [(a, b) for index, a in enumerate(majors)
+                 for b in majors[index + 1:]]
         if ISP.OTHER in isps:
-            graph.add_edge(ISP.OTHER, ISP.TELECOM, kind="transit")
-            graph.add_edge(ISP.OTHER, ISP.UNICOM, kind="transit")
-        return graph
+            links += [(ISP.OTHER, ISP.TELECOM), (ISP.OTHER, ISP.UNICOM)]
+        peers: dict[ISP, set[ISP]] = {isp: set() for isp in isps}
+        for a, b in links:
+            peers[a].add(b)
+            peers[b].add(a)
+        return {isp: frozenset(near) for isp, near in peers.items()}
 
     @property
-    def graph(self) -> nx.Graph:
+    def graph(self) -> dict[ISP, frozenset[ISP]]:
+        """The mesh as an adjacency map: each ISP's directly peered
+        (or transit-connected) ISPs."""
         return self._graph
 
     def hop_count(self, src: ISP, dst: ISP) -> int:
         """AS hops between two ISPs (0 when homed in the same ISP)."""
         if src == dst:
             return 0
-        key = (src, dst)
-        hops = self._hop_cache.get(key)
-        if hops is None:
-            hops = nx.shortest_path_length(self._graph, src, dst)
-            self._hop_cache[key] = hops
-        return hops
+        return self._hops[src, dst]
 
     def path_quality(self, src: ISP, dst: ISP) -> PathQuality:
         """Quality of the best path between endpoints homed at two ISPs."""

@@ -18,65 +18,34 @@ Prometheus-style unit suffixes (``_total``, ``_bytes``, ``_seconds``,
 ``_gbps``).  See DESIGN.md's Observability section for the inventory.
 """
 
-from repro.obs.histogram import QuantileSketch
-from repro.obs.instruments import (
-    Counter,
-    Gauge,
-    Histogram,
-    NOOP_COUNTER,
-    NOOP_GAUGE,
-    NOOP_HISTOGRAM,
-    SUMMARY_QUANTILES,
-    render_name,
-)
-from repro.obs.registry import (
-    AnyRegistry,
-    DEFAULT_BIN_WIDTH,
-    MetricsRegistry,
-    NOOP,
-    NoopRegistry,
-    merge_registries,
-)
-from repro.obs.tracing import SpanHandle, span
-from repro.obs.exporters import (
-    BENCH_REQUIRED_KEYS,
-    FORMATS,
-    export,
-    load_bench_json,
-    load_jsonl,
-    render_prometheus,
-    render_summary_table,
-    summary_table,
-    write_bench_json,
-    write_jsonl,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "NoopRegistry",
-    "NOOP",
-    "NOOP_COUNTER",
-    "NOOP_GAUGE",
-    "NOOP_HISTOGRAM",
-    "AnyRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "QuantileSketch",
-    "SpanHandle",
-    "span",
-    "SUMMARY_QUANTILES",
-    "DEFAULT_BIN_WIDTH",
-    "FORMATS",
-    "BENCH_REQUIRED_KEYS",
-    "merge_registries",
-    "render_name",
-    "export",
-    "write_jsonl",
-    "load_jsonl",
-    "write_bench_json",
-    "load_bench_json",
-    "render_prometheus",
-    "render_summary_table",
-    "summary_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "MetricsRegistry": "repro.obs.registry",
+    "NoopRegistry": "repro.obs.registry",
+    "NOOP": "repro.obs.registry",
+    "NOOP_COUNTER": "repro.obs.instruments",
+    "NOOP_GAUGE": "repro.obs.instruments",
+    "NOOP_HISTOGRAM": "repro.obs.instruments",
+    "AnyRegistry": "repro.obs.registry",
+    "Counter": "repro.obs.instruments",
+    "Gauge": "repro.obs.instruments",
+    "Histogram": "repro.obs.instruments",
+    "QuantileSketch": "repro.obs.histogram",
+    "SpanHandle": "repro.obs.tracing",
+    "span": "repro.obs.tracing",
+    "SUMMARY_QUANTILES": "repro.obs.instruments",
+    "DEFAULT_BIN_WIDTH": "repro.obs.registry",
+    "FORMATS": "repro.obs.exporters",
+    "BENCH_REQUIRED_KEYS": "repro.obs.exporters",
+    "merge_registries": "repro.obs.registry",
+    "render_name": "repro.obs.instruments",
+    "export": "repro.obs.exporters",
+    "write_jsonl": "repro.obs.exporters",
+    "load_jsonl": "repro.obs.exporters",
+    "write_bench_json": "repro.obs.exporters",
+    "load_bench_json": "repro.obs.exporters",
+    "render_prometheus": "repro.obs.exporters",
+    "render_summary_table": "repro.obs.exporters",
+    "summary_table": "repro.obs.exporters",
+})

@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 from typing import Any, Union
 
-from repro.analysis.tables import TextTable
 from repro.obs.instruments import KIND_GAUGE, KIND_HISTOGRAM, render_name
 from repro.obs.registry import AnyRegistry
 from repro.recovery.atomic import atomic_write_text
@@ -105,6 +104,9 @@ def render_summary_table(rows: list[dict[str, Any]]) -> str:
     :func:`load_jsonl` or :meth:`MetricsRegistry.to_rows` -- so dumped
     logs and live registries render identically.
     """
+    # Imported here: the serving tier exports metrics but renders no
+    # table, and the analysis package's import pulls in its CDFs.
+    from repro.analysis.tables import TextTable
     series_bins: dict[tuple[str, str], int] = {}
     for row in rows:
         if row.get("type") == "series":

@@ -10,7 +10,8 @@ replaced an older implementation, the digest was pinned from the older
 one: the samplers, engine and trace IO from the scalar
 pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
 generator-coroutine task path (``cloud_replay_faulted_dense`` from the
-task machine that registered every wait with the fault injector),
+task machine that registered every wait with the fault injector;
+``cloud_replay_faulted_broadcast`` is the live code's),
 ``cloud_replay_ablations`` from the
 task machines that built a result object per task, ``engine_storm``
 from the single-heap engine that predates batched same-instant dispatch,
@@ -230,6 +231,27 @@ def dense_chaos_plan():
     return FaultPlan(name="dense-chaos", seed=20150667, specs=specs)
 
 
+def broadcast_crash_plan():
+    """A fault plan whose upload-server crashes darken several ISPs at
+    once.
+
+    Per day: an ``isp:*`` ``server_crash``, a ``*`` one, and an
+    ``isp:*`` one gated to a seeded subset of the four groups.
+    """
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.sim.clock import DAY, HOUR
+    specs = []
+    for day in range(7):
+        at = day * DAY
+        specs += [
+            FaultSpec("server_crash", "isp:*", at + 3.0 * HOUR, 1.0 * HOUR),
+            FaultSpec("server_crash", "*", at + 13.0 * HOUR, 0.5 * HOUR),
+            FaultSpec("server_crash", "isp:*", at + 20.0 * HOUR,
+                      1.5 * HOUR, probability=0.5),
+        ]
+    return FaultPlan(name="broadcast-crash", seed=20150668, specs=specs)
+
+
 def _faulted_cloud_replay(policies, predownloader_count=None,
                           plan=None) -> str:
     """The golden week under a chaos plan (by default
@@ -278,6 +300,14 @@ def cloud_replay_faulted_dense() -> str:
     back-to-back crash windows, gated file windows on every day."""
     from repro.faults import DEFAULT_POLICIES
     return _faulted_cloud_replay(DEFAULT_POLICIES, plan=dense_chaos_plan())
+
+
+def cloud_replay_faulted_broadcast() -> str:
+    """Faulted week under :func:`broadcast_crash_plan`, default
+    policies: every upload group dark at once."""
+    from repro.faults import DEFAULT_POLICIES
+    return _faulted_cloud_replay(DEFAULT_POLICIES,
+                                 plan=broadcast_crash_plan())
 
 
 #: Metrics left out of ``cloud_metrics``: the engine's heap-depth gauge
@@ -811,6 +841,7 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "cloud_replay_faulted_bare": cloud_replay_faulted_bare,
     "cloud_replay_faulted_fleet": cloud_replay_faulted_fleet,
     "cloud_replay_faulted_dense": cloud_replay_faulted_dense,
+    "cloud_replay_faulted_broadcast": cloud_replay_faulted_broadcast,
     "cloud_metrics": cloud_metrics,
     "scale_replay": scale_replay,
     "scale_replay_faulted": scale_replay_faulted,

@@ -23,40 +23,21 @@ discipline to the harness itself:
   the CI kill-resume job exercise all of the above hermetically.
 """
 
-from repro.recovery.atomic import (
-    atomic_write_bytes,
-    atomic_write_text,
-    sha256_bytes,
-    sha256_file,
-)
-from repro.recovery.durable import (
-    DurableOutcome,
-    RecoveryConfig,
-    RunInterrupted,
-    ShardLostError,
-    durable_map,
-    worker_identity,
-)
-from repro.recovery.rundir import (
-    CorruptCheckpoint,
-    RunDir,
-    RunDirError,
-    package_code_digest,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CorruptCheckpoint",
-    "DurableOutcome",
-    "RecoveryConfig",
-    "RunDir",
-    "RunDirError",
-    "RunInterrupted",
-    "ShardLostError",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "durable_map",
-    "package_code_digest",
-    "sha256_bytes",
-    "sha256_file",
-    "worker_identity",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CorruptCheckpoint": "repro.recovery.rundir",
+    "DurableOutcome": "repro.recovery.durable",
+    "RecoveryConfig": "repro.recovery.durable",
+    "RunDir": "repro.recovery.rundir",
+    "RunDirError": "repro.recovery.rundir",
+    "RunInterrupted": "repro.recovery.durable",
+    "ShardLostError": "repro.recovery.durable",
+    "atomic_write_bytes": "repro.recovery.atomic",
+    "atomic_write_text": "repro.recovery.atomic",
+    "durable_map": "repro.recovery.durable",
+    "package_code_digest": "repro.recovery.rundir",
+    "sha256_bytes": "repro.recovery.atomic",
+    "sha256_file": "repro.recovery.atomic",
+    "worker_identity": "repro.recovery.durable",
+})

@@ -33,42 +33,27 @@ are requeued within a bounded budget, and passing a
 checkpoints per-shard results for bit-identical resume.
 """
 
-from repro.scale.executor import ScaleRunInfo, run_sharded, shard_key
-from repro.scale.pipelines import (
-    sharded_ap_replay,
-    sharded_cloud_stats,
-    sharded_generate,
-)
-from repro.scale.plan import (
-    DEFAULT_SHARDS,
-    ShardPlan,
-    ShardSpec,
-    stable_hash,
-)
-from repro.scale.reducers import merge_cdfs, merge_workloads
-from repro.scale.replay import ShardReplay, ShardRunStats, merge_stats
-from repro.scale.runner import GROUPS, check_group_coverage, run_parallel
-from repro.scale.shardgen import UserDirectory, generate_shard
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_SHARDS",
-    "GROUPS",
-    "ScaleRunInfo",
-    "ShardPlan",
-    "ShardReplay",
-    "ShardRunStats",
-    "ShardSpec",
-    "UserDirectory",
-    "check_group_coverage",
-    "generate_shard",
-    "merge_cdfs",
-    "merge_stats",
-    "merge_workloads",
-    "run_parallel",
-    "run_sharded",
-    "shard_key",
-    "sharded_ap_replay",
-    "sharded_cloud_stats",
-    "sharded_generate",
-    "stable_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_SHARDS": "repro.scale.plan",
+    "GROUPS": "repro.scale.runner",
+    "ScaleRunInfo": "repro.scale.executor",
+    "ShardPlan": "repro.scale.plan",
+    "ShardReplay": "repro.scale.replay",
+    "ShardRunStats": "repro.scale.replay",
+    "ShardSpec": "repro.scale.plan",
+    "UserDirectory": "repro.scale.shardgen",
+    "check_group_coverage": "repro.scale.runner",
+    "generate_shard": "repro.scale.shardgen",
+    "merge_cdfs": "repro.scale.reducers",
+    "merge_stats": "repro.scale.replay",
+    "merge_workloads": "repro.scale.reducers",
+    "run_parallel": "repro.scale.runner",
+    "run_sharded": "repro.scale.executor",
+    "shard_key": "repro.scale.executor",
+    "sharded_ap_replay": "repro.scale.pipelines",
+    "sharded_cloud_stats": "repro.scale.pipelines",
+    "sharded_generate": "repro.scale.pipelines",
+    "stable_hash": "repro.scale.plan",
+})

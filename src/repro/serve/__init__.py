@@ -32,35 +32,19 @@ endpoint at scale:
 The CLI lives in ``python -m repro.serve`` (also ``repro serve``).
 """
 
-from repro.serve.admission import (
-    DEFAULT_MAX_INFLIGHT,
-    AdmissionController,
-)
-from repro.serve.batching import DecisionBatcher
-from repro.serve.chaos import ServeChaos, load_serve_chaos
-from repro.serve.server import (
-    AsyncOdrServer,
-    AsyncServerThread,
-    endpoint_label,
-    run_async_server,
-)
-from repro.serve.supervisor import (
-    SupervisorConfig,
-    SupervisorThread,
-    WorkerSupervisor,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_INFLIGHT",
-    "AdmissionController",
-    "AsyncOdrServer",
-    "AsyncServerThread",
-    "DecisionBatcher",
-    "ServeChaos",
-    "SupervisorConfig",
-    "SupervisorThread",
-    "WorkerSupervisor",
-    "endpoint_label",
-    "load_serve_chaos",
-    "run_async_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_MAX_INFLIGHT": "repro.serve.admission",
+    "AdmissionController": "repro.serve.admission",
+    "AsyncOdrServer": "repro.serve.server",
+    "AsyncServerThread": "repro.serve.server",
+    "DecisionBatcher": "repro.serve.batching",
+    "ServeChaos": "repro.serve.chaos",
+    "SupervisorConfig": "repro.serve.supervisor",
+    "SupervisorThread": "repro.serve.supervisor",
+    "WorkerSupervisor": "repro.serve.supervisor",
+    "endpoint_label": "repro.serve.server",
+    "load_serve_chaos": "repro.serve.chaos",
+    "run_async_server": "repro.serve.server",
+})

@@ -11,39 +11,26 @@ cloud simulator, the smart-AP replay rig, and the ODR evaluator all run on
 it unmodified.
 """
 
-from repro.sim.clock import (
-    DAY,
-    HOUR,
-    MINUTE,
-    SECOND,
-    WEEK,
-    format_duration,
-    kbps,
-    mbps,
-    gbps,
-)
-from repro.sim.engine import Interrupt, Process, SimulationError, Simulator, Timeout
-from repro.sim.randomness import RngFactory, derive_seed, substream
-from repro.sim.resources import FairSharePool, ReservationPool
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SECOND",
-    "MINUTE",
-    "HOUR",
-    "DAY",
-    "WEEK",
-    "format_duration",
-    "kbps",
-    "mbps",
-    "gbps",
-    "Simulator",
-    "Process",
-    "Timeout",
-    "Interrupt",
-    "SimulationError",
-    "ReservationPool",
-    "FairSharePool",
-    "RngFactory",
-    "derive_seed",
-    "substream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SECOND": "repro.sim.clock",
+    "MINUTE": "repro.sim.clock",
+    "HOUR": "repro.sim.clock",
+    "DAY": "repro.sim.clock",
+    "WEEK": "repro.sim.clock",
+    "format_duration": "repro.sim.clock",
+    "kbps": "repro.sim.clock",
+    "mbps": "repro.sim.clock",
+    "gbps": "repro.sim.clock",
+    "Simulator": "repro.sim.engine",
+    "Process": "repro.sim.engine",
+    "Timeout": "repro.sim.engine",
+    "Interrupt": "repro.sim.engine",
+    "SimulationError": "repro.sim.engine",
+    "ReservationPool": "repro.sim.resources",
+    "FairSharePool": "repro.sim.resources",
+    "RngFactory": "repro.sim.randomness",
+    "derive_seed": "repro.sim.randomness",
+    "substream": "repro.sim.randomness",
+})

@@ -11,30 +11,19 @@ The cloud side's collaborative caching also lives here: an LRU cache and
 an MD5 content-addressed dedup store.
 """
 
-from repro.storage.device import (
-    DeviceKind,
-    StorageDevice,
-    SD_CARD_8GB,
-    USB_FLASH_8GB,
-    USB_HDD_5400,
-    SATA_HDD_1TB,
-)
-from repro.storage.filesystem import Filesystem
-from repro.storage.writepath import WritePath, WritePathProfile
-from repro.storage.lru import LRUCache
-from repro.storage.dedup import ContentStore, content_id
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DeviceKind",
-    "StorageDevice",
-    "SD_CARD_8GB",
-    "USB_FLASH_8GB",
-    "USB_HDD_5400",
-    "SATA_HDD_1TB",
-    "Filesystem",
-    "WritePath",
-    "WritePathProfile",
-    "LRUCache",
-    "ContentStore",
-    "content_id",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DeviceKind": "repro.storage.device",
+    "StorageDevice": "repro.storage.device",
+    "SD_CARD_8GB": "repro.storage.device",
+    "USB_FLASH_8GB": "repro.storage.device",
+    "USB_HDD_5400": "repro.storage.device",
+    "SATA_HDD_1TB": "repro.storage.device",
+    "Filesystem": "repro.storage.filesystem",
+    "WritePath": "repro.storage.writepath",
+    "WritePathProfile": "repro.storage.writepath",
+    "LRUCache": "repro.storage.lru",
+    "ContentStore": "repro.storage.dedup",
+    "content_id": "repro.storage.dedup",
+})

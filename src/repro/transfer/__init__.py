@@ -7,47 +7,24 @@ non-resumable connections, and the download-session stagnation rule turns
 stalls into the failures the traces record.
 """
 
-from repro.transfer.protocols import (
-    Protocol,
-    ProtocolModel,
-    default_protocol_model,
-)
-from repro.transfer.swarm import Swarm, SwarmModel
-from repro.transfer.source import (
-    ContentSource,
-    HttpFtpSource,
-    P2PSwarmSource,
-    SourceModel,
-    AttemptDraw,
-)
-from repro.transfer.session import (
-    DownloadOutcome,
-    DownloadSession,
-    SessionLimits,
-    STAGNATION_TIMEOUT,
-)
-from repro.transfer.ledbat import (
-    BottleneckLink,
-    LedbatController,
-    simulate_scavenging,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Protocol",
-    "ProtocolModel",
-    "default_protocol_model",
-    "Swarm",
-    "SwarmModel",
-    "ContentSource",
-    "P2PSwarmSource",
-    "HttpFtpSource",
-    "SourceModel",
-    "AttemptDraw",
-    "DownloadSession",
-    "DownloadOutcome",
-    "SessionLimits",
-    "STAGNATION_TIMEOUT",
-    "LedbatController",
-    "BottleneckLink",
-    "simulate_scavenging",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Protocol": "repro.transfer.protocols",
+    "ProtocolModel": "repro.transfer.protocols",
+    "default_protocol_model": "repro.transfer.protocols",
+    "Swarm": "repro.transfer.swarm",
+    "SwarmModel": "repro.transfer.swarm",
+    "ContentSource": "repro.transfer.source",
+    "P2PSwarmSource": "repro.transfer.source",
+    "HttpFtpSource": "repro.transfer.source",
+    "SourceModel": "repro.transfer.source",
+    "AttemptDraw": "repro.transfer.source",
+    "DownloadSession": "repro.transfer.session",
+    "DownloadOutcome": "repro.transfer.session",
+    "SessionLimits": "repro.transfer.session",
+    "STAGNATION_TIMEOUT": "repro.transfer.session",
+    "LedbatController": "repro.transfer.ledbat",
+    "BottleneckLink": "repro.transfer.ledbat",
+    "simulate_scavenging": "repro.transfer.ledbat",
+})

@@ -9,59 +9,32 @@ calibration target, and the joint structure the paper's analyses rely on
 (popularity drives swarm health drives failures) is built in.
 """
 
-from repro.workload.filetypes import FileType, FileTypeModel
-from repro.workload.sizes import FileSizeModel
-from repro.workload.popularity import PopularityClass, PopularityModel
-from repro.workload.records import (
-    CatalogFile,
-    FetchRecord,
-    PreDownloadRecord,
-    RequestRecord,
-    User,
-)
-from repro.workload.catalog import FileCatalog
-from repro.workload.users import UserPopulation
-from repro.workload.arrivals import ArrivalProcess
-from repro.workload.generator import Workload, WorkloadConfig, \
-    WorkloadGenerator
-from repro.workload.sampler import sample_benchmark_requests
-from repro.workload.multiweek import (
-    EvolutionConfig,
-    MultiWeekGenerator,
-    WeekStats,
-    run_weeks,
-)
-from repro.workload.traceio import (
-    read_jsonl,
-    write_jsonl,
-    load_workload,
-    save_workload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FileType",
-    "FileTypeModel",
-    "FileSizeModel",
-    "PopularityClass",
-    "PopularityModel",
-    "CatalogFile",
-    "User",
-    "RequestRecord",
-    "PreDownloadRecord",
-    "FetchRecord",
-    "FileCatalog",
-    "UserPopulation",
-    "ArrivalProcess",
-    "Workload",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "sample_benchmark_requests",
-    "MultiWeekGenerator",
-    "EvolutionConfig",
-    "WeekStats",
-    "run_weeks",
-    "read_jsonl",
-    "write_jsonl",
-    "load_workload",
-    "save_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "FileType": "repro.workload.filetypes",
+    "FileTypeModel": "repro.workload.filetypes",
+    "FileSizeModel": "repro.workload.sizes",
+    "PopularityClass": "repro.workload.popularity",
+    "PopularityModel": "repro.workload.popularity",
+    "CatalogFile": "repro.workload.records",
+    "User": "repro.workload.records",
+    "RequestRecord": "repro.workload.records",
+    "PreDownloadRecord": "repro.workload.records",
+    "FetchRecord": "repro.workload.records",
+    "FileCatalog": "repro.workload.catalog",
+    "UserPopulation": "repro.workload.users",
+    "ArrivalProcess": "repro.workload.arrivals",
+    "Workload": "repro.workload.generator",
+    "WorkloadConfig": "repro.workload.generator",
+    "WorkloadGenerator": "repro.workload.generator",
+    "sample_benchmark_requests": "repro.workload.sampler",
+    "MultiWeekGenerator": "repro.workload.multiweek",
+    "EvolutionConfig": "repro.workload.multiweek",
+    "WeekStats": "repro.workload.multiweek",
+    "run_weeks": "repro.workload.multiweek",
+    "read_jsonl": "repro.workload.traceio",
+    "write_jsonl": "repro.workload.traceio",
+    "load_workload": "repro.workload.traceio",
+    "save_workload": "repro.workload.traceio",
+})

@@ -21,7 +21,7 @@ from repro.cloud.fastpath import _FastTask
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import default_chaos_plan
 from repro.faults.policies import ResiliencePolicies, RetryPolicy
-from repro.netsim.isp import ISP
+from repro.netsim.isp import ISP, MAJOR_ISPS
 from repro.obs import NOOP, MetricsRegistry
 from repro.perf import golden
 from repro.perf.golden import cloud_payload
@@ -355,6 +355,40 @@ def test_an_isp_wide_crash_interrupts_in_registration_order(monkeypatch):
         ("isp", "telecom"), ("isp", "unicom"), ("isp", "telecom")]
     assert injector.impacts == 3
     assert all(task.fetch_record.rejected for task in result.tasks)
+
+
+@pytest.mark.parametrize("target", ["isp:*", "*"])
+@pytest.mark.parametrize("retry", [False, True])
+def test_a_broadcast_crash_darkens_every_upload_group(target, retry):
+    # t0 pre-downloads 100-120 s and its fetch (from 180 s) is in flight
+    # when the crash opens at 190 s; t1 hits the pooled file and its
+    # fetch is admitted at 210 s, inside the window.  A named
+    # isp:telecom crash sends t1 across the barrier to unicom; a
+    # broadcast one leaves no group to serve it.
+    policies = ResiliencePolicies(
+        retry=RetryPolicy(max_attempts=2, base_delay=30.0, jitter=0.0)) \
+        if retry else None
+    _cloud, result, injector = _replay(
+        _week(_file("f"), [100.0, 150.0]),
+        _plan(FaultSpec("server_crash", target, start=190.0,
+                        duration=1000.0)),
+        policies=policies)
+    assert injector.crashed_isps(210.0) == frozenset(
+        isp.value for isp in MAJOR_ISPS)
+    assert injector.crashed_isps(1190.0) == frozenset()
+    late = result.tasks[1]
+    assert late.fetch_record.start_time == 210.0
+    if retry:
+        # Both fetches wait out the window plus 30 s, then go home.
+        assert all(task.fetch_path.server_isp is ISP.TELECOM
+                   and task.fetch_record.finish_time > 1220.0 + SESSION
+                   for task in result.tasks)
+        assert injector.scoreboard()["aborts"] == 0
+    else:
+        assert late.fetch_record.rejected and late.fetch_path is None
+        assert late.fetch_record.finish_time == 210.0
+        assert injector.scoreboard()["aborts"] == 2
+    assert injector.scoreboard()["failovers"] == 0
 
 
 #: The golden scenarios that replay a week under a fault plan.
