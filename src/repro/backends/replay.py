@@ -11,15 +11,15 @@ Determinism is the design driver, in three layers:
 * **per-(combo, file) randomness**: every random draw comes from a
   stream forked off ``(seed, combo name, file id)``, never from a
   shared sequential stream, so no combo or file can perturb another;
-* **content sharding**: requests are partitioned by
-  ``stable_hash(file id)``, and all cache-coupled state (the content
-  database rows a strategy reads, pre-download outcomes) is per-file,
-  so shard outputs merge identically for any ``--shards``;
+* **content sharding**: requests are partitioned by their file
+  (:meth:`~repro.scale.plan.ShardPlan.shard_of_file`), and all
+  cache-coupled state (the content database rows a strategy reads,
+  pre-download outcomes) is per-file, so shard outputs merge
+  identically for any ``--shards``;
 * **order-independent reduction**: shard results are
-  :class:`ComboStats` on the shared
-  :class:`~repro.scale.reducers.MergeableStats` base (sums and exact
-  sketch-bucket merges), folded in shard order regardless of worker
-  scheduling, so ``--jobs`` cannot change a byte.
+  :class:`ComboStats` (sums and exact sketch-bucket merges), folded in
+  shard order regardless of worker scheduling, so ``--jobs`` cannot
+  change a byte.
 
 The shards run on the shared shard executor
 (:func:`repro.scale.executor.run_sharded` over a
@@ -45,8 +45,7 @@ from repro.core.decision import Action
 from repro.obs.histogram import QuantileSketch
 from repro.scale.executor import run_sharded
 from repro.scale.plan import ShardPlan, ShardSpec, stable_hash
-from repro.scale.reducers import MergeableStats, canonical_digest, \
-    hex_floats
+from repro.scale.reducers import canonical_digest, hex_floats
 from repro.sim.randomness import RngFactory
 from repro.workload.generator import (
     Workload,
@@ -126,11 +125,14 @@ def default_combos() -> tuple[ComboSpec, ...]:
     )
 
 
-@dataclass(eq=False)
-class ComboStats(MergeableStats):
-    """Mergeable per-combo aggregates (the shard worker's output)."""
+@dataclass
+class ComboStats:
+    """Mergeable per-combo aggregates (the shard worker's output).
 
-    IDENTITY = ("combo",)
+    Counts and whole bytes add, the action counters add key by key and
+    the delay sketch merges bucket by bucket, so folding the parts of
+    any partition of the requests reproduces the one-shard stats.
+    """
 
     combo: str
     requests: int = 0
@@ -156,6 +158,30 @@ class ComboStats(MergeableStats):
             self.delays.add(delay)
         else:
             self.failures += 1
+
+    def merge(self, other: "ComboStats") -> None:
+        """Fold another shard's stats of the same combo in."""
+        if other.combo != self.combo:
+            raise ValueError("cannot merge ComboStats of different combo")
+        self.requests += other.requests
+        self.failures += other.failures
+        self.cloud_bytes += other.cloud_bytes
+        self.delays.merge(other.delays)
+        for mine, theirs in ((self.actions, other.actions),
+                             (self.backend_requests,
+                              other.backend_requests)):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
+
+    @classmethod
+    def fold(cls, parts: Sequence["ComboStats"]) -> "ComboStats":
+        """Merge ``parts`` in order into a fresh instance."""
+        if not parts:
+            raise ValueError("nothing to merge")
+        merged = cls(combo=parts[0].combo)
+        for part in parts:
+            merged.merge(part)
+        return merged
 
     def to_dict(self) -> dict[str, Any]:
         total = max(self.requests, 1)
@@ -308,9 +334,9 @@ def run_shard(spec: ShardSpec, *, limit: int, deadline_seconds: float,
         workload = _generate(spec.scale, spec.seed)
     trace = workload.requests[:limit]
     by_file: dict[str, list[RequestRecord]] = {}
+    plan = spec.plan
     for request in trace:
-        if stable_hash(f"file:{request.file_id}") % spec.shards \
-                != spec.shard:
+        if plan.shard_of_file(request.file_id) != spec.shard:
             continue
         by_file.setdefault(request.file_id, []).append(request)
 

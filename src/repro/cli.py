@@ -29,19 +29,12 @@ def _add_scale(parser: argparse.ArgumentParser,
     parser.add_argument("--seed", type=int, default=20150222)
 
 
-def _add_jobs(parser: argparse.ArgumentParser,
-              shards: bool = True) -> None:
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
-                        help="run through the sharded repro.scale "
-                             "pipeline with N worker processes; results "
-                             "are independent of N (use --jobs 1 for "
-                             "the sharded path without parallelism)")
-    if shards:
-        from repro.scale.plan import DEFAULT_SHARDS
-        parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                            help="shard count of the partition (part of "
-                                 "the result's identity; default "
-                                 f"{DEFAULT_SHARDS})")
+                        help="fan the run out over N worker processes "
+                             "(repro.scale); results are independent "
+                             "of N (use --jobs 1 for the fan-out "
+                             "without parallelism)")
 
 
 def _add_trace_format(parser: argparse.ArgumentParser,
@@ -67,35 +60,34 @@ def _add_recovery(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--run-dir", type=Path, default=None,
                         metavar="DIR",
                         help="make the run durable: checkpoint every "
-                             "finished shard into DIR (manifest + "
-                             "pickle + SHA-256) so a crashed or "
-                             "interrupted run can be resumed")
+                             "finished worker's result into DIR "
+                             "(manifest + pickle + SHA-256) so a crashed "
+                             "or interrupted run can be resumed")
     parser.add_argument("--resume", type=Path, default=None,
                         metavar="DIR",
                         help="resume the run directory DIR: verify its "
                              "manifest, reuse every valid checkpoint, "
                              "and recompute only missing/corrupt "
-                             "shards (the merged result is "
+                             "results (the merged result is "
                              "bit-identical to an uninterrupted run)")
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-shard watchdog: a worker stuck "
+                        help="per-worker watchdog: a worker stuck "
                              "longer than this is killed and its "
-                             "shard requeued")
+                             "payload requeued")
     parser.add_argument("--max-shard-retries", type=int, default=None,
                         metavar="N",
-                        help="requeue a lost shard at most N times "
+                        help="requeue a lost payload at most N times "
                              "before the run aborts as "
                              "resumable-failed (default 2)")
 
 
 def _recovery_config(args: argparse.Namespace):
     """Build a RecoveryConfig from --run-dir/--resume flags (or None)."""
-    run_dir = getattr(args, "resume", None) or \
-        getattr(args, "run_dir", None)
+    run_dir = args.resume or args.run_dir
     if run_dir is None:
-        if getattr(args, "shard_timeout", None) is not None or \
-                getattr(args, "max_shard_retries", None) is not None:
+        if args.shard_timeout is not None or \
+                args.max_shard_retries is not None:
             print("error: --shard-timeout/--max-shard-retries need "
                   "--run-dir or --resume", file=sys.stderr)
             raise SystemExit(2)
@@ -103,8 +95,7 @@ def _recovery_config(args: argparse.Namespace):
     from repro.recovery import RecoveryConfig
     from repro.recovery.durable import DEFAULT_MAX_RETRIES
     retries = args.max_shard_retries \
-        if getattr(args, "max_shard_retries", None) is not None \
-        else DEFAULT_MAX_RETRIES
+        if args.max_shard_retries is not None else DEFAULT_MAX_RETRIES
     return RecoveryConfig(run_dir=Path(run_dir),
                           resume=args.resume is not None,
                           shard_timeout=args.shard_timeout,
@@ -214,27 +205,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print("error: --gzip applies to jsonl traces only (columnar "
               "blocks must stay memory-mappable)", file=sys.stderr)
         return 2
-    recovery = _recovery_config(args)
-    if args.jobs is not None or recovery is not None:
-        # --run-dir/--resume imply the sharded pipeline (checkpoints
-        # are per shard); without --jobs it runs single-process.
-        from repro.scale import ShardPlan, sharded_generate
-        jobs = args.jobs if args.jobs is not None else 1
-        plan = ShardPlan(scale=args.scale, seed=args.seed,
-                         shards=args.shards)
-        workload, info = sharded_generate(plan, jobs=jobs,
-                                          recovery=recovery)
-        print(f"sharded generate: {plan.shards} shards, "
-              f"{jobs} jobs, {info.wall_seconds:.1f}s wall")
-        if recovery is not None:
-            from repro.perf.golden import digest, workload_payload
-            print(f"reused shards:    {info.reused_shards}/{plan.shards}"
-                  f" (retries: {info.shard_retries})")
-            print(f"merged digest:    "
-                  f"{digest(workload_payload(workload))}")
-    else:
-        config = WorkloadConfig(scale=args.scale, seed=args.seed)
-        workload = WorkloadGenerator(config).generate()
+    config = WorkloadConfig(scale=args.scale, seed=args.seed)
+    workload = WorkloadGenerator(config).generate()
     directory = save_workload(workload, args.out, compress=args.gzip,
                               trace_format=args.trace_format)
     print(f"wrote {len(workload.requests)} requests, "
@@ -258,9 +230,6 @@ def cmd_cloud(args: argparse.Namespace) -> int:
     from repro.cloud import CloudConfig, XuanfengCloud
     from repro.obs import span
     registry = _metrics_registry(args)
-    recovery = _recovery_config(args)
-    if args.jobs is not None or recovery is not None:
-        return _cmd_cloud_sharded(args, registry, recovery)
     injector, policies = _fault_setup(args, registry)
     workload = _load_or_generate(args)
     config = CloudConfig(scale=workload.config.scale,
@@ -292,56 +261,6 @@ def cmd_cloud(args: argparse.Namespace) -> int:
     print(f"peak burden:      "
           f"{to_gbps(peak) / workload.config.scale:.1f} Gbps "
           f"(rescaled)")
-    _emit_metrics(registry, args)
-    return 0
-
-
-def _cmd_cloud_sharded(args: argparse.Namespace, registry,
-                       recovery=None) -> int:
-    """``repro cloud --jobs N``: the sharded generate+replay pipeline."""
-    from repro.scale import ShardPlan, sharded_cloud_stats
-    if getattr(args, "trace", None):
-        print("error: --jobs regenerates shards itself; "
-              "drop --trace", file=sys.stderr)
-        return 2
-    if args.no_privileged_paths or args.no_cache:
-        print("error: ablations (--no-cache, --no-privileged-paths) "
-              "need the event-driven engine; drop --jobs",
-              file=sys.stderr)
-        return 2
-    fault_plan = None
-    if getattr(args, "faults", None) is not None:
-        fault_plan = _load_fault_plan(args.faults)
-    jobs = args.jobs if args.jobs is not None else 1
-    plan = ShardPlan(scale=args.scale, seed=args.seed,
-                     shards=args.shards)
-    stats, info = sharded_cloud_stats(
-        plan, jobs=jobs, metrics=registry, fault_plan=fault_plan,
-        policies_on=not args.no_resilience, recovery=recovery)
-    print(f"sharded replay:   {plan.shards} shards, {jobs} jobs, "
-          f"{info.wall_seconds:.1f}s wall "
-          f"({info.work_seconds:.1f}s work)")
-    if recovery is not None:
-        print(f"reused shards:    {info.reused_shards}/{plan.shards} "
-              f"(retries: {info.shard_retries})")
-        print(f"merged digest:    {stats.digest()}")
-    if fault_plan is not None:
-        print(f"faults:           {stats.fault_impacts} impacts, "
-              f"{stats.fault_retries} retries, "
-              f"{stats.fault_failovers} failovers, "
-              f"{stats.fault_recoveries} recoveries, "
-              f"{stats.fault_aborts} aborts")
-    print(f"tasks:            {stats.tasks}")
-    print(f"cache hit ratio:  {stats.cache_hit_ratio:.1%}")
-    print(f"request failures: {stats.request_failure_ratio:.1%}")
-    print(f"pre-dl speed:     median "
-          f"{stats.pre_speed.quantile(0.5) / 1e3:.0f} KBps")
-    print(f"fetch speed:      median "
-          f"{stats.fetch_speed.quantile(0.5) / 1e3:.0f} KBps")
-    print(f"impeded fetches:  {stats.impeded_fetch_share:.1%}")
-    print(f"peak burden:      "
-          f"{to_gbps(stats.peak_burden) / args.scale:.1f} Gbps "
-          f"(rescaled; admission-free)")
     _emit_metrics(registry, args)
     return 0
 
@@ -385,9 +304,12 @@ def cmd_ap(args: argparse.Namespace) -> int:
         print(f"parallel replay:   {info.shards} AP workers, "
               f"{jobs} jobs, {info.wall_seconds:.1f}s wall")
         if recovery is not None:
+            from repro.perf.golden import ap_payload, digest
             print(f"reused AP shards:  "
                   f"{info.reused_shards}/{info.shards} "
                   f"(retries: {info.shard_retries})")
+            print(f"merged digest:     "
+                  f"{digest(ap_payload(report.results))}")
     else:
         with span(registry, "ap_replay", sample=len(sample)):
             report = ApBenchmarkRig(
@@ -549,19 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser(
         "generate", help="synthesise and save a workload week")
     _add_scale(generate)
-    _add_jobs(generate)
     generate.add_argument("--out", type=Path, default=Path("trace"))
     generate.add_argument("--gzip", action="store_true",
                           help="write gzipped trace files (*.jsonl.gz)")
     _add_trace_format(generate, write=True)
-    _add_recovery(generate)
     _add_profile(generate)
     generate.set_defaults(func=cmd_generate)
 
     cloud = subparsers.add_parser(
         "cloud", help="run the cloud system over a week")
     _add_scale(cloud)
-    _add_jobs(cloud)
     cloud.add_argument("--trace", type=Path, default=None,
                        help="load a saved workload instead of "
                             "generating one")
@@ -570,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable collaborative caching (ablation)")
     cloud.add_argument("--no-privileged-paths", action="store_true",
                        help="disable ISP-aware path selection (ablation)")
-    _add_recovery(cloud)
     _add_faults(cloud)
     _add_metrics(cloud)
     _add_profile(cloud)
@@ -579,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = subparsers.add_parser(
         "ap", help="replay the smart-AP benchmark")
     _add_scale(ap)
-    _add_jobs(ap, shards=False)
+    _add_jobs(ap)
     ap.add_argument("--trace", type=Path, default=None)
     _add_trace_format(ap)
     ap.add_argument("--sample", type=int, default=1000)
@@ -617,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments = subparsers.add_parser(
         "experiments", help="regenerate every paper comparison")
     _add_scale(experiments, default=0.02)
-    _add_jobs(experiments, shards=False)
+    _add_jobs(experiments)
     experiments.add_argument("--output", type=Path, default=None)
     _add_recovery(experiments)
     _add_metrics(experiments)

@@ -572,7 +572,9 @@ class XuanfengCloud:
         # ``faults=None`` tasks run on the fault-free task machine
         # (repro.cloud.fastpath), so every hop and RNG draw is that of
         # the fault-free build (golden digests depend on this).
-        # ``policies`` only matters when faults are injected.
+        # ``policies`` is read only when ``faults`` is given, but then
+        # it changes the week even under an empty plan: the policies
+        # also retry admission rejects that no fault caused.
         self.faults = faults
         self.policies = policies
         self.fetch_model = FetchSpeedModel()

@@ -1,7 +1,7 @@
 """Resilience scorecard: how much of the chaos damage the policies undo.
 
-Runs the same fault plan twice over the sharded full-week replay --
-policies off, then on -- and scores the delta::
+Runs the same fault plan twice over one generated week's cloud replay
+-- policies off, then on -- and scores the delta::
 
     PYTHONPATH=src python -m repro.experiments.resilience_scorecard \
         --scale 0.002 --out resilience_scorecard.json
@@ -13,9 +13,9 @@ exits non-zero unless
 
 * the policies-on run recovers a strictly positive fraction of the
   policies-off failures, and
-* the fault-free chaos-driver baseline is identical to the plain
-  sharded replay (the injection machinery is provably inert when no
-  plan is loaded).
+* the fault-free chaos-driver baseline is identical to a plain
+  :class:`~repro.cloud.system.XuanfengCloud` replay of the same week
+  (the injection machinery is provably inert when no plan is loaded).
 """
 
 from __future__ import annotations
@@ -26,16 +26,17 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.cloud import CloudConfig, XuanfengCloud
 from repro.faults.chaos import (
     DEFAULT_CHAOS_SCALE,
     DEFAULT_WORKLOAD_SEED,
     canonical_json,
     chaos_campaign,
+    generate_week,
     run_chaos,
 )
 from repro.faults.plan import FaultPlan, default_chaos_plan
-from repro.scale.pipelines import sharded_cloud_stats
-from repro.scale.plan import DEFAULT_SHARDS, ShardPlan
+from repro.perf.golden import cloud_payload
 
 
 def render_scorecard(report: dict, baseline_consistent: bool) -> str:
@@ -48,8 +49,7 @@ def render_scorecard(report: dict, baseline_consistent: bool) -> str:
         f"(seed {report['plan']['seed']}, "
         f"{report['plan']['spec_count']} faults)",
         f"  workload:            scale {report['workload']['scale']}, "
-        f"seed {report['workload']['seed']}, "
-        f"{report['workload']['shards']} shards",
+        f"seed {report['workload']['seed']}",
         f"  tasks:               {on['tasks']}",
         f"  failures (off):      {recovery['policies_off_failures']} "
         f"({off['failure_ratio']:.2%})",
@@ -77,8 +77,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default=DEFAULT_CHAOS_SCALE)
     parser.add_argument("--seed", type=int,
                         default=DEFAULT_WORKLOAD_SEED)
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None,
                         help="write the full JSON report here")
     args = parser.parse_args(argv)
@@ -86,15 +84,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     plan = FaultPlan.from_file(args.plan) if args.plan is not None \
         else default_chaos_plan()
     report = chaos_campaign(args.scale, args.seed, plan=plan,
-                            policies="both", shards=args.shards,
-                            jobs=args.jobs)
+                            policies="both")
 
-    shard_plan = ShardPlan(scale=args.scale, seed=args.seed,
-                           shards=args.shards)
-    plain, _info = sharded_cloud_stats(shard_plan, jobs=args.jobs)
-    baseline = run_chaos(args.scale, args.seed, plan=None,
-                         shards=args.shards, jobs=args.jobs)
-    baseline_consistent = baseline == plain
+    workload = generate_week(args.scale, args.seed)
+    plain = XuanfengCloud(CloudConfig(scale=args.scale)).run(workload)
+    baseline, _injector = run_chaos(workload, plan=None)
+    baseline_consistent = cloud_payload(baseline) == cloud_payload(plain)
 
     report["baseline_consistent"] = baseline_consistent
     print(render_scorecard(report, baseline_consistent))
@@ -110,7 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     if not baseline_consistent:
         print("FAIL: fault-free chaos baseline diverges from the "
-              "plain sharded replay", file=sys.stderr)
+              "plain replay", file=sys.stderr)
         return 1
     return 0
 

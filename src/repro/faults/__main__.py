@@ -1,14 +1,14 @@
 """``python -m repro.faults`` -- the chaos campaign CLI.
 
-Runs a fault plan against the sharded full-week replay and prints (or
-writes) the canonical JSON report.  Examples::
+Runs a fault plan against a generated week's cloud replay and prints
+(or writes) the canonical JSON report.  Examples::
 
     # Built-in plan, policies off vs on, deterministic report:
     python -m repro.faults --scale 0.003 --policies both
 
     # A custom plan, twice, proving byte-identical output:
     python -m repro.faults --plan chaos.json --out a.json
-    python -m repro.faults --plan chaos.json --out b.json --jobs 2
+    python -m repro.faults --plan chaos.json --out b.json
     diff a.json b.json
 
     # Export the built-in plan for editing:
@@ -32,14 +32,13 @@ from repro.faults.plan import (
     FaultPlan,
     default_chaos_plan,
 )
-from repro.scale.plan import DEFAULT_SHARDS
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="Run a deterministic chaos campaign over the "
-                    "sharded replay and emit a canonical JSON report.")
+                    "cloud replay and emit a canonical JSON report.")
     parser.add_argument("--plan", metavar="PATH", default=None,
                         help="fault plan JSON (default: built-in plan)")
     parser.add_argument("--seed", type=int, default=None,
@@ -50,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload-seed", type=int,
                         default=DEFAULT_WORKLOAD_SEED,
                         help="workload seed (default %(default)s)")
-    parser.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                        help="shard count (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (result-invariant)")
     parser.add_argument("--policies", choices=("on", "off", "both"),
                         default="both",
                         help="resilience policies (default %(default)s)")
@@ -86,8 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     report = chaos_campaign(args.scale, args.workload_seed, plan=plan,
-                            policies=args.policies, shards=args.shards,
-                            jobs=args.jobs)
+                            policies=args.policies)
     text = canonical_json(report)
     if args.out is not None:
         from pathlib import Path

@@ -15,10 +15,11 @@ Two modes of use, both deterministic:
   :meth:`FaultInjector.exposed` answers that for a wait about to start;
   only a wait it exposes needs to register.
 
-* **Query mode** (analytic replay paths -- ``ShardReplay``, the AP
-  benchrig, ODR): callers ask "is fault X active on entity E at time
-  T?" and steer their own clocks.  All answers depend only on the plan,
-  so sharded and sequential runs agree bit-for-bit.
+* **Query mode** (the cloud task machine's attempt boundaries, the AP
+  benchrig, the serving tier's chaos hooks): callers ask "is fault X
+  active on entity E at time T?" and steer their own clocks.  All
+  answers depend only on the plan, so they do not depend on the order
+  in which callers ask, nor on which process asks.
 
 The injector also keeps the resilience scoreboard (faults injected,
 impacts, retries, failovers, aborts, recoveries) as plain counters plus

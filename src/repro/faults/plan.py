@@ -10,9 +10,9 @@ an optional ``severity`` (rate multiplier for degradation kinds) and
 
 Determinism contract: whether a probabilistic fault hits a given entity
 is decided by a stable hash of ``(plan seed, spec key, entity name)`` --
-never by shared RNG state -- so any content-sharded partition of a run
-(``repro.scale``) sees the identical fault assignment and the merged
-result is bit-identical to the unsharded one.
+never by shared RNG state -- so the assignment does not depend on the
+order in which a run meets its entities, nor on which process asks
+(the backend matrix's shard workers each build their own injector).
 
 Fault taxonomy (kind -> target domain):
 
@@ -54,6 +54,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.netsim.isp import ISP
 from repro.sim.clock import DAY, HOUR
 from repro.sim.randomness import derive_seed, substream
 
@@ -74,6 +75,14 @@ KIND_DOMAINS: dict[str, str] = {
     "probe_blackhole": "serve",
     "admin_slowloris": "serve",
     "conn_reset": "serve",
+}
+
+#: domain -> every entity name a target may give, for the closed
+#: domains; ``file``, ``ap`` and ``serve`` names are open (a file id,
+#: an AP model, a worker slot checked against the pool at load time).
+DOMAIN_ENTITIES: dict[str, tuple[str, ...]] = {
+    "isp": tuple(isp.value for isp in ISP),
+    "pool": ("pool",),
 }
 
 #: AP fault kinds that make the attempt unable to proceed at all (the
@@ -155,6 +164,12 @@ class FaultSpec:
                     f"target of {self.kind!r} must be '*', "
                     f"'{domain}:*' or '{domain}:<name>', "
                     f"got {self.target!r}")
+            known = DOMAIN_ENTITIES.get(domain)
+            if known is not None and name != "*" and name not in known:
+                raise ValueError(
+                    f"unknown {domain} target {self.target!r} of "
+                    f"{self.kind!r}; known: "
+                    f"{', '.join(f'{domain}:{entity}' for entity in known)}")
 
     @property
     def domain(self) -> str:

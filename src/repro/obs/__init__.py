@@ -37,14 +37,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SUMMARY_QUANTILES": "repro.obs.instruments",
     "DEFAULT_BIN_WIDTH": "repro.obs.registry",
     "FORMATS": "repro.obs.exporters",
-    "BENCH_REQUIRED_KEYS": "repro.obs.exporters",
-    "merge_registries": "repro.obs.registry",
     "render_name": "repro.obs.instruments",
     "export": "repro.obs.exporters",
     "write_jsonl": "repro.obs.exporters",
     "load_jsonl": "repro.obs.exporters",
-    "write_bench_json": "repro.obs.exporters",
-    "load_bench_json": "repro.obs.exporters",
     "render_prometheus": "repro.obs.exporters",
     "render_summary_table": "repro.obs.exporters",
     "summary_table": "repro.obs.exporters",

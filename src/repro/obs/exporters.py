@@ -151,39 +151,6 @@ def summary_table(metrics: AnyRegistry) -> str:
     return render_summary_table(metrics.to_rows())
 
 
-# -- perf records (BENCH_*.json) -----------------------------------------------
-
-#: Keys every perf record must carry so CI artifacts stay comparable
-#: across PRs (see benchmarks/ and ``repro.scale.bench``).
-BENCH_REQUIRED_KEYS = ("benchmark", "cpu_count", "runs")
-
-
-def write_bench_json(record: dict[str, Any],
-                     path: Union[str, Path]) -> Path:
-    """Write a benchmark perf record (e.g. ``BENCH_scale.json``).
-
-    The record is a plain JSON object; :data:`BENCH_REQUIRED_KEYS` are
-    validated so every emitted perf artifact carries the fields the
-    speedup dashboards key on.
-    """
-    missing = [key for key in BENCH_REQUIRED_KEYS if key not in record]
-    if missing:
-        raise ValueError(f"perf record missing keys {missing}")
-    return atomic_write_text(
-        Path(path), json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def load_bench_json(path: Union[str, Path]) -> dict[str, Any]:
-    """Read a perf record back; validates the same required keys."""
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: perf record must be a JSON object")
-    missing = [key for key in BENCH_REQUIRED_KEYS if key not in record]
-    if missing:
-        raise ValueError(f"{path}: perf record missing keys {missing}")
-    return record
-
-
 # -- one-stop export -----------------------------------------------------------
 
 def export(metrics: AnyRegistry, fmt: str,

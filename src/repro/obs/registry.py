@@ -157,64 +157,6 @@ class MetricsRegistry:
         self.histogram(f"repro_trace_{name}_wall_seconds").sketch.add(
             wall_seconds)
 
-    # -- merging (scale-out reduction) -----------------------------------------
-
-    def merge(self, other: "MetricsRegistry | NoopRegistry") -> None:
-        """Fold another registry's state into this one.
-
-        The reducer behind ``repro.scale``: per-shard worker registries
-        stream back to the parent process and collapse into one.  Merge
-        semantics per kind: counters and histogram sketches add (the
-        sketch merge is exact for bucket state), gauges add their values
-        and take the max of their peaks (a level split across shards sums;
-        a high-water mark is the worst shard's).  Sim-time series bins
-        combine the same way, spans concatenate.  Merging never touches
-        the clock, so observations keep their original sim-time bins.
-        """
-        if not other.enabled:
-            return
-        assert isinstance(other, MetricsRegistry)
-        if other.bin_width != self._bin_width:
-            raise ValueError(
-                f"cannot merge registries with bin widths "
-                f"{other.bin_width} and {self._bin_width}")
-        for key, theirs in other._instruments.items():
-            name, label_items = key
-            mine = self._get_or_create(type(theirs), name,
-                                       dict(label_items))
-            if isinstance(theirs, Counter):
-                mine.value += theirs.value
-            elif isinstance(theirs, Gauge):
-                mine.value += theirs.value
-                mine.peak = max(mine.peak, theirs.peak)
-            else:
-                mine.sketch.merge(theirs.sketch)
-            series = self._series.setdefault(key, {})
-            for bin_index, entry in other._series.get(key, {}).items():
-                existing = series.get(bin_index)
-                if existing is None:
-                    series[bin_index] = list(entry)
-                else:
-                    if isinstance(theirs, Gauge):
-                        existing[0] = max(existing[0], entry[0])
-                    else:
-                        existing[0] += entry[0]
-                    existing[1] = max(existing[1], entry[1])
-        self._spans.extend(other._spans)
-
-    # -- pickling (spawn-safe worker payloads) ---------------------------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Drop the clock: it is a closure over live simulation state.
-
-        A registry crossing a process boundary (shard worker -> parent)
-        carries its accumulated observations but not its time source; the
-        receiving side re-binds a clock if it keeps recording.
-        """
-        state = dict(self.__dict__)
-        state["_clock"] = None
-        return state
-
     # -- views -----------------------------------------------------------------
 
     def instruments(self) -> Iterator[Instrument]:
@@ -313,9 +255,6 @@ class NoopRegistry:
                     attrs: Optional[dict[str, Any]] = None) -> None:
         pass
 
-    def merge(self, other: "MetricsRegistry | NoopRegistry") -> None:
-        pass
-
     def instruments(self) -> Iterator[Instrument]:
         return iter(())
 
@@ -335,22 +274,6 @@ class NoopRegistry:
 
     def to_rows(self) -> list[dict[str, Any]]:
         return []
-
-
-def merge_registries(registries: Iterable["MetricsRegistry | NoopRegistry"],
-                     bin_width: float = DEFAULT_BIN_WIDTH
-                     ) -> MetricsRegistry:
-    """Reduce many registries (e.g. one per shard) into a fresh one.
-
-    Registries are folded in iteration order; because every merge
-    operation is commutative up to float round-off (and exact for
-    counts, bucket state, and peaks), the reduced registry is
-    independent of shard scheduling.
-    """
-    merged = MetricsRegistry(bin_width=bin_width)
-    for registry in registries:
-        merged.merge(registry)
-    return merged
 
 
 #: The shared do-nothing registry; the default ``metrics=`` everywhere.

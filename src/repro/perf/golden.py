@@ -17,8 +17,7 @@ task machines that built a result object per task, ``engine_storm``
 from the single-heap engine that predates batched same-instant dispatch,
 ``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, the
 ``backend_matrix*`` digests from shards that each regenerated their
-week, the ``scale_replay*`` digests from the hand-written
-``ShardRunStats`` merge and digest, and ``odr_webapp_decide`` from the
+week, ``odr_webapp_decide`` from the
 ``json.dumps(payload, indent=2)`` rendering of the decision body, and
 ``cloud_metrics`` from the per-event engine and per-task cloud
 instruments that predate reading those counts off the run state.
@@ -44,8 +43,8 @@ from repro.scale.reducers import canonical_digest
 #: classes, both size classes, retries of the fetch-at-most-once draw).
 GOLDEN_SCALE = 0.002
 GOLDEN_SEED = 20150222
-SHARDED_SCALE = 0.0008
-SHARDED_SHARDS = 3
+#: The smaller week of the trace IO scenarios.
+TRACE_SCALE = 0.0008
 SAMPLER_DRAWS = 4000
 #: Fleet size of the cloud scenarios that queue pre-downloads for VM
 #: slots (faulted, and the fault-free ablation).
@@ -86,15 +85,6 @@ def workload_sequential() -> str:
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     config = WorkloadConfig(scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
     return digest(workload_payload(WorkloadGenerator(config).generate()))
-
-
-def workload_sharded_jobs2() -> str:
-    """The sharded generator, merged from 3 shards on 2 processes."""
-    from repro.scale import ShardPlan, sharded_generate
-    plan = ShardPlan(scale=SHARDED_SCALE, seed=GOLDEN_SEED,
-                     shards=SHARDED_SHARDS)
-    workload, _info = sharded_generate(plan, jobs=2)
-    return digest(workload_payload(workload))
 
 
 def cloud_payload(result) -> list:
@@ -151,27 +141,6 @@ def cloud_bandwidth_series() -> str:
         result.bandwidth_series(only_highly_popular=True).tolist(),
         result.bandwidth_series(include_rejected=False).tolist(),
     ])
-
-
-def _scale_replay(fault_plan) -> str:
-    """The sharded cloud replay's merged stats over the sharded week."""
-    from repro.scale import ShardPlan, sharded_cloud_stats
-    plan = ShardPlan(scale=SHARDED_SCALE, seed=GOLDEN_SEED,
-                     shards=SHARDED_SHARDS)
-    stats, _info = sharded_cloud_stats(plan, jobs=1,
-                                       fault_plan=fault_plan)
-    return stats.digest()
-
-
-def scale_replay() -> str:
-    """The admission-free per-file cloud replay, fault-free."""
-    return _scale_replay(None)
-
-
-def scale_replay_faulted() -> str:
-    """The same replay under the default chaos plan, policies on."""
-    from repro.faults.plan import default_chaos_plan
-    return _scale_replay(default_chaos_plan())
 
 
 def _backend_matrix(faults: bool) -> str:
@@ -804,7 +773,7 @@ def traceio_bytes() -> str:
     """Exact file bytes written by the trace writers (gz: decompressed)."""
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     from repro.workload.traceio import write_jsonl
-    config = WorkloadConfig(scale=SHARDED_SCALE, seed=GOLDEN_SEED)
+    config = WorkloadConfig(scale=TRACE_SCALE, seed=GOLDEN_SEED)
     workload = WorkloadGenerator(config).generate()
     with tempfile.TemporaryDirectory() as scratch:
         plain = Path(scratch) / "requests.jsonl"
@@ -821,7 +790,7 @@ def traceio_roundtrip() -> str:
     """Records surviving a save/load round trip unchanged."""
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
     from repro.workload.traceio import load_workload, save_workload
-    config = WorkloadConfig(scale=SHARDED_SCALE, seed=GOLDEN_SEED)
+    config = WorkloadConfig(scale=TRACE_SCALE, seed=GOLDEN_SEED)
     workload = WorkloadGenerator(config).generate()
     with tempfile.TemporaryDirectory() as scratch:
         save_workload(workload, scratch, compress=True)
@@ -833,7 +802,6 @@ def traceio_roundtrip() -> str:
 #: parametrises over this mapping.
 SCENARIOS: dict[str, Callable[[], str]] = {
     "workload_sequential": workload_sequential,
-    "workload_sharded_jobs2": workload_sharded_jobs2,
     "cloud_replay": cloud_replay,
     "cloud_bandwidth_series": cloud_bandwidth_series,
     "cloud_replay_ablations": cloud_replay_ablations,
@@ -843,8 +811,6 @@ SCENARIOS: dict[str, Callable[[], str]] = {
     "cloud_replay_faulted_dense": cloud_replay_faulted_dense,
     "cloud_replay_faulted_broadcast": cloud_replay_faulted_broadcast,
     "cloud_metrics": cloud_metrics,
-    "scale_replay": scale_replay,
-    "scale_replay_faulted": scale_replay_faulted,
     "ap_replay": ap_replay,
     "ap_replay_faulted": ap_replay_faulted,
     "engine_trace": engine_trace,

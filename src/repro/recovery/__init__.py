@@ -16,8 +16,8 @@ discipline to the harness itself:
   with a bounded attempt budget, SIGINT/SIGTERM checkpoint and raise
   :class:`RunInterrupted`, and ``--resume`` recomputes only what is
   missing or corrupt -- producing output bit-identical to an
-  uninterrupted run (the per-entity RNG-fork determinism makes this
-  provable, and tests prove it);
+  uninterrupted run (every worker is deterministic given its payload,
+  and tests prove it);
 * :mod:`~repro.recovery.crashhook` -- the env-var-gated deterministic
   crash/hang injector (``REPRO_RECOVERY_CRASH``) that lets tests and
   the CI kill-resume job exercise all of the above hermetically.

@@ -1,8 +1,8 @@
 """Durable, worker-failure-tolerant map over picklable work items.
 
 :func:`durable_map` is the recovery-aware core under
-``repro.scale.executor`` (the sharded replays, the backend matrix, and
-the AP/experiments fan-outs); its pool is the only process pool in
+``repro.scale.executor`` (the backend matrix and the AP/experiments
+fan-outs); its pool is the only process pool in
 ``src/`` outside serving.  It maps a module-level worker over keyed
 payloads, inline or on a spawn-context process pool, and survives
 exactly the failures that kill a plain ``ProcessPoolExecutor`` run:
@@ -22,7 +22,7 @@ exactly the failures that kill a plain ``ProcessPoolExecutor`` run:
   only the missing or corrupt ones.
 
 Because every worker in this repository is deterministic given its
-payload (the per-entity RNG-fork contract of ``repro.scale``), a
+payload (each builds its randomness from its own payload), a
 resumed map's outputs are **bit-identical** to an uninterrupted run's:
 caching is pickling, and recomputation regenerates the same bytes.
 

@@ -143,5 +143,4 @@ def run_sharded(plan: ShardPlan, worker: ShardWorker, *,
         [shard_key(spec.shard) for spec in specs], specs, worker,
         jobs=jobs, metrics=metrics, recovery=recovery,
         identity={"kind": "sharded-map", "scale": plan.scale,
-                  "seed": plan.seed, "shards": plan.shards,
-                  "horizon": plan.horizon})
+                  "seed": plan.seed, "shards": plan.shards})

@@ -1,118 +1,27 @@
-"""End-to-end sharded pipelines: generate, cloud-replay, AP-replay.
+"""The parallel AP replay: one worker process per benchmarked AP.
 
-Each pipeline is a module-level worker (spawn-picklable) plus a driver
-that maps it over a :class:`~repro.scale.plan.ShardPlan` through
-:func:`~repro.scale.executor.run_sharded` and reduces the shard outputs.
-The reduced results are invariant to the shard count and the number of
-worker processes -- asserted by ``tests/test_scale.py`` -- which is what
-makes ``--jobs`` a pure wall-clock knob.
+:func:`sharded_ap_replay` maps a module-level (spawn-picklable) worker
+over the APs through :func:`~repro.scale.executor.durable_run` and
+reassembles the sequential rig's report.  The result is invariant to
+the number of worker processes -- asserted by ``tests/test_scale.py``
+-- which is what makes ``repro ap --jobs`` a pure wall-clock knob.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.ap.benchrig import ApBenchmarkReport, ApBenchmarkRig
 from repro.ap.models import BENCHMARKED_APS
 from repro.ap.smartap import ApPreDownloadResult, SmartAP
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.faults.policies import DEFAULT_POLICIES
-from repro.obs.registry import (
-    AnyRegistry,
-    MetricsRegistry,
-    NOOP,
-    merge_registries,
-)
+from repro.obs.registry import AnyRegistry, NOOP
 from repro.recovery.durable import RecoveryConfig
-from repro.scale.executor import ScaleRunInfo, durable_run, run_sharded
-from repro.scale.plan import ShardPlan, ShardSpec
-from repro.scale.reducers import merge_workloads
-from repro.scale.replay import ShardReplay, ShardRunStats, merge_stats
-from repro.scale.shardgen import UserDirectory, generate_shard
+from repro.scale.executor import ScaleRunInfo, durable_run
 from repro.transfer.source import SourceModel
 from repro.workload.catalog import FileCatalog
-from repro.workload.generator import Workload
 from repro.workload.records import RequestRecord
 
-
-# -- workload generation -------------------------------------------------------
-
-def generate_shard_worker(spec: ShardSpec) -> Workload:
-    """Spawn-safe worker: synthesise one shard's sub-workload."""
-    return generate_shard(spec)
-
-
-def sharded_generate(plan: ShardPlan, *, jobs: int = 1,
-                     metrics: AnyRegistry = NOOP,
-                     recovery: Optional[RecoveryConfig] = None
-                     ) -> tuple[Workload, ScaleRunInfo]:
-    """Generate the week across shards and merge the sub-workloads."""
-    parts, info = run_sharded(plan, generate_shard_worker, jobs=jobs,
-                              metrics=metrics, recovery=recovery)
-    return merge_workloads(plan, parts), info
-
-
-# -- cloud replay --------------------------------------------------------------
-
-def replay_shard_worker(spec: ShardSpec, plan_json: str = "",
-                        policies_on: bool = True
-                        ) -> tuple[ShardRunStats, MetricsRegistry]:
-    """Spawn-safe worker: generate one shard and replay it.
-
-    Returns the shard's mergeable stats plus the worker-local metrics
-    registry (clock stripped on pickling) so the parent can fold every
-    worker's instruments into one registry.
-
-    ``plan_json`` carries an optional serialised :class:`FaultPlan`
-    (strings pickle cheaply and identically to every worker); the
-    plan's deterministic per-entity gating keeps the merged result
-    independent of the shard/job split.  ``policies_on`` toggles the
-    resilience policies for that plan.
-    """
-    registry = MetricsRegistry()
-    workload = generate_shard(spec, metrics=registry)
-    directory = UserDirectory(spec.seed, spec.plan.user_count)
-    faults = FaultInjector(FaultPlan.from_json(plan_json),
-                           metrics=registry) if plan_json else None
-    replay = ShardReplay(metrics=registry, faults=faults,
-                         policies=DEFAULT_POLICIES if policies_on
-                         and faults is not None else None)
-    stats = replay.run(workload, user_lookup=directory.by_id)
-    return stats, registry
-
-
-def sharded_cloud_stats(plan: ShardPlan, *, jobs: int = 1,
-                        metrics: AnyRegistry = NOOP,
-                        fault_plan: Optional[FaultPlan] = None,
-                        policies_on: bool = True,
-                        recovery: Optional[RecoveryConfig] = None
-                        ) -> tuple[ShardRunStats, ScaleRunInfo]:
-    """Generate + replay the whole week shard-by-shard; merge the stats.
-
-    Worker registries are merged into ``metrics`` (when it is a real
-    registry) so shard-local counters and the executor's wall gauges
-    land in one place.  ``fault_plan`` injects a chaos schedule into
-    every shard (merged results stay split-invariant); ``policies_on``
-    enables the default resilience policies against it.  ``recovery``
-    makes the run durable and resumable (see ``repro.recovery``).
-    """
-    worker = replay_shard_worker if fault_plan is None else \
-        functools.partial(replay_shard_worker,
-                          plan_json=fault_plan.to_json(),
-                          policies_on=policies_on)
-    parts, info = run_sharded(plan, worker, jobs=jobs,
-                              metrics=metrics, recovery=recovery)
-    stats = merge_stats([stats for stats, _registry in parts])
-    if metrics.enabled:
-        for _stats, registry in parts:
-            metrics.merge(registry)
-    return stats, info
-
-
-# -- AP replay -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ApReplayTask:

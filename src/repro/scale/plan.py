@@ -1,37 +1,24 @@
 """Shard plans: partitioning a measurement week into independent parts.
 
-A :class:`ShardPlan` splits the week's entity index spaces -- file
-indices ``0..file_count`` and user indices ``0..user_count`` -- into
-``shards`` disjoint sub-workloads by **stable content hash** of the
-entity index.  Two properties make the partition safe to parallelise:
+A :class:`ShardPlan` splits a week's requests into ``shards`` disjoint
+parts **by content**: all requests of one file live in the file's
+shard, chosen by a stable hash of the file id.  Two properties make the
+partition safe to parallelise:
 
-* *Stability*: shard membership depends only on the entity index and the
+* *Stability*: shard membership depends only on the file id and the
   shard count (SHA-256, never Python's salted ``hash()``), so the same
   plan produces the same partition on every platform, process, and run.
-* *Entity-keyed randomness*: every attribute an entity ever draws comes
-  from its own :meth:`~repro.sim.randomness.RngFactory.fork` keyed by
-  the entity index -- not from a sequential shared stream -- so the union
-  of the shards' outputs is bit-identical for **any** shard count and
-  any worker scheduling (see ``repro.scale.shardgen``).
-
-Requests are sharded *by content*: all requests of one file live in the
-file's shard.  Cache lookups, in-flight coalescing, and swarm state are
-per-file, so content sharding keeps every cache-coupled interaction
-inside a single shard.
+* *Locality*: cache lookups, in-flight coalescing, and per-file
+  randomness streams are per-file, so content sharding keeps every
+  cache-coupled interaction inside a single shard and the merged result
+  does not depend on the shard count (the backend matrix,
+  ``repro.backends.replay``, is the consumer).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
-
-from repro.sim.clock import WEEK
-from repro.workload.generator import WorkloadConfig
-
-#: Default shard count: fixed (not derived from ``--jobs``) so results
-#: never depend on how many workers happened to run.
-DEFAULT_SHARDS = 8
 
 
 def stable_hash(text: str) -> int:
@@ -53,7 +40,6 @@ class ShardSpec:
     shards: int
     scale: float
     seed: int
-    horizon: float = WEEK
 
     def __post_init__(self):
         if self.shards < 1:
@@ -65,69 +51,30 @@ class ShardSpec:
     @property
     def plan(self) -> "ShardPlan":
         return ShardPlan(scale=self.scale, seed=self.seed,
-                         shards=self.shards, horizon=self.horizon)
-
-    @property
-    def workload_config(self) -> WorkloadConfig:
-        return WorkloadConfig(scale=self.scale, seed=self.seed,
-                              horizon=self.horizon)
-
-    def file_indices(self) -> Iterator[int]:
-        """Ascending file indices owned by this shard."""
-        plan = self.plan
-        for index in range(plan.file_count):
-            if plan.shard_of_file(index) == self.shard:
-                yield index
-
-    def user_indices(self) -> Iterator[int]:
-        """Ascending user indices owned by this shard."""
-        plan = self.plan
-        for index in range(plan.user_count):
-            if plan.shard_of_user(index) == self.shard:
-                yield index
+                         shards=self.shards)
 
 
 @dataclass(frozen=True)
 class ShardPlan:
     """Partition of one measurement week into independent shards."""
 
-    scale: float = 0.02
-    seed: int = 20150222
-    shards: int = DEFAULT_SHARDS
-    horizon: float = WEEK
+    scale: float
+    seed: int
+    shards: int
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
 
-    @property
-    def workload_config(self) -> WorkloadConfig:
-        return WorkloadConfig(scale=self.scale, seed=self.seed,
-                              horizon=self.horizon)
-
-    @property
-    def file_count(self) -> int:
-        return self.workload_config.file_count
-
-    @property
-    def user_count(self) -> int:
-        return self.workload_config.user_count
-
-    def shard_of_file(self, file_index: int) -> int:
-        """Owning shard of a file index (hence of all its requests)."""
-        return stable_hash(f"file:{file_index}") % self.shards
-
-    def shard_of_user(self, user_index: int) -> int:
-        return stable_hash(f"user:{user_index}") % self.shards
+    def shard_of_file(self, file_id: str) -> int:
+        """Owning shard of a file (hence of all its requests)."""
+        return stable_hash(f"file:{file_id}") % self.shards
 
     def spec(self, shard: int) -> ShardSpec:
         return ShardSpec(shard=shard, shards=self.shards,
-                         scale=self.scale, seed=self.seed,
-                         horizon=self.horizon)
+                         scale=self.scale, seed=self.seed)
 
     def specs(self) -> list[ShardSpec]:
         """All shard payloads, in shard order."""

@@ -226,8 +226,7 @@ class Workload:
       :class:`~repro.workload.multiweek.MultiWeekGenerator`);
     * a :class:`~repro.workload.columnar.ColumnarRows` view over the
       mapped file when it was loaded from a columnar trace;
-    * a list when it was read from JSONL or merged from shards
-      (:mod:`repro.scale`).
+    * a list when it was read from JSONL.
 
     Code that walks every request reads :meth:`request_columns`
     instead of building each row.
@@ -395,10 +394,8 @@ def pick_distinct_index(count: int, seen: set[int],
     """Draw an index not in ``seen`` (fetch at most once per file).
 
     Falls back to a repeat draw only when the population is effectively
-    smaller than the file's demand.  Shared by the sequential generator
-    and the sharded per-file generator (``repro.scale.shardgen``), so
-    both enforce the same fetch-at-most-once behaviour with the same
-    number of RNG consumptions per slot.
+    smaller than the file's demand.  :class:`BufferedIndexPicker`
+    reproduces its draws exactly (``tests/test_perf_golden.py``).
     """
     for _attempt in range(retries):
         index = int(rng.integers(count))

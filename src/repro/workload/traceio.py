@@ -5,7 +5,7 @@ paper's dataset layout (catalog + users + request trace); pre-download
 and fetch traces produced by the simulators use the same helpers.
 
 Files with a ``.gz`` suffix are transparently gzip-compressed -- at
-full-trace scale (``repro.scale``) the request trace alone is millions
+full paper scale (``--scale 1.0``) the request trace alone is millions
 of rows, and JSONL compresses ~10x.  ``save_workload(...,
 compress=True)`` writes ``*.jsonl.gz``; ``load_workload`` auto-detects
 whichever variant is present, including the memory-mapped columnar

@@ -125,6 +125,23 @@ class TestPipelineCommands:
         assert "repro_cloud_cache_hits_total" in out
         assert "repro_sim_events_fired_total" in out
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "vm_stall", "start": 0, "duration": 60},
+         "--faults: fault spec #0: missing field 'target'"),
+        ({"kind": "server_crash", "target": "isp:telecon", "start": 0,
+          "duration": 60},
+         "--faults: fault spec #0: unknown isp target 'isp:telecon'"),
+    ], ids=["missing-target", "unknown-target"])
+    def test_cloud_refuses_a_bad_fault_plan(self, tmp_path, capsys,
+                                            spec, message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"name": "bad", "seed": 1,
+                                    "faults": [spec]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cloud", "--scale", "0.0008", "--faults", str(plan)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_ap_command(self, tmp_path, capsys):
         assert main(["ap", "--scale", "0.0015", "--sample", "30"]) == 0
         out = capsys.readouterr().out
@@ -147,30 +164,6 @@ class TestPipelineCommands:
 
 
 class TestShardedCommands:
-    def test_generate_jobs_writes_gzipped_trace(self, tmp_path, capsys):
-        trace = tmp_path / "trace"
-        assert main(["generate", "--scale", "0.0008", "--jobs", "1",
-                     "--shards", "4", "--gzip",
-                     "--out", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "sharded generate" in out
-        assert (trace / "requests.jsonl.gz").exists()
-        from repro.workload import load_workload
-        workload = load_workload(trace)
-        assert workload.requests
-
-    def test_cloud_jobs_runs_the_sharded_replay(self, capsys):
-        assert main(["cloud", "--scale", "0.0008", "--jobs", "1",
-                     "--shards", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded replay" in out
-        assert "cache hit ratio" in out
-
-    def test_cloud_jobs_refuses_ablations(self, capsys):
-        assert main(["cloud", "--scale", "0.0008", "--jobs", "1",
-                     "--no-cache"]) == 2
-        assert "event-driven engine" in capsys.readouterr().err
-
     @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])
     def test_malformed_fault_plan_is_a_usage_error(self, tmp_path,
                                                    capsys, jobs):
@@ -180,16 +173,11 @@ class TestShardedCommands:
              "faults": [{"kind": "vm_stall", "start": 0,
                          "duration": 60}]}))
         with pytest.raises(SystemExit) as excinfo:
-            main(["cloud", "--scale", "0.0008", "--faults", str(plan),
+            main(["ap", "--scale", "0.0008", "--faults", str(plan),
                   *jobs])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--faults: fault spec #0: missing field 'target'" in err
-
-    def test_cloud_jobs_refuses_trace_replay(self, tmp_path, capsys):
-        assert main(["cloud", "--jobs", "1",
-                     "--trace", str(tmp_path)]) == 2
-        assert "drop --trace" in capsys.readouterr().err
 
     def test_ap_jobs_replay(self, capsys):
         assert main(["ap", "--scale", "0.0015", "--sample", "30",
@@ -224,73 +212,47 @@ class TestShardedCommands:
 
 
 class TestDurableCommands:
-    def test_cloud_run_dir_then_resume_reuses_all_shards(
-            self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        base = ["cloud", "--scale", "0.0008", "--shards", "2"]
-        assert main(base + ["--run-dir", str(run_dir)]) == 0
-        first = capsys.readouterr().out
-        assert "reused shards:    0/2" in first
-        assert "merged digest:" in first
-
-        assert main(base + ["--resume", str(run_dir)]) == 0
-        second = capsys.readouterr().out
-        assert "reused shards:    2/2" in second
-
-        digest = [line for line in first.splitlines()
-                  if "merged digest" in line]
-        assert digest == [line for line in second.splitlines()
-                          if "merged digest" in line]
-
-    def test_generate_run_dir_prints_workload_digest(
-            self, tmp_path, capsys):
-        trace = tmp_path / "trace"
-        assert main(["generate", "--scale", "0.0008", "--shards", "2",
-                     "--out", str(trace),
-                     "--run-dir", str(tmp_path / "run")]) == 0
-        out = capsys.readouterr().out
-        assert "merged digest:" in out
-        assert (trace / "requests.jsonl").exists()
+    AP = ["ap", "--scale", "0.0015", "--sample", "30"]
 
     def test_gzip_columnar_is_refused_before_any_work(
             self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
+        trace = tmp_path / "trace"
         assert main(["generate", "--scale", "0.0008", "--gzip",
                      "--trace-format", "columnar",
-                     "--out", str(tmp_path / "trace"),
-                     "--run-dir", str(run_dir)]) == 2
+                     "--out", str(trace)]) == 2
         assert "--gzip applies to jsonl" in capsys.readouterr().err
-        assert not run_dir.exists()
+        assert not trace.exists()
 
     def test_recovery_knobs_require_a_run_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["cloud", "--scale", "0.0008",
-                  "--shard-timeout", "5"])
+            main(self.AP + ["--shard-timeout", "5"])
         assert excinfo.value.code == 2
         assert "--run-dir or --resume" in capsys.readouterr().err
 
     def test_resume_of_missing_run_dir_exits_2(self, tmp_path, capsys):
-        assert main(["cloud", "--scale", "0.0008",
-                     "--resume", str(tmp_path / "nope")]) == 2
+        assert main(self.AP + ["--resume", str(tmp_path / "nope")]) == 2
         assert "nothing to resume" in capsys.readouterr().err
 
     def test_reused_run_dir_without_resume_exits_2(
             self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        base = ["cloud", "--scale", "0.0008", "--shards", "2"]
-        assert main(base + ["--run-dir", str(run_dir)]) == 0
+        assert main(self.AP + ["--run-dir", str(run_dir)]) == 0
         capsys.readouterr()
-        assert main(base + ["--run-dir", str(run_dir)]) == 2
+        assert main(self.AP + ["--run-dir", str(run_dir)]) == 2
         assert "--resume" in capsys.readouterr().err
 
     def test_ap_run_dir_then_resume(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        base = ["ap", "--scale", "0.0015", "--sample", "30"]
-        assert main(base + ["--run-dir", str(run_dir)]) == 0
+        assert main(self.AP + ["--run-dir", str(run_dir)]) == 0
         first = capsys.readouterr().out
-        assert "reused AP shards:  0/" in first
-        assert main(base + ["--resume", str(run_dir)]) == 0
+        assert "reused AP shards:  0/3" in first
+        assert "merged digest:" in first
+
+        assert main(self.AP + ["--resume", str(run_dir)]) == 0
         second = capsys.readouterr().out
-        assert "reused AP shards:" in second
-        assert "0/" not in second.split("reused AP shards:")[1] \
-            .splitlines()[0]
+        assert "reused AP shards:  3/3" in second
+
+        digest = [line for line in first.splitlines()
+                  if "merged digest" in line]
+        assert digest == [line for line in second.splitlines()
+                          if "merged digest" in line]

@@ -411,3 +411,40 @@ def test_faulted_goldens_leave_the_registry_empty(monkeypatch, name):
     assert injectors
     for injector in injectors:
         assert injector.registered and injector._registered == {}
+
+
+def _expected_empty_plan_speed(kind: str, row: dict) -> float:
+    """The ``average_speed`` the faulted machine records for a task the
+    fault-free machine recorded as ``row``: bytes over duration for a
+    fetch that lasted and for a pre-download it ran to success, where
+    the fault-free machine records the admitted rate; otherwise the
+    same value."""
+    duration = row["finish_time"] - row["start_time"]
+    if kind == "fetch":
+        measured = duration > 0
+    else:
+        measured = row["success"] and not row["cache_hit"]
+    return row["acquired_bytes"] / duration if measured \
+        else row["average_speed"]
+
+
+def test_an_empty_plan_without_policies_replays_the_fault_free_week():
+    workload = WorkloadGenerator(WorkloadConfig(
+        scale=golden.GOLDEN_SCALE, seed=golden.GOLDEN_SEED)).generate()
+    config = CloudConfig(scale=golden.GOLDEN_SCALE)
+    base_tasks, base_flows = cloud_payload(
+        XuanfengCloud(config).run(workload))
+    tasks, flows = cloud_payload(XuanfengCloud(
+        config, faults=FaultInjector(FaultPlan(name="empty", seed=1)),
+        policies=None).run(workload))
+    assert flows == base_flows
+    assert len(tasks) == len(base_tasks)
+    for pair, base_pair in zip(tasks, base_tasks):
+        for kind, row, base_row in zip(("pre", "fetch"), pair, base_pair):
+            assert (row is None) == (base_row is None)
+            if row is None:
+                continue
+            assert row["average_speed"] == \
+                _expected_empty_plan_speed(kind, base_row)
+            assert dict(row, average_speed=None) == \
+                dict(base_row, average_speed=None)

@@ -2,11 +2,10 @@
 
 The load-bearing properties:
 
-* fault plans are JSON round-trippable and their per-entity gating is
-  deterministic and split-invariant;
+* fault plans are JSON round-trippable, name only known targets in the
+  closed domains, and their per-entity gating is deterministic;
 * the retry / breaker / checkpoint policies are pure state machines;
-* chaos runs are bit-identical given (plan, seed) -- across repeats,
-  shard counts, and worker processes;
+* chaos runs and their reports are bit-identical given (plan, seed);
 * the policies recover a strictly positive fraction of the failures
   the same plan causes with policies off;
 * with no plan loaded, every fault branch is provably inert.
@@ -115,6 +114,29 @@ class TestFaultPlan:
         with pytest.raises(ValueError) as excinfo:
             FaultPlan.from_json(text)
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind, target", [
+        ("server_crash", "isp:telecon"),
+        ("isp_degrade", "isp:china-telecom"),
+        ("pool_pressure", "pool:primary"),
+    ])
+    def test_unknown_target_in_a_closed_domain_is_refused(self, kind,
+                                                          target):
+        text = json.dumps({"name": "p", "seed": 1, "faults": [
+            {"kind": kind, "target": target, "start": 0,
+             "duration": 60}]})
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan.from_json(text)
+        assert f"fault spec #0: unknown {target.split(':')[0]} target " \
+            f"{target!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind, target", [
+        ("server_crash", "isp:cernet"), ("isp_degrade", "isp:other"),
+        ("pool_pressure", "pool:pool"), ("pool_pressure", "pool:*"),
+        ("vm_stall", "file:any-file-id"), ("power_loss", "ap:any-ap"),
+    ])
+    def test_known_and_open_domain_targets_load(self, kind, target):
+        assert spec(kind=kind, target=target).target == target
 
     def test_specs_of_filters_by_kind(self):
         plan = default_chaos_plan()
@@ -425,43 +447,53 @@ class TestEngineChaos:
         assert fingerprint(base) == fingerprint(again)
 
 
-class TestShardedChaos:
+class TestChaosCampaign:
+    """The chaos driver on the cloud replay: one generated week, the
+    plan replayed with the policies off and on."""
+
     SCALE = 0.0015
     SEED = 20150222
 
+    @pytest.fixture(scope="class")
+    def week(self):
+        from repro.faults.chaos import generate_week
+        return generate_week(self.SCALE, self.SEED)
+
     @staticmethod
-    def stats(shards, jobs=1, plan=None, policies_on=True):
-        from repro.scale.pipelines import sharded_cloud_stats
-        from repro.scale.plan import ShardPlan
-        shard_plan = ShardPlan(scale=TestShardedChaos.SCALE,
-                               seed=TestShardedChaos.SEED,
-                               shards=shards)
-        stats, _info = sharded_cloud_stats(shard_plan, jobs=jobs,
-                                           fault_plan=plan,
-                                           policies_on=policies_on)
-        return stats
+    def stats(week, plan=None, policies_on=True):
+        from repro.faults.chaos import run_chaos, stats_report
+        result, injector = run_chaos(week, plan=plan,
+                                     policies_on=policies_on)
+        return stats_report(result, injector and injector.scoreboard())
 
-    def test_merged_stats_invariant_to_split_and_jobs(self):
+    def test_report_is_byte_identical_across_runs(self):
+        from repro.faults.chaos import canonical_json, chaos_campaign
+        first, second = (canonical_json(chaos_campaign(
+            self.SCALE, self.SEED, plan=default_chaos_plan()))
+            for _run in range(2))
+        assert first == second
+
+    def test_policies_recover_failures(self, week):
         plan = default_chaos_plan()
-        two = self.stats(2, plan=plan)
-        four = self.stats(4, plan=plan)
-        parallel = self.stats(4, jobs=2, plan=plan)
-        assert two == four
-        assert four == parallel
+        off = self.stats(week, plan=plan, policies_on=False)
+        on = self.stats(week, plan=plan, policies_on=True)
+        base = self.stats(week)
+        assert off["failures"] > base["failures"]
+        assert on["failures"] < off["failures"]
+        assert off["faults"]["impacts"] > 0
+        assert off["faults"]["aborts"] > 0
+        assert on["faults"]["retries"] > 0
+        assert on["faults"]["recoveries"] > 0
+        assert base["faults"]["impacts"] == 0
 
-    def test_policies_recover_failures_in_sharded_replay(self):
-        plan = default_chaos_plan()
-        off = self.stats(4, plan=plan, policies_on=False)
-        on = self.stats(4, plan=plan, policies_on=True)
-        base = self.stats(4)
-        assert off.failures > base.failures
-        assert on.failures < off.failures
-        assert off.fault_impacts > 0 and off.fault_aborts > 0
-        assert on.fault_retries > 0 and on.fault_recoveries > 0
-        assert base.fault_impacts == 0
-
-    def test_fault_free_chaos_path_matches_plain_replay(self):
-        assert self.stats(4) == self.stats(4, plan=None)
+    def test_fault_free_chaos_path_matches_plain_replay(self, week):
+        from repro.cloud import CloudConfig, XuanfengCloud
+        from repro.faults.chaos import run_chaos
+        from repro.perf.golden import cloud_payload
+        chaos, injector = run_chaos(week, plan=None)
+        plain = XuanfengCloud(CloudConfig(scale=self.SCALE)).run(week)
+        assert injector is None
+        assert cloud_payload(chaos) == cloud_payload(plain)
 
 
 class TestApChaos:
@@ -512,17 +544,22 @@ class TestChaosReport:
         assert report_digest(changed) != report["digest"]
 
     def test_stats_report_shape(self):
-        from repro.faults.chaos import stats_report
-        from repro.scale.replay import ShardRunStats
-        from repro.sim.clock import WEEK
-        stats = ShardRunStats(horizon=WEEK)
-        stats.tasks = 10
-        stats.failures = 2
-        stats.fault_retries = 3
-        report = stats_report(stats)
-        assert report["failure_ratio"] == pytest.approx(0.2)
-        assert report["faults"]["retries"] == 3
-        json.dumps(report, sort_keys=True)   # JSON-serialisable
+        from repro.faults.chaos import generate_week, run_chaos, \
+            stats_report
+        result, _injector = run_chaos(generate_week(0.0008))
+        board = {"injected": 1, "impacts": 4, "retries": 3,
+                 "failovers": 0, "aborts": 1, "recoveries": 2}
+        report = stats_report(result, board)
+        assert report["tasks"] == len(result.tasks)
+        assert report["failures"] == sum(
+            1 for task in result.tasks if not task.pre_record.success)
+        assert report["failure_ratio"] == pytest.approx(
+            result.request_failure_ratio)
+        assert report["faults"] == board
+        assert stats_report(result)["faults"]["retries"] == 0
+        assert report["fetch_speed"]["count"] == \
+            len(result.fetch_speed_cdf())
+        json.dumps(report, sort_keys=True, allow_nan=False)
 
 
 class TestResilienceScorecardRendering:
@@ -531,7 +568,7 @@ class TestResilienceScorecardRendering:
             render_scorecard
         report = {
             "plan": {"name": "p", "seed": 1, "spec_count": 2},
-            "workload": {"scale": 0.001, "seed": 2, "shards": 4},
+            "workload": {"scale": 0.001, "seed": 2},
             "runs": {
                 "policies_on": {
                     "tasks": 100, "failure_ratio": 0.01,

@@ -28,8 +28,9 @@ from repro.recovery import (
     worker_identity,
 )
 from repro.recovery.crashhook import ENV_VAR, maybe_crash, parse_hooks
-from repro.scale import ShardPlan, sharded_cloud_stats
-from repro.scale.executor import run_sharded, shard_key
+from repro.perf.golden import ap_payload, digest
+from repro.scale import ShardPlan, sharded_ap_replay
+from repro.scale.executor import run_sharded
 
 SCALE = 0.0008
 SEED = 20150222
@@ -350,39 +351,46 @@ class TestDurableMapPool:
 
 
 class TestShardedRecovery:
-    """End-to-end: the sharded replay survives worker loss and resumes
-    bit-identically (the acceptance contract of this subsystem)."""
+    """End-to-end: the parallel AP replay survives worker loss and
+    resumes bit-identically (the acceptance contract of this
+    subsystem)."""
+
+    @staticmethod
+    def replay(workload, **kwargs):
+        """The AP campaign over 30 requests: (result payload, info)."""
+        report, info = sharded_ap_replay(
+            workload.catalog, workload.requests[:30], seed=7, **kwargs)
+        return ap_payload(report.results), info
 
     def test_kill_resume_merge_is_bit_identical(
-            self, tmp_path, monkeypatch):
-        plan = ShardPlan(scale=SCALE, seed=SEED, shards=2)
-        plain, _info = sharded_cloud_stats(plan)
+            self, workload, tmp_path, monkeypatch):
+        plain, _info = self.replay(workload)
 
         # A worker SIGKILLed mid-run costs a requeue, not the run ...
-        monkeypatch.setenv(ENV_VAR, f"{shard_key(1)}:1:kill")
-        recovered, info = sharded_cloud_stats(
-            plan, jobs=2,
+        monkeypatch.setenv(ENV_VAR, "ap-01:1:kill")
+        recovered, info = self.replay(
+            workload, jobs=2,
             recovery=RecoveryConfig(run_dir=tmp_path / "run"))
         assert info.shard_retries >= 1
         assert recovered == plain
-        assert recovered.digest() == plain.digest()
+        assert digest(recovered) == digest(plain)
         monkeypatch.delenv(ENV_VAR)
 
         # ... and a resume with one checkpoint corrupted recomputes
-        # exactly that shard, still merging bit-identically.
+        # exactly that AP's slice, still merging bit-identically.
         run_dir = RunDir.open(tmp_path / "run")
-        run_dir.checkpoint_path(shard_key(0)).write_bytes(b"torn")
-        resumed, resumed_info = sharded_cloud_stats(
-            plan, recovery=RecoveryConfig(run_dir=tmp_path / "run",
-                                          resume=True))
-        assert resumed_info.reused_shards == 1
+        run_dir.checkpoint_path("ap-00").write_bytes(b"torn")
+        resumed, resumed_info = self.replay(
+            workload, recovery=RecoveryConfig(run_dir=tmp_path / "run",
+                                              resume=True))
+        assert resumed_info.reused_shards == resumed_info.shards - 1
         assert resumed == plain
-        assert resumed.digest() == plain.digest()
+        assert digest(resumed) == digest(plain)
 
-    def test_run_info_reports_reuse_and_retries(self, tmp_path):
-        plan = ShardPlan(scale=SCALE, seed=SEED, shards=2)
-        _stats, info = sharded_cloud_stats(
-            plan, recovery=RecoveryConfig(run_dir=tmp_path / "run"))
+    def test_run_info_reports_reuse_and_retries(self, workload,
+                                                tmp_path):
+        _results, info = self.replay(
+            workload, recovery=RecoveryConfig(run_dir=tmp_path / "run"))
         assert info.reused_shards == 0
         record = info.to_dict()
         assert record["reused_shards"] == 0

@@ -1,33 +1,25 @@
-"""Tests for the sharded, multi-process execution subsystem."""
+"""Tests for the multi-process execution subsystem."""
 
-import pickle
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 import pytest
 
+from repro.backends.replay import ComboStats
+from repro.core.decision import Action
 from repro.experiments import REGISTRY
 from repro.experiments.runner import ORDER
-from repro.obs import MetricsRegistry, QuantileSketch, merge_registries
+from repro.obs import MetricsRegistry, QuantileSketch
 from repro.scale import (
     GROUPS,
     ScaleRunInfo,
     ShardPlan,
-    ShardRunStats,
     check_group_coverage,
-    merge_cdfs,
-    merge_stats,
-    merge_workloads,
     sharded_ap_replay,
-    sharded_cloud_stats,
-    sharded_generate,
     stable_hash,
 )
 from repro.scale.executor import run_sharded
-from repro.scale.pipelines import generate_shard_worker
-from repro.scale.reducers import MergeableStats
-from repro.workload.generator import WorkloadConfig
-from repro.workload.popularity import PopularityClass
+from repro.scale.reducers import canonical_digest, hex_floats
 
 SCALE = 0.0008
 SEED = 20150222
@@ -35,16 +27,6 @@ SEED = 20150222
 
 def _tiny_plan(shards: int) -> ShardPlan:
     return ShardPlan(scale=SCALE, seed=SEED, shards=shards)
-
-
-def _workload_key(workload):
-    """Comparable snapshot of a workload's full content."""
-    return (
-        {fid: record.to_dict()
-         for fid, record in workload.catalog.files.items()},
-        [user.to_dict() for user in workload.users],
-        [request.to_dict() for request in workload.requests],
-    )
 
 
 class TestStableHash:
@@ -59,84 +41,25 @@ class TestStableHash:
 
 
 class TestShardPlan:
-    def test_every_file_owned_by_exactly_one_shard(self):
+    def test_every_file_owned_by_exactly_one_shard(self, workload):
         plan = _tiny_plan(4)
+        file_ids = sorted(workload.catalog.files)
         seen = []
         for spec in plan.specs():
-            seen.extend(spec.file_indices())
-        assert sorted(seen) == list(range(plan.file_count))
+            seen.extend(file_id for file_id in file_ids
+                        if plan.shard_of_file(file_id) == spec.shard)
+        assert sorted(seen) == file_ids
 
-    def test_every_user_owned_by_exactly_one_shard(self):
-        plan = _tiny_plan(4)
-        seen = []
-        for spec in plan.specs():
-            seen.extend(spec.user_indices())
-        assert sorted(seen) == list(range(plan.user_count))
-
-    def test_single_shard_owns_everything(self):
+    def test_single_shard_owns_everything(self, workload):
         plan = _tiny_plan(1)
-        spec, = plan.specs()
-        assert list(spec.file_indices()) == list(range(plan.file_count))
+        assert {plan.shard_of_file(file_id)
+                for file_id in workload.catalog.files} == {0}
 
     def test_membership_is_stable(self):
         plan = _tiny_plan(8)
-        assert [plan.shard_of_file(i) for i in range(50)] == \
-            [plan.shard_of_file(i) for i in range(50)]
-
-    def test_counts_match_the_sequential_generator(self):
-        plan = _tiny_plan(4)
-        config = WorkloadConfig(scale=SCALE, seed=SEED)
-        assert plan.file_count == config.file_count
-        assert plan.user_count == config.user_count
-
-
-class TestShardedGeneration:
-    def test_merged_workload_is_shard_count_invariant(self):
-        keys = []
-        for shards in (1, 4):
-            workload, _info = sharded_generate(_tiny_plan(shards))
-            keys.append(_workload_key(workload))
-        assert keys[0] == keys[1]
-
-    def test_requests_come_out_in_time_order(self):
-        workload, _info = sharded_generate(_tiny_plan(4))
-        order = [(r.request_time, r.task_id) for r in workload.requests]
-        assert order == sorted(order)
-
-    def test_dimensions_match_the_plan(self):
-        plan = _tiny_plan(4)
-        workload, _info = sharded_generate(plan)
-        assert len(workload.catalog.files) == plan.file_count
-        assert len(workload.users) == plan.user_count
-
-    def test_merge_rejects_duplicate_files(self):
-        plan = _tiny_plan(2)
-        part = generate_shard_worker(plan.spec(0))
-        with pytest.raises(ValueError):
-            merge_workloads(plan, [part, part])
-
-
-class TestShardedCloudStats:
-    def test_stats_are_shard_count_invariant(self):
-        merged = []
-        for shards in (1, 4):
-            stats, _info = sharded_cloud_stats(_tiny_plan(shards))
-            merged.append(stats)
-        assert merged[0] == merged[1]
-
-    def test_jobs_do_not_change_the_answer(self):
-        sequential, _ = sharded_cloud_stats(_tiny_plan(4), jobs=1)
-        parallel, info = sharded_cloud_stats(_tiny_plan(4), jobs=2)
-        assert sequential == parallel
-        assert info.jobs == 2
-        assert len(info.shard_walls) == 4
-
-    def test_headline_statistics_are_plausible(self):
-        stats, _info = sharded_cloud_stats(_tiny_plan(4))
-        assert stats.tasks > 0
-        assert 0.5 < stats.cache_hit_ratio < 1.0
-        assert 0.0 < stats.request_failure_ratio < 0.3
-        assert stats.peak_burden > 0.0
+        file_ids = [f"f{index:04d}" for index in range(50)]
+        assert [plan.shard_of_file(i) for i in file_ids] == \
+            [plan.shard_of_file(i) for i in file_ids]
 
 
 class TestShardedApReplay:
@@ -191,27 +114,11 @@ class TestExecutor:
 
 
 class TestReducers:
-    def test_merge_cdfs_concatenates_samples(self):
-        from repro.analysis.cdf import empirical_cdf
-        left = empirical_cdf([1.0, 2.0])
-        right = empirical_cdf([3.0])
-        merged = merge_cdfs([left, right])
-        assert sorted(merged.values) == [1.0, 2.0, 3.0]
-
-    def test_merge_cdfs_rejects_nothing(self):
-        with pytest.raises(ValueError):
-            merge_cdfs([])
-
-    def test_merge_stats_rejects_horizon_mismatch(self):
-        with pytest.raises(ValueError):
-            merge_stats([ShardRunStats(horizon=100.0),
-                         ShardRunStats(horizon=200.0)])
-
     def test_empty_stats_merge_to_empty(self):
-        merged = merge_stats([ShardRunStats(horizon=100.0),
-                              ShardRunStats(horizon=100.0)])
-        assert merged.tasks == 0
-        assert merged.cache_hit_ratio == 0.0
+        merged = ComboStats.fold([ComboStats(combo="c"),
+                                  ComboStats(combo="c")])
+        assert merged.requests == 0
+        assert merged.to_dict() == ComboStats(combo="c").to_dict()
 
     def test_quantile_sketch_equality_and_merge(self):
         a, b = QuantileSketch(), QuantileSketch()
@@ -226,82 +133,58 @@ class TestReducers:
         merged.merge(a)
         assert merged == b
 
-    def test_registry_merge_and_pickle_roundtrip(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("repro_scale_tasks_total", shard=0).inc(3)
-        right.counter("repro_scale_tasks_total", shard=0).inc(2)
-        right.counter("repro_scale_tasks_total", shard=1).inc(1)
-        merged = merge_registries([left, right])
-        snapshot = merged.snapshot()
-        assert snapshot['repro_scale_tasks_total{shard="0"}'] == 5
-        assert snapshot['repro_scale_tasks_total{shard="1"}'] == 1
-        revived = pickle.loads(pickle.dumps(merged))
-        assert revived.snapshot() == snapshot
 
-
-@dataclass(eq=False)
-class _Toy(MergeableStats):
-    """One field of every kind the base knows how to merge."""
-
-    IDENTITY = ("name",)
-
-    name: str
-    count: int = 0
-    total: float = 0.0
-    by_class: dict = field(default_factory=dict)
-    sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    bins: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def record(self, value: float, klass: PopularityClass) -> None:
-        self.count += 1
-        self.total += value
-        self.by_class[klass] = self.by_class.get(klass, 0) + 1
-        self.sketch.add(value)
-        self.bins[int(value) % 3] += value
+#: Actions the toy stats cycle through (one per backend kind).
+ACTIONS = (Action.CLOUD, Action.SMART_AP, Action.USER_DEVICE, Action.D2D)
 
 
 class TestMergeableStats:
+    """:class:`ComboStats`, the backend matrix's shard output, folds
+    any partition of its requests back into the one-shard stats."""
+
     VALUES = [0.1 * step + 1.0 / (step + 3) for step in range(40)]
 
     def toy(self, values):
-        toy = _Toy(name="toy")
+        toy = ComboStats(combo="toy")
         for value in values:
-            toy.record(value, list(PopularityClass)[int(value) % 3])
+            toy.record(ACTIONS[int(value * 7) % len(ACTIONS)],
+                       success=int(value * 10) % 5 != 0, delay=value,
+                       cloud_bytes=value * 1e6)
         return toy
 
     def test_mismatched_identity_refuses_to_merge(self):
-        with pytest.raises(ValueError, match="different name"):
-            _Toy(name="a").merge(_Toy(name="b"))
-        with pytest.raises(ValueError, match="different bin_width"):
-            merge_stats([ShardRunStats(horizon=600.0),
-                         ShardRunStats(horizon=600.0, bin_width=60.0)])
+        with pytest.raises(ValueError, match="different combo"):
+            ComboStats(combo="a").merge(ComboStats(combo="b"))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_any_partition_merges_to_the_one_shard_stats(self, seed):
         rng = np.random.default_rng(seed)
         parts = rng.integers(1, 6)
         owner = rng.integers(parts, size=len(self.VALUES))
-        merged = _Toy.fold([
+        merged = ComboStats.fold([
             self.toy([value for value, part
                       in zip(self.VALUES, owner) if part == index])
             for index in range(parts)])
         whole = self.toy(self.VALUES)
         assert merged == whole
-        assert merged.count == whole.count
-        assert merged.by_class == whole.by_class
+        assert merged.requests == whole.requests
+        assert merged.actions == whole.actions
 
     def test_equality_tolerates_round_off_but_not_counts(self):
         left, right = self.toy(self.VALUES), self.toy(self.VALUES)
-        right.total += 1e-12
+        right.delays.total += 1e-12
         assert left == right
-        right.count += 1
+        right.requests += 1
         assert left != right
 
     def test_digest_is_exact(self):
-        left, right = self.toy(self.VALUES), self.toy(self.VALUES)
-        assert left.digest() == right.digest()
-        right.total += 1e-12
-        assert left.digest() != right.digest()
+        row = self.toy(self.VALUES).to_dict()
+        again = self.toy(self.VALUES).to_dict()
+        assert canonical_digest(hex_floats(row)) == \
+            canonical_digest(hex_floats(again))
+        again["failure_ratio"] = math.nextafter(row["failure_ratio"], 1.0)
+        assert canonical_digest(hex_floats(row)) != \
+            canonical_digest(hex_floats(again))
 
 
 class TestGroupCoverage:
