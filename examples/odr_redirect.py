@@ -50,16 +50,15 @@ def showcase_decisions(service: OdrService, workload) -> None:
 
     scenarios = [
         ("fiber user, NTFS-flash Newifi, hot P2P file",
-         UserContext("u-fiber", workload.users[0].ip_address, mbps(20.0),
-                     SmartApInfo(NEWIFI, USB_FLASH_8GB,
-                                 Filesystem.NTFS)),
+         UserContext(workload.users[0].ip_address, mbps(20.0),
+                     SmartApInfo(NEWIFI, USB_FLASH_8GB, Filesystem.NTFS)),
          hot),
         ("rural user on a 0.5 Mbps line, HiWiFi, cached file",
-         UserContext("u-rural", workload.users[1].ip_address, kbps(62.5),
+         UserContext(workload.users[1].ip_address, kbps(62.5),
                      SmartApInfo.default_for(HIWIFI_1S)),
          cold),
         ("no smart AP, unpopular file",
-         UserContext("u-plain", workload.users[2].ip_address, mbps(4.0)),
+         UserContext(workload.users[2].ip_address, mbps(4.0)),
          cold),
     ]
     for label, context, record in scenarios:

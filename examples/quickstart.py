@@ -46,8 +46,7 @@ def main() -> None:
     # 3. Ask the ODR middleware where a download should run.
     service = OdrService(cloud.database)
     some_file = max(workload.catalog, key=lambda f: f.weekly_demand)
-    user = UserContext(user_id="alice",
-                       ip_address=workload.users[0].ip_address,
+    user = UserContext(ip_address=workload.users[0].ip_address,
                        access_bandwidth=mbps(20.0),
                        smart_ap=SmartApInfo.default_for(NEWIFI))
     response = service.handle_request(user, some_file.source_url)

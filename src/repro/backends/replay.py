@@ -363,7 +363,6 @@ def run_shard(spec: ShardSpec, *, limit: int, deadline_seconds: float,
             rng = factory.stream(f"file:{file_id}")
             for request in by_file[file_id]:
                 context = UserContext(
-                    user_id=request.user_id,
                     ip_address=request.ip_address,
                     access_bandwidth=request.access_bandwidth,
                     smart_ap=_smart_ap_for(request.user_id))

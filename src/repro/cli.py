@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.sim.clock import MINUTE, mbps, to_gbps
+from repro.sim.clock import MINUTE, to_gbps
 
 
 def _add_scale(parser: argparse.ArgumentParser,
@@ -338,21 +338,13 @@ def cmd_ap(args: argparse.Namespace) -> int:
     return 0
 
 
-_AP_CHOICES = {"hiwifi": "HIWIFI_1S", "miwifi": "MIWIFI",
-               "newifi": "NEWIFI"}
-_DEVICE_CHOICES = {"sd": "SD_CARD_8GB", "usb-flash": "USB_FLASH_8GB",
-                   "usb-hdd": "USB_HDD_5400", "sata": "SATA_HDD_1TB"}
-
-
 def cmd_odr(args: argparse.Namespace) -> int:
-    import repro.ap.models as ap_models
-    import repro.storage.device as devices
     from repro.cloud.database import ContentDatabase
-    from repro.core import OdrService, SmartApInfo, UserContext
+    from repro.core import OdrService
     from repro.core.service import parse_link
+    from repro.core.webapp import build_context
     from repro.netsim.ip import IpAllocator
     from repro.netsim.isp import ISP
-    from repro.storage.filesystem import Filesystem
 
     protocol, file_id = parse_link(args.link)
     database = ContentDatabase()
@@ -369,23 +361,16 @@ def cmd_odr(args: argparse.Namespace) -> int:
         database.record_request(file_id, 1e8, float(when))
     database.set_cached(file_id, args.cached)
 
-    smart_ap = None
-    if args.ap:
-        hardware = getattr(ap_models, _AP_CHOICES[args.ap])
-        device = getattr(devices, _DEVICE_CHOICES[args.device]) \
-            if args.device else hardware.default_device
-        filesystem = Filesystem(args.filesystem) if args.filesystem \
-            else hardware.default_filesystem
-        smart_ap = SmartApInfo(hardware, device, filesystem)
+    # The auxiliary info goes through the web app's intake, as if
+    # submitted on the front page.
+    fields = {"bandwidth_mbps": args.bandwidth, "ap": args.ap,
+              "device": args.device, "filesystem": args.filesystem}
+    context, _cookie = build_context(
+        lambda key, default="": str(fields[key]) if fields[key]
+        else default, IpAllocator().allocate(ISP(args.isp)))
 
     from repro.obs import span
     registry = _metrics_registry(args)
-    isp = ISP(args.isp)
-    context = UserContext(
-        user_id="cli", ip_address=IpAllocator().allocate(isp),
-        access_bandwidth=mbps(args.bandwidth)
-        if args.bandwidth else None,
-        smart_ap=smart_ap)
     with span(registry, "odr_decision", link=args.link):
         response = OdrService(database).handle_request(context, args.link)
     registry.counter("repro_odr_decisions_total",
@@ -523,8 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     odr.add_argument("--isp", default="unicom",
                      choices=["unicom", "telecom", "mobile", "cernet",
                               "other"])
-    odr.add_argument("--ap", choices=sorted(_AP_CHOICES), default=None)
-    odr.add_argument("--device", choices=sorted(_DEVICE_CHOICES),
+    odr.add_argument("--ap", choices=["hiwifi", "miwifi", "newifi"],
+                     default=None)
+    odr.add_argument("--device",
+                     choices=["sata", "sd", "usb-flash", "usb-hdd"],
                      default=None)
     odr.add_argument("--filesystem", choices=["fat", "ntfs", "ext4"],
                      default=None)

@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Decision": "repro.core.decision",
     "UserContext": "repro.core.auxiliary",
     "SmartApInfo": "repro.core.auxiliary",
-    "CookieJar": "repro.core.auxiliary",
     "BottleneckDetector": "repro.core.bottlenecks",
     "OdrConfig": "repro.core.odr",
     "OdrMiddleware": "repro.core.odr",

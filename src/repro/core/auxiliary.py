@@ -1,16 +1,17 @@
-"""Auxiliary user information ODR collects, and its cookie persistence.
+"""Auxiliary user information ODR collects.
 
 When a user submits a link, ODR also asks for her IP address, access
 bandwidth, smart-AP type, and storage device / filesystem type (paper
 section 6.1).  A web cookie remembers the answers so repeat visitors skip
-the form; :class:`CookieJar` reproduces that behaviour for the replay
-harness.  Access bandwidth is the one non-obvious field -- the real
-service walks users through PC-assistant software to measure it.
+the form; the ``odr_aux`` cookie of :mod:`repro.core.webapp` carries
+them itself, so the service keeps nothing per user.  Access bandwidth is
+the one non-obvious field -- the real service walks users through
+PC-assistant software to measure it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ap.models import ApHardware
@@ -41,13 +42,12 @@ class SmartApInfo:
 class UserContext:
     """Everything ODR knows about the requesting user."""
 
-    user_id: str
     ip_address: str
     access_bandwidth: Optional[float]     # B/s; None if the user cannot say
     smart_ap: Optional[SmartApInfo] = None
     #: Remaining per-request completion budget in seconds, parsed from
     #: the serving tier's ``X-Deadline-Ms`` header.  Per request, never
-    #: cookie-persisted: delay-aware routing ranks against it when
+    #: remembered in the cookie: delay-aware routing ranks against it when
     #: present and falls back to its static default when None, so
     #: replay paths (which never set it) stay bit-identical.
     deadline_seconds: Optional[float] = None
@@ -56,40 +56,3 @@ class UserContext:
     def has_smart_ap(self) -> bool:
         return self.smart_ap is not None
 
-
-class CookieJar:
-    """Server-side stand-in for ODR's per-user web cookies."""
-
-    def __init__(self):
-        self._contexts: dict[str, UserContext] = {}
-
-    def __len__(self) -> int:
-        return len(self._contexts)
-
-    def remember(self, context: UserContext) -> None:
-        # Deadlines are per-request budgets, not user attributes; a
-        # stale one must never resurface from the cookie on a later
-        # visit.
-        if context.deadline_seconds is not None:
-            context = replace(context, deadline_seconds=None)
-        self._contexts[context.user_id] = context
-
-    def recall(self, user_id: str) -> Optional[UserContext]:
-        return self._contexts.get(user_id)
-
-    def merge(self, context: UserContext) -> UserContext:
-        """Fill the gaps of a fresh submission from the stored cookie.
-
-        A returning user who leaves the bandwidth or AP fields blank gets
-        them back from her previous visit; whatever she *does* supply
-        wins and refreshes the cookie.
-        """
-        stored = self._contexts.get(context.user_id)
-        if stored is not None:
-            if context.access_bandwidth is None:
-                context = replace(
-                    context, access_bandwidth=stored.access_bandwidth)
-            if context.smart_ap is None:
-                context = replace(context, smart_ap=stored.smart_ap)
-        self.remember(context)
-        return context

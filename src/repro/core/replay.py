@@ -235,7 +235,7 @@ class ReplayEvaluator:
                  ) -> RouteOutcome:
         ap = self._aps[index % len(self._aps)]
         context = UserContext(
-            user_id=request.user_id, ip_address=request.ip_address,
+            ip_address=request.ip_address,
             access_bandwidth=request.access_bandwidth,
             smart_ap=SmartApInfo(ap.hardware, ap.device, ap.filesystem))
         record = self.catalog[request.file_id]

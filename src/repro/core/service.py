@@ -4,8 +4,9 @@ The deployed ODR is "a public web service ... on a low-end virtual
 machine" (section 6.1): users open the front page, paste a link, fill in
 (or let the cookie recall) their auxiliary info, and read back the
 suggestion.  :class:`OdrService` reproduces that request/response
-surface in-process: link parsing, cookie merging, decision, and a
-human-readable explanation.
+surface in-process: link parsing, decision, and a human-readable
+explanation.  It keeps nothing per user: the web app recalls the
+cookie's fields into the :class:`UserContext` it passes in.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Union
 from urllib.parse import urlparse
 
 from repro.cloud.database import ContentDatabase
-from repro.core.auxiliary import CookieJar, UserContext
+from repro.core.auxiliary import UserContext
 from repro.core.decision import Decision
 from repro.core.odr import OdrConfig, OdrMiddleware
 from repro.netsim.ip import IpResolver
@@ -60,14 +61,11 @@ class OdrResponse:
 
 
 class OdrService:
-    """The public entry point wrapping a routing strategy.
+    """The public entry point wrapping the registry strategy that
+    ``policy`` names (:func:`repro.backends.registry.strategy_names`).
 
-    Historically this wrapped :class:`OdrMiddleware` directly; it now
-    routes through any registry strategy (``policy`` names one of
-    :func:`repro.backends.registry.strategy_names`).  The default,
-    ``"odr"``, wraps the same middleware as before and produces
-    byte-identical decisions; ``self.middleware`` remains available
-    either way for callers that tune the Figure-15 knobs.
+    The default, ``"odr"``, wraps :class:`OdrMiddleware`, which stays
+    reachable as ``self.middleware`` for tuning the Figure-15 knobs.
     """
 
     def __init__(self, database: ContentDatabase,
@@ -81,18 +79,16 @@ class OdrService:
         self.strategy = resolve_strategy(
             policy, database=database,
             middleware=self.middleware if policy == "odr" else None)
-        self.cookies = CookieJar()
         self.requests_served = 0
 
     def handle_request(self, context: UserContext,
                        link: Union[str, tuple[Protocol, str]]
                        ) -> OdrResponse:
-        """One user interaction: merge cookies, decide, explain.
+        """One user interaction: decide, explain.
 
         ``link`` is the submitted link, or the ``(protocol, file_id)``
         that :func:`parse_link` already made of it.
         """
-        context = self.cookies.merge(context)
         protocol, file_id = parse_link(link) if isinstance(link, str) \
             else link
         decision = self.strategy.decide(context, file_id, protocol)
@@ -105,7 +101,6 @@ class OdrService:
                                       file_id: str,
                                       success: bool) -> OdrResponse:
         """The notification + re-ask after a cloud pre-download."""
-        context = self.cookies.merge(context)
         decision = self.strategy.decide_after_predownload(
             context, file_id, success)
         return OdrResponse(

@@ -9,8 +9,8 @@ its own app state.
 
 State caveat, documented rather than hidden: each worker has an
 independent content database, breaker, and metrics registry -- exactly
-like independent replicas behind a kernel load balancer.  The paper's
-ODR is stateless per request (auxiliary info rides in the cookie), so
+like independent replicas behind a kernel load balancer.  ODR keeps no
+per-user state (the ``odr_aux`` cookie carries the auxiliary info), so
 decisions do not change across workers; only per-worker popularity
 seeding differs until every worker has seen a file once.
 

@@ -65,8 +65,8 @@ def make_db(files):
     return database
 
 
-def make_context(user_id="u1", bandwidth=4e6, ap=None):
-    return UserContext(user_id=user_id, ip_address="1.2.3.4",
+def make_context(bandwidth=4e6, ap=None):
+    return UserContext(ip_address="1.2.3.4",
                        access_bandwidth=bandwidth, smart_ap=ap)
 
 
@@ -175,18 +175,18 @@ class TestLegacyBitIdentity:
     }
 
     def contexts(self):
-        return [make_context("plain", 4e6, None),
-                make_context("fast-ap", 20e6, hiwifi()),
-                make_context("slow", 0.5e6, hiwifi())]
+        return [("plain", make_context(4e6, None)),
+                ("fast-ap", make_context(20e6, hiwifi())),
+                ("slow", make_context(0.5e6, hiwifi()))]
 
     def decisions(self, strategy):
         rows = []
-        for context in self.contexts():
+        for label, context in self.contexts():
             for file_id in self.GRID_FILES:
                 for protocol in (Protocol.HTTP, Protocol.BITTORRENT):
                     decision = strategy.decide(context, file_id,
                                                protocol)
-                    rows.append((context.user_id, file_id,
+                    rows.append((label, file_id,
                                  protocol.value,
                                  decision.action.value,
                                  decision.data_source.value,
@@ -388,7 +388,7 @@ class TestDelayAwarePolicy:
         assert relaxed.rationale == "stub:slow-cheap"
         # A propagated X-Deadline-Ms budget of 50 s flips the ranking:
         # only the costly backend still meets the deadline.
-        hurried = UserContext(user_id="u1", ip_address="1.2.3.4",
+        hurried = UserContext(ip_address="1.2.3.4",
                               access_bandwidth=4e6,
                               deadline_seconds=50.0)
         assert policy.effective_deadline(hurried) == 50.0

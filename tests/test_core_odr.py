@@ -7,13 +7,13 @@ from repro.cloud.database import ContentDatabase
 from repro.core import (
     Action,
     BottleneckDetector,
-    CookieJar,
     DataSource,
     Decision,
     OdrMiddleware,
     SmartApInfo,
     UserContext,
 )
+from repro.core.webapp import build_context, parse_query, recall_aux
 from repro.netsim.ip import IpAllocator
 from repro.netsim.isp import ISP
 from repro.sim.clock import kbps, mbps
@@ -29,9 +29,9 @@ NEWIFI_EXT4_HDD = SmartApInfo(NEWIFI, USB_HDD_5400, Filesystem.EXT4)
 MIWIFI_DEFAULT = SmartApInfo.default_for(MIWIFI)
 
 
-def ctx(ip=UNICOM_IP, bandwidth=mbps(20.0), ap=NEWIFI_NTFS,
-        user="u1") -> UserContext:
-    return UserContext(user_id=user, ip_address=ip,
+def ctx(ip=UNICOM_IP, bandwidth=mbps(20.0), ap=NEWIFI_NTFS
+        ) -> UserContext:
+    return UserContext(ip_address=ip,
                        access_bandwidth=bandwidth, smart_ap=ap)
 
 
@@ -63,26 +63,55 @@ class TestDecisionValidation:
         assert not pending.is_terminal
 
 
-class TestCookieJar:
+def first_of(fields):
+    """The ``first(key)`` accessor the web app builds over a query."""
+    return lambda key, default="": fields[key][0] if fields.get(key) \
+        else default
+
+
+def visit(query, remembered=""):
+    """The context and ``odr_aux`` value of one visit's fields."""
+    return build_context(
+        first_of(recall_aux(parse_query(query),
+                            f"odr_aux={remembered}")[0]), UNICOM_IP)
+
+
+class TestAuxCookie:
+    """The ``odr_aux`` codec: a visit's fields in, the next visit's
+    gaps filled from them."""
+
     def test_merge_fills_gaps_from_previous_visit(self):
-        jar = CookieJar()
-        jar.remember(ctx(bandwidth=mbps(10.0), ap=MIWIFI_DEFAULT))
-        merged = jar.merge(UserContext("u1", UNICOM_IP, None, None))
+        _context, remembered = visit("bandwidth_mbps=10&ap=miwifi")
+        assert remembered == "bandwidth_mbps=10.0&ap=miwifi"
+        merged, again = visit("link=x", remembered)
         assert merged.access_bandwidth == mbps(10.0)
-        assert merged.smart_ap is MIWIFI_DEFAULT
+        assert merged.smart_ap == MIWIFI_DEFAULT
+        assert again == remembered
+        # ``repr`` keeps every bit; its exponent's ``+`` is escaped.
+        huge, remembered = visit("bandwidth_mbps=1e300")
+        assert remembered == "bandwidth_mbps=1e%2B300"
+        assert visit("link=x", remembered)[0] == huge
 
     def test_fresh_values_win_and_refresh(self):
-        jar = CookieJar()
-        jar.remember(ctx(bandwidth=mbps(10.0)))
-        merged = jar.merge(ctx(bandwidth=mbps(2.0), ap=None))
+        remembered = "bandwidth_mbps=10.0&ap=newifi&device=usb-flash" \
+            "&filesystem=ntfs"
+        merged, refreshed = visit("bandwidth_mbps=2", remembered)
         assert merged.access_bandwidth == mbps(2.0)
-        assert jar.recall("u1").access_bandwidth == mbps(2.0)
+        assert merged.smart_ap == NEWIFI_NTFS
+        assert refreshed == "bandwidth_mbps=2.0&ap=newifi" \
+            "&device=usb-flash&filesystem=ntfs"
+        # A query AP replaces the remembered triple as a unit.
+        merged, refreshed = visit("ap=miwifi", remembered)
+        assert merged.smart_ap == MIWIFI_DEFAULT
+        assert refreshed == "bandwidth_mbps=10.0&ap=miwifi"
 
-    def test_unknown_user_passes_through(self):
-        jar = CookieJar()
-        context = ctx(user="new")
-        assert jar.merge(context) == context
-        assert len(jar) == 1
+    def test_no_cookie_passes_through(self):
+        query = parse_query("link=x&device=sd&bandwidth_mbps=4")
+        for cookie in ("", "session=1", "odr_user=u1", "a,b=c"):
+            assert recall_aux(query, cookie) == (query, "")
+        context, remembered = visit("link=x&device=sd")
+        assert context == UserContext(UNICOM_IP, None, None)
+        assert remembered == ""
 
 
 class TestBottleneckDetector:

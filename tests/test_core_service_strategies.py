@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ap import MIWIFI, NEWIFI
+from repro.ap import NEWIFI
 from repro.cloud.database import ContentDatabase
 from repro.core import (
     Action,
@@ -27,8 +27,8 @@ ALLOCATOR = IpAllocator()
 UNICOM_IP = ALLOCATOR.allocate(ISP.UNICOM)
 
 
-def ctx(user="u1", bandwidth=mbps(8.0), ap=None) -> UserContext:
-    return UserContext(user_id=user, ip_address=UNICOM_IP,
+def ctx(bandwidth=mbps(8.0), ap=None) -> UserContext:
+    return UserContext(ip_address=UNICOM_IP,
                        access_bandwidth=bandwidth, smart_ap=ap)
 
 
@@ -67,16 +67,6 @@ class TestOdrService:
         assert "cloud" in response.explanation
         assert response.file_id == "abc123"
         assert service.requests_served == 1
-
-    def test_cookie_carries_aux_info_across_requests(self):
-        service = OdrService(make_db(popularity=200, cached=True))
-        ap = SmartApInfo.default_for(MIWIFI)
-        service.handle_request(ctx(ap=ap), "bittorrent://origin/abc123")
-        # Second visit leaves the AP field blank; the cookie fills it.
-        response = service.handle_request(
-            UserContext("u1", UNICOM_IP, None, None),
-            "bittorrent://origin/abc123")
-        assert response.decision.action is Action.SMART_AP
 
     def test_predownload_completion_flow(self):
         db = make_db(popularity=5, cached=False)

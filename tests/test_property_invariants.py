@@ -95,7 +95,7 @@ class TestOdrDecisionProperties:
         if popularity > 200:
             database.row("f").request_count = popularity
         database.set_cached("f", cached)
-        context = UserContext("u", IPS[isp], bandwidth, None)
+        context = UserContext(IPS[isp], bandwidth, None)
         decision = OdrMiddleware(database).decide(context, "f", protocol)
 
         # Structural coherence:
