@@ -245,7 +245,6 @@ def resolve_strategy(name: str, *,
     comes from the spec), letting the comparison engine sweep ad hoc
     (backend set, policy) combinations.
     """
-    from repro.backends.faultgate import FaultGate
     from repro.core.strategies import ComposedStrategy
 
     backends, policy = compose(name, database=database, catalog=catalog,
@@ -257,6 +256,9 @@ def resolve_strategy(name: str, *,
                              options=options)
         backends = tuple(create_backend(backend, build)
                          for backend in backend_names)
-    gate = FaultGate(faults) if faults is not None else None
+    gate = None
+    if faults is not None:
+        from repro.backends.faultgate import FaultGate
+        gate = FaultGate(faults)
     return ComposedStrategy(name, backends, policy, database=database,
                             catalog=catalog, fault_gate=gate)

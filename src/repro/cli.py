@@ -346,7 +346,19 @@ def cmd_odr(args: argparse.Namespace) -> int:
     from repro.netsim.ip import IpAllocator
     from repro.netsim.isp import ISP
 
-    protocol, file_id = parse_link(args.link)
+    # The auxiliary info goes through the web app's intake, as if
+    # submitted on the front page; bad input is a usage error (exit 2).
+    fields = {"bandwidth_mbps": args.bandwidth, "ap": args.ap,
+              "device": args.device, "filesystem": args.filesystem}
+    try:
+        link = parse_link(args.link)
+        context, _cookie = build_context(
+            lambda key, default="": str(fields[key]) if fields[key]
+            else default, IpAllocator().allocate(ISP(args.isp)))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    file_id = link[1]
     database = ContentDatabase()
     if args.trace is not None:
         # Warm the database with a real week's demand so the decision
@@ -361,18 +373,10 @@ def cmd_odr(args: argparse.Namespace) -> int:
         database.record_request(file_id, 1e8, float(when))
     database.set_cached(file_id, args.cached)
 
-    # The auxiliary info goes through the web app's intake, as if
-    # submitted on the front page.
-    fields = {"bandwidth_mbps": args.bandwidth, "ap": args.ap,
-              "device": args.device, "filesystem": args.filesystem}
-    context, _cookie = build_context(
-        lambda key, default="": str(fields[key]) if fields[key]
-        else default, IpAllocator().allocate(ISP(args.isp)))
-
     from repro.obs import span
     registry = _metrics_registry(args)
     with span(registry, "odr_decision", link=args.link):
-        response = OdrService(database).handle_request(context, args.link)
+        response = OdrService(database).handle_request(context, link)
     registry.counter("repro_odr_decisions_total",
                      action=response.decision.action.value).inc()
     print(response.explanation)

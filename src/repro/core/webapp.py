@@ -337,9 +337,9 @@ class OdrWebApp:
 
         The serving tier (``repro.serve``) collects every ``/decide``
         request that arrives within one event-loop tick and evaluates
-        them together: one breaker admission check covers the batch, the
-        shared lock is taken once for all IP allocations and popularity
-        registrations, and only then do the (lock-free) decisions run.
+        them together: one breaker admission check covers the batch,
+        and each request then registers and decides in order, so the
+        answers equal those of :meth:`handle` called on each in turn.
         Each target is split once (:func:`split_target`) and each
         ``/decide`` query parsed once (:func:`parse_query`).
 
@@ -396,19 +396,16 @@ class OdrWebApp:
                       ) -> list[Response]:
         """Evaluate a batch of ``/decide`` queries in one pass.
 
-        Phases: (1) per-request parse/validation, lock-free, producing
-        400s early; (2) one breaker admission check and one clock read
-        for the whole batch; (3) a single ``self._lock`` scope doing
-        every IP allocation and popularity registration; (4) lock-free
-        decision evaluation, recording per-request outcomes into the
-        breaker.
+        One breaker admission check and one clock read cover the whole
+        batch.  Each request is then parsed and validated (400s early),
+        registered under ``self._lock`` (IP allocation plus the
+        popularity and cached flag that seed the database) and decided,
+        in order, so a batch answers exactly as its requests would one
+        by one.
         """
         responses: list[Optional[Response]] = [None] * len(items)
         now = self._clock()
         shed = self._shed_response(now) if items else None
-        #: (index, (protocol, file_id), popularity, cached, isp, first,
-        #:  received odr_aux value, service, deadline)
-        prepared: list[tuple] = []
         for index, (query, cookie_header, deadline) in enumerate(items):
             query, received = recall_aux(query, cookie_header)
 
@@ -435,28 +432,20 @@ class OdrWebApp:
                 responses[index] = _error(400, str(error))
                 continue
             cached = first("cached", "0") in ("1", "true", "yes")
-            prepared.append((index, parsed_link, popularity, cached, isp,
-                             first, received, service, deadline))
 
-        # One lock scope for the whole batch: IP allocation plus the
-        # popularity registration that seeds the database (the real ODR
-        # queries Xuanfeng's live DB instead).
-        addresses: dict[int, str] = {}
-        if prepared:
+            # The real ODR queries Xuanfeng's live DB; here the request
+            # seeds the database just before its own decision.
+            file_id = parsed_link[1]
             with self._lock:
-                for (index, (_protocol, file_id), popularity, cached,
-                     isp, *_decide) in prepared:
-                    addresses[index] = self._allocator.allocate(isp)
-                    row = self.database.row(file_id, size=0.0)
-                    if row.request_count < popularity:
-                        row.request_count = popularity
-                    self.database.set_cached(file_id, cached)
+                address = self._allocator.allocate(isp)
+                row = self.database.row(file_id, size=0.0)
+                if row.request_count < popularity:
+                    row.request_count = popularity
+                self.database.set_cached(file_id, cached)
 
-        for (index, parsed_link, _popularity, _cached, _isp, first,
-             received, service, deadline) in prepared:
             try:
                 context, remembered = build_context(
-                    first, addresses[index], deadline)
+                    first, address, deadline)
                 # The parsed link, so the service does not parse again.
                 response = service.handle_request(context, parsed_link)
             except (ValueError, KeyError) as error:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
 
 
 class ISP(enum.Enum):
@@ -92,14 +92,13 @@ class IspRegistry:
         self._profiles = {p.isp: p for p in profiles}
         self._order = tuple(p.isp for p in profiles)
         # Inverse-CDF table for sample_isp, built exactly the way
-        # Generator.choice builds its internal CDF so one searchsorted
-        # over one uniform draw is bit-identical to the old per-call
+        # Generator.choice builds its internal CDF (a sequential float64
+        # cumsum renormalised by its last entry) so one bisect over one
+        # uniform draw is bit-identical to the old per-call
         # rng.choice(len(order), p=shares).
-        shares = np.asarray([p.population_share for p in profiles],
-                            dtype=float)
-        cdf = shares.cumsum()
-        cdf /= cdf[-1]
-        self._share_cdf = cdf
+        cdf = list(accumulate(float(p.population_share)
+                              for p in profiles))
+        self._share_cdf = [c / cdf[-1] for c in cdf]
 
     def profile(self, isp: ISP) -> IspProfile:
         return self._profiles[isp]
@@ -117,8 +116,7 @@ class IspRegistry:
 
     def sample_isp(self, rng) -> ISP:
         """Draw a home ISP according to population shares."""
-        cdf = self._share_cdf
-        index = cdf.searchsorted(rng.random(), side="right")
+        index = bisect_right(self._share_cdf, rng.random())
         return self._order[min(index, len(self._order) - 1)]
 
 

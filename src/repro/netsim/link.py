@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.clock import kbps, mbps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AccessTechnology(enum.Enum):
@@ -82,6 +84,7 @@ class AccessBandwidthModel:
     def __init__(self, low_tail_fraction: float = 0.095,
                  body_median: float = mbps(7.2), body_sigma: float = 1.0,
                  max_downstream: float = mbps(50.0)):
+        import numpy as np
         if not 0.0 <= low_tail_fraction < 1.0:
             raise ValueError("low_tail_fraction must be in [0, 1)")
         self.low_tail_fraction = low_tail_fraction
@@ -93,6 +96,7 @@ class AccessBandwidthModel:
 
     def sample_downstream(self, rng: np.random.Generator) -> float:
         """Draw one subscriber's downstream bandwidth in B/s."""
+        import numpy as np
         if rng.random() < self.low_tail_fraction:
             # Narrowband / congested-rural tail: 64 Kbps .. 1 Mbps,
             # log-uniform so very slow lines exist but do not dominate.

@@ -43,11 +43,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.registry import NOOP, AnyRegistry
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultSpec
 
 #: The entity name the serving tier presents to target matching; plans
 #: aimed at the front door use ``"*"`` or ``"isp:*"`` targets (or the
@@ -193,6 +195,8 @@ def load_serve_chaos(plan_path: Optional[Union[str, Path]],
     """Build the gate from ``--faults PLAN``; None when chaos is off."""
     if plan_path is None:
         return None
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
     plan = FaultPlan.from_file(plan_path)
     return ServeChaos(FaultInjector(plan, metrics=metrics),
                       metrics=metrics)
@@ -205,9 +209,10 @@ def load_worker_chaos(plan_path: Optional[Union[str, Path]],
                       ) -> Optional[WorkerChaos]:
     """The wedge gate of one worker, or None when the plan has no
     serve-domain wedge specs (the common case costs nothing)."""
-    from repro.faults.plan import WEDGE_KINDS
     if plan_path is None or rank is None:
         return None
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import WEDGE_KINDS, FaultPlan
     plan = FaultPlan.from_file(plan_path)
     if not plan.specs_of(WEDGE_KINDS):
         return None

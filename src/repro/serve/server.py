@@ -25,7 +25,7 @@ request.  The request path is::
 * **Batched evaluation** -- ``/decide`` requests arriving in the same
   loop tick are coalesced into one
   :meth:`~repro.core.webapp.OdrWebApp.handle_batch` pass (one breaker
-  check, one lock scope for the batch), evaluated inline on the loop.
+  check for the batch), evaluated inline on the loop.
   Unbatched work -- other app endpoints, and every ``/decide`` with
   ``batch=False`` -- runs on the default executor and answers from the
   executor future's done callback.

@@ -24,10 +24,12 @@ files to their swarms saves cloud upload bandwidth outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.clock import kbps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class Swarm:
         Poisson(m*reach), so availability is ``1 - exp(-m*reach)``.
         Exposed for calibration tests and for ODR's popularity heuristics.
         """
+        import numpy as np
         mean = self.model.mean_seeds(self.weekly_demand) * reach
         return 1.0 - float(np.exp(-mean))
 
@@ -115,6 +118,7 @@ class Swarm:
         """
         if reachable_seeds <= 0:
             return 0.0
+        import numpy as np
         model = self.model
         scale = reachable_seeds ** model.per_seed_rate_exponent
         # ``sigma * z`` is ``rng.normal(0.0, sigma)`` exactly: numpy

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FileType(enum.Enum):
@@ -57,6 +59,7 @@ class FileTypeModel:
         default_factory=lambda: dict(_LARGE_MIX))
 
     def __post_init__(self):
+        import numpy as np
         tables = {}
         for name, mix in (("small_mix", self.small_mix),
                           ("large_mix", self.large_mix)):

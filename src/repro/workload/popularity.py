@@ -27,8 +27,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PopularityClass(enum.Enum):
@@ -66,6 +68,7 @@ def _geometric_table(p: float) -> tuple[np.ndarray, np.ndarray]:
     consumes the RNG stream identically to the original per-call
     ``rng.choice``.
     """
+    import numpy as np
     weights = np.array([(1 - p) ** (k - 1)
                         for k in range(1, UNPOPULAR_BELOW)])
     probs = weights / weights.sum()
@@ -77,6 +80,7 @@ def _geometric_table(p: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _powerlaw_table(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """(support, normalised CDF) of the truncated power law on [7, 84]."""
+    import numpy as np
     support = np.arange(UNPOPULAR_BELOW, HIGHLY_POPULAR_ABOVE + 1)
     weights = support.astype(float) ** (-exponent)
     probs = weights / weights.sum()
@@ -153,6 +157,7 @@ class PopularityModel:
         return int(support[min(index, len(support) - 1)])
 
     def _sample_highly_popular(self, rng: np.random.Generator) -> int:
+        import numpy as np
         lo = HIGHLY_POPULAR_ABOVE + 1
         while True:
             draw = self.highly_popular_median * float(
@@ -164,6 +169,7 @@ class PopularityModel:
 
     def class_mean_demands(self) -> dict[PopularityClass, float]:
         """Analytic mean weekly demand per class."""
+        import numpy as np
         from scipy.stats import norm
 
         p = self.unpopular_geom_p
@@ -213,6 +219,7 @@ class PopularityModel:
 def rank_popularity_curve(demands: np.ndarray) -> tuple[np.ndarray,
                                                         np.ndarray]:
     """Sorted (rank, popularity) arrays for Figure 6/7 style fitting."""
+    import numpy as np
     sorted_demands = np.sort(np.asarray(demands))[::-1]
     ranks = np.arange(1, len(sorted_demands) + 1)
     return ranks, sorted_demands

@@ -101,9 +101,19 @@ class TestOdrCommand:
                      "--bandwidth", "8"]) == 0
         assert "cloud" in capsys.readouterr().out
 
-    def test_unknown_scheme_fails_loudly(self):
-        with pytest.raises(ValueError):
-            main(["odr", "gopher://host/f"])
+    def test_unknown_scheme_fails_loudly(self, capsys):
+        assert main(["odr", "gopher://host/f"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "gopher" in captured.err and "Traceback" not in captured.err
+
+    def test_bad_bandwidth_is_a_usage_error(self, capsys):
+        assert main(["odr", "http://host/f", "--bandwidth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "bandwidth_mbps" in captured.err
 
 
 class TestPipelineCommands:

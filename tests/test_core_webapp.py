@@ -387,6 +387,39 @@ class TestAuxCookieWire:
         assert live_contexts() == before
 
 
+#: One ``/decide`` of a batch: few file ids, so files repeat, each with
+#: its own ``cached`` flag, popularity, auxiliary info and policy.
+_BATCH_REQUEST = st.tuples(
+    st.sampled_from(["http://o/f", "http://o/g", "magnet://o/f"]),
+    st.sampled_from(["", "&cached=1", "&cached=0"]),
+    st.sampled_from(["", "&popularity=0", "&popularity=1",
+                     "&popularity=3", "&popularity=7", "&popularity=84",
+                     "&popularity=85", "&popularity=200"]),
+    st.sampled_from(["", "&bandwidth_mbps=0.5&ap=hiwifi",
+                     "&bandwidth_mbps=50"]),
+    st.sampled_from(["", *(f"&policy={name}"
+                           for name in strategy_names())])).map(
+    lambda parts: "/decide?link=" + quote(parts[0], safe="")
+    + "".join(parts[1:]))
+
+
+class TestBatchEqualsOneByOne:
+    """``handle_batch`` answers exactly as ``handle`` on each request in
+    turn: no answer depends on which requests shared its loop tick."""
+
+    @given(paths=st.lists(_BATCH_REQUEST, min_size=1, max_size=8))
+    @example(paths=["/decide?link=http%3A%2F%2Fo%2Ff&cached=1&"
+                    "popularity=3&bandwidth_mbps=0.5&ap=hiwifi",
+                    "/decide?link=http%3A%2F%2Fo%2Ff&popularity=3"])
+    @example(paths=["/decide?link=http%3A%2F%2Fo%2Ff&popularity=1",
+                    "/decide?link=http%3A%2F%2Fo%2Ff&popularity=200"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_batch_answers_as_its_requests_one_by_one(self, paths):
+        batch = OdrWebApp().handle_batch([(path, "") for path in paths])
+        one_by_one = OdrWebApp()
+        assert batch == [one_by_one.handle(path) for path in paths]
+
+
 class TestDeadlinePropagation:
     """X-Deadline-Ms budgets reach the routing policies as
     ``UserContext.deadline_seconds`` -- and nowhere else."""

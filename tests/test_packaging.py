@@ -77,24 +77,52 @@ def _fresh(script: str) -> object:
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-#: Loaded by the simulation and the harness, never by a ``/decide``.
+#: Loaded by the simulation and the harness, never by a ``/decide``:
+#: numpy lives in the functions that draw, and the fault layer loads
+#: only with a ``--faults`` plan.
 NOT_ON_THE_SERVE_PATH = (
-    "multiprocessing", "repro.cloud.system",
+    "multiprocessing", "numpy", "scipy", "repro.cloud.system",
     "repro.workload.generator", "repro.analysis.cdf",
-    "repro.recovery.durable", "repro.scale", "repro.experiments")
+    "repro.recovery.durable", "repro.scale", "repro.experiments",
+    "repro.faults.injector", "repro.faults.plan", "repro.sim.engine",
+    "repro.sim.randomness", "repro.backends.faultgate")
 
 
 def test_a_decide_worker_loads_no_simulation_or_harness_module():
-    status, loaded = _fresh(
+    statuses, loaded = _fresh(
         "import json, sys\n"
-        "import repro.serve.server\n"
+        "import repro.serve.server, repro.serve.__main__\n"
+        "from repro.backends.registry import strategy_names\n"
         "from repro.core.webapp import OdrWebApp\n"
-        "status = OdrWebApp().handle("
-        "'/decide?link=http%3A%2F%2Forigin%2Ff&popularity=3')[0]\n"
-        f"print(json.dumps([status, [name for name in "
+        "app = OdrWebApp()\n"
+        "statuses = [app.handle('/decide?link=http%3A%2F%2Forigin%2Ff'\n"
+        "                       f'&popularity=3&policy={name}')[0]\n"
+        "            for name in strategy_names()]\n"
+        f"print(json.dumps([statuses, [name for name in "
         f"{NOT_ON_THE_SERVE_PATH!r} if name in sys.modules]]))\n")
-    assert status == 200
+    assert statuses == [200] * 6
     assert loaded == []
+
+
+def test_the_lazily_loaded_chaos_gates_still_work():
+    answers = _fresh(
+        "import json, time\n"
+        "from repro.serve.chaos import load_serve_chaos, "
+        "load_worker_chaos\n"
+        f"serve_plan = {str(ROOT / 'examples' / 'serve_chaos_plan.json')!r}\n"
+        f"wedge_plan = {str(ROOT / 'examples' / 'serve_wedge_plan.json')!r}\n"
+        "gate = load_serve_chaos(serve_plan)\n"
+        "injector = gate.injector\n"
+        "worker = load_worker_chaos(wedge_plan, 0, epoch=time.monotonic())\n"
+        "print(json.dumps([\n"
+        "    gate.verdict().clean, gate.unready(),\n"
+        "    injector.factor('isp_degrade', gate.entity, 12.0),\n"
+        "    injector.active('server_crash', gate.entity, 21.0).kind,\n"
+        "    injector.active('vm_stall', gate.entity, 31.0).severity,\n"
+        "    load_worker_chaos(serve_plan, 0) is None, worker.wedge(),\n"
+        "    worker.injector.wedged(worker.entity, 0.0, 7.0).kind]))\n")
+    assert answers == [True, False, 0.25, "server_crash", 1.0, True, None,
+                       "probe_blackhole"]
 
 
 def test_importing_the_package_imports_no_subpackage():
