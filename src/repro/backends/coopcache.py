@@ -20,11 +20,13 @@ Two modes, both deterministic:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.strategies import FileSnapshot
 from repro.workload.popularity import UNPOPULAR_BELOW
-from repro.workload.records import CatalogFile
+
+if TYPE_CHECKING:
+    from repro.workload.catalog import FileCatalog
 
 #: Pooled capacity of a default neighbourhood: 8 APs x 8 GB USB sticks.
 DEFAULT_NEIGHBORHOOD_SIZE = 8
@@ -53,7 +55,7 @@ class CooperativeApCache:
         self.misses = 0
 
     @classmethod
-    def from_catalog(cls, catalog: Iterable[CatalogFile],
+    def from_catalog(cls, catalog: FileCatalog,
                      capacity_bytes: float = DEFAULT_NEIGHBORHOOD_SIZE *
                      DEFAULT_AP_CAPACITY_BYTES,
                      neighborhood_size: int = DEFAULT_NEIGHBORHOOD_SIZE
@@ -63,19 +65,21 @@ class CooperativeApCache:
         Greedy down the popularity ranking: a file that does not fit is
         skipped (not a stopping point), so small popular files behind
         one oversized archive still make the cache.  Ties break on file
-        id, keeping the set identical across shards and runs.
+        id, keeping the set identical across shards and runs; the
+        catalog ranks its columns once (:meth:`FileCatalog.ranking`).
         """
         cache = cls(capacity_bytes=capacity_bytes,
                     neighborhood_size=neighborhood_size)
-        ranked = sorted(catalog, key=lambda record:
-                        (-record.weekly_demand, record.file_id))
+        ranking = catalog.ranking()
         resident = set()
         used = 0.0
-        for record in ranked:
-            if used + record.size > capacity_bytes:
+        for file_id, size in zip(
+                catalog.column("file_id")[ranking].tolist(),
+                catalog.column("size")[ranking].tolist()):
+            if used + size > capacity_bytes:
                 continue
-            resident.add(record.file_id)
-            used += record.size
+            resident.add(file_id.decode())
+            used += size
         cache._resident = frozenset(resident)
         cache.resident_bytes = used
         return cache

@@ -191,14 +191,15 @@ class FastTaskMachine:
 
         columns = workload.request_columns()
         n = self.n = len(workload.requests)
-        table = self.table = RunTable(workload.requests, columns)
+        table = self.table = RunTable(columns)
         self.records = table.records
         self.users = table.users
         # Fetch admission rows, resolved once per user (the per-fetch
         # path then never hashes an ISP member).
         uploads = cloud.uploads
         self.rows = _take([uploads.admission_row(user.isp)
-                           for user in columns.users], columns.user_rows)
+                           for user in columns.users.rows()],
+                          columns.user_rows)
 
         # Columnar per-task state: one row per task, written/read by the
         # phase callbacks.  The mutable scalars are plain lists

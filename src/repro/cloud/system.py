@@ -36,11 +36,12 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.queueing import SlotResource
 from repro.sim.randomness import RngFactory
 from repro.transfer.source import SourceModel
-from repro.workload.generator import RequestColumns, Workload
+from repro.workload.generator import RequestColumns, Workload, \
+    request_record
 from repro.workload.popularity import (
     HIGHLY_POPULAR_ABOVE,
-    UNPOPULAR_BELOW,
     PopularityClass,
+    class_codes,
 )
 from repro.workload.records import (
     CatalogFile,
@@ -62,9 +63,8 @@ FETCH_REJECTED = 2
 REJECTED_GROUP = len(MAJOR_ISPS)
 GROUP_CODES = {isp: code for code, isp in enumerate(MAJOR_ISPS)}
 
-#: Popularity classes by the run table's class code (see ``_class_codes``).
-_CLASSES = (PopularityClass.UNPOPULAR, PopularityClass.POPULAR,
-            PopularityClass.HIGHLY_POPULAR)
+#: Popularity classes by class code (see ``class_codes``).
+_CLASSES = tuple(PopularityClass)
 
 
 class FetchFlow(NamedTuple):
@@ -128,14 +128,14 @@ class RunTable:
     """The outcome of every task and flow of one replay, as columns.
 
     One row per task, indexed by the task's position in the workload's
-    requests.  Each task's file, user, weekly demand and task id come
-    from :meth:`Workload.request_columns`, so a week mapped from a
-    columnar trace builds no request row to replay.  The task machine
-    writes each outcome straight into typed columns -- ``array('d')``
-    floats, ``bytearray`` flags and two object lists (failure cause,
-    fetch path) -- instead of allocating per-task record objects.
-    Columns start zeroed, so a writer only stores the fields that
-    differ from zero.
+    requests.  Each task's file, user, arrival time, weekly demand and
+    task id come from :meth:`Workload.request_columns`, so a week
+    mapped from a columnar trace builds no request row to replay.  The
+    task machine writes each outcome straight into typed columns --
+    ``array('d')`` floats, ``bytearray`` flags and two object lists
+    (failure cause, fetch path) -- instead of allocating per-task
+    record objects.  Columns start zeroed, so a writer only stores the
+    fields that differ from zero.
 
     ``order`` lists task indexes in pre-download completion order: the
     order the per-task results were produced in, which is the order of
@@ -148,18 +148,14 @@ class RunTable:
     flow row.
     """
 
-    def __init__(self, requests: Sequence[RequestRecord],
-                 columns: RequestColumns):
-        n = len(requests)
-        self.requests = requests
+    def __init__(self, columns: RequestColumns):
+        n = len(columns.times)
         self.task_id = columns.task_id
         # Per-task file and user, shared with the task machine.
-        self.records = _take(columns.files, columns.file_rows)
-        self.users = _take(columns.users, columns.user_rows)
+        self.records = _take(columns.files.rows(), columns.file_rows)
+        self.users = _take(columns.users.rows(), columns.user_rows)
         self._columns = columns
-        self.demand = np.fromiter(
-            (record.weekly_demand for record in columns.files),
-            dtype=np.int64, count=len(columns.files))[columns.file_rows]
+        self.demand = columns.files.demands()[columns.file_rows]
         # Pre-download columns.
         self.pre_start = _floats(n)
         self.pre_finish = _floats(n)
@@ -216,9 +212,13 @@ class RunTable:
     def task_row(self, position: int) -> TaskResult:
         """The task that finished its pre-download ``position``-th."""
         idx = self.order[position]
-        return TaskResult(self.requests[idx], self.records[idx],
-                          self.pre_record(idx), self.fetch_record(idx),
-                          self.fetch_path[idx])
+        record = self.records[idx]
+        return TaskResult(
+            request_record(self.task_id(idx),
+                           self._columns.times.item(idx), record,
+                           self.users[idx]),
+            record, self.pre_record(idx), self.fetch_record(idx),
+            self.fetch_path[idx])
 
     def flow_row(self, position: int) -> FetchFlow:
         return FetchFlow(
@@ -237,7 +237,7 @@ class RunTable:
         last = np.full(len(files), -np.inf)
         np.maximum.at(last, file_rows, _view(self.pre_start, np.float64))
         rows = np.flatnonzero(counts)
-        return (_take(files, rows), counts[rows].tolist(),
+        return (_take(files.rows(), rows), counts[rows].tolist(),
                 last[rows].tolist())
 
     # -- numpy views -------------------------------------------------------------
@@ -261,7 +261,8 @@ class RunTable:
         if name == "crossed":
             columns = self._columns
             home = np.array([GROUP_CODES.get(user.isp, REJECTED_GROUP)
-                             for user in columns.users], dtype=np.uint8)
+                             for user in columns.users.rows()],
+                            dtype=np.uint8)
             group = self.flow_column("group")
             return (group != REJECTED_GROUP) & (group != home[
                 columns.user_rows[self.flow_column("task")]])
@@ -298,12 +299,6 @@ class Rows(Sequence, Generic[T]):
 
     def __iter__(self):
         return map(self._row, self._positions)
-
-
-def _class_codes(demand: np.ndarray) -> np.ndarray:
-    """Index into ``_CLASSES`` per weekly demand, as ``classify`` does."""
-    return (demand >= UNPOPULAR_BELOW).astype(np.int64) \
-        + (demand > HIGHLY_POPULAR_ABOVE)
 
 
 @dataclass
@@ -430,7 +425,7 @@ class CloudRunResult:
 
     def failure_ratio_by_class(self) -> dict[PopularityClass, float]:
         demand, failed = self._demand_failures()
-        codes = _class_codes(demand)
+        codes = class_codes(demand)
         totals = np.bincount(codes, minlength=len(_CLASSES)).tolist()
         failures = np.bincount(codes[failed],
                                minlength=len(_CLASSES)).tolist()

@@ -24,7 +24,7 @@ def run(context: ExperimentContext | None = None) -> ExperimentReport:
     import numpy as np
     columns = context.workload.request_columns()
     no_cache = result.fleet.no_cache_failure_ratio(
-        map(columns.files.__getitem__, columns.file_rows.tolist()),
+        map(columns.files.rows().__getitem__, columns.file_rows.tolist()),
         np.random.default_rng(context.seed + 1))
     report.add("failure ratio without the storage pool",
                paper.CLOUD_FAILURE_RATIO_NO_CACHE, no_cache)

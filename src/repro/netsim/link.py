@@ -92,17 +92,19 @@ class AccessBandwidthModel:
         self.body_sigma = body_sigma
         self.max_downstream = max_downstream
         self._log_tail_low = float(np.log(mbps(0.064)))
-        self._log_tail_high = float(np.log(mbps(1.0)))
+        self._log_tail_span = float(np.log(mbps(1.0))) - self._log_tail_low
 
     def sample_downstream(self, rng: np.random.Generator) -> float:
-        """Draw one subscriber's downstream bandwidth in B/s."""
+        """Draw one subscriber's downstream bandwidth in B/s
+        (``sigma * standard_normal()`` is ``normal(0.0, sigma)``)."""
         import numpy as np
         if rng.random() < self.low_tail_fraction:
             # Narrowband / congested-rural tail: 64 Kbps .. 1 Mbps,
             # log-uniform so very slow lines exist but do not dominate.
-            return float(np.exp(rng.uniform(self._log_tail_low,
-                                            self._log_tail_high)))
-        draw = self.body_median * np.exp(rng.normal(0.0, self.body_sigma))
+            return float(np.exp(self._log_tail_low
+                                + self._log_tail_span * rng.random()))
+        draw = self.body_median * np.exp(
+            self.body_sigma * rng.standard_normal())
         return float(min(draw, self.max_downstream))
 
     def sample_link(self, rng: np.random.Generator) -> AccessLink:

@@ -50,9 +50,7 @@ class ApReplayTask:
 
 def ap_replay_worker(task: ApReplayTask) -> list[ApPreDownloadResult]:
     """Replay one AP's slice on a single-AP rig."""
-    catalog = FileCatalog()
-    for record in task.catalog_files:
-        catalog.files[record.file_id] = record
+    catalog = FileCatalog.from_records(task.catalog_files)
     if task.requests_trace:
         from repro.workload.columnar import ColumnarTrace
         path, indices = task.requests_trace

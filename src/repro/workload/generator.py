@@ -12,8 +12,8 @@ structurally: the requests of one file go to distinct users, which is
 what flattens the popularity head and makes the SE model the better fit
 (paper Figures 6-7).
 
-The generated trace is kept as columns, not rows: per request an
-arrival time, the row of its file in the catalog and the row of its
+The whole week is kept as columns, not rows: the catalog and the
+users, and per request an arrival time and the rows of its file and
 user (:class:`RequestColumns`).  ``Workload.requests`` is a
 :class:`GeneratedRequests` view that builds a :class:`RequestRecord`
 only when one is asked for; replays and the drivers that walk every
@@ -35,14 +35,9 @@ from repro.sim.collector import paused
 from repro.sim.randomness import RngFactory
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.catalog import FileCatalog
-from repro.workload.columnar import (
-    _ITER_ROWS,
-    Column,
-    ColumnarRows,
-    _index,
-    encode_records,
-)
-from repro.workload.popularity import PopularityClass
+from repro.workload.columnar import _ITER_ROWS, Column, ColumnarRows, \
+    _index
+from repro.workload.popularity import PopularityClass, class_shares
 from repro.workload.records import CatalogFile, RequestRecord, User
 from repro.workload.users import UserPopulation
 
@@ -77,25 +72,21 @@ class RequestColumns(NamedTuple):
     times: np.ndarray           # float64 arrival time per request
     file_rows: np.ndarray       # row of each request's file in ``files``
     user_rows: np.ndarray       # row of each request's user in ``users``
-    files: list[CatalogFile]    # the catalog, in row order
-    users: list[User]
+    files: FileCatalog
+    users: UserPopulation
     task_id: Callable[[int], str]   # one request's task id
 
 
 class GeneratedRequests(Sequence):
     """A generated week's requests, built on access from its columns.
 
-    The generator keeps each request as three array elements -- its
-    arrival time, its file's row in ``columns.files`` and its user's
-    row in ``columns.users`` -- and its task id is ``prefix`` plus its
+    Each request is three array elements -- its arrival time and its
+    file's and user's rows -- and its task id is ``prefix`` plus its
     index, zero-padded to 8 digits.  Like
-    :class:`~repro.workload.columnar.ColumnarRows`, this is a read-only
-    sequence: length, indexing and slicing are O(1) (a slice is another
-    view, whose task ids keep each row's original index), a row is
-    built from its file and user objects on access, and iteration
-    builds blocks of rows at a time.  Nothing is cached.  It compares
-    equal to any sequence of the same rows, as the list it replaces
-    did.
+    :class:`~repro.workload.columnar.ColumnarRows`, a read-only sequence
+    with O(1) length, indexing and slicing (a slice keeps each row's
+    task id); no request row is cached.  It compares equal to any
+    sequence of the same rows, as the list it replaces did.
     """
 
     __slots__ = ("columns", "prefix", "_positions")
@@ -107,8 +98,8 @@ class GeneratedRequests(Sequence):
         self._positions = range(len(columns.times)) if positions is None \
             else positions
 
-    def bind(self, files: list[CatalogFile],
-             users: list[User]) -> "GeneratedRequests":
+    def bind(self, files: FileCatalog,
+             users: UserPopulation) -> "GeneratedRequests":
         """The same requests over other (row-for-row equal) files and
         users, e.g. a week's snapshot of an evolving catalog."""
         return GeneratedRequests(
@@ -124,14 +115,15 @@ class GeneratedRequests(Sequence):
                                      self._positions[index])
         row = self._positions[index]
         columns = self.columns
-        return _request(columns.task_id(row), columns.times.item(row),
-                        columns.files[columns.file_rows.item(row)],
-                        columns.users[columns.user_rows.item(row)])
+        return request_record(
+            columns.task_id(row), columns.times.item(row),
+            columns.files.row(columns.file_rows.item(row)),
+            columns.users.row(columns.user_rows.item(row)))
 
     def __iter__(self):
         columns = self.columns
-        task_id, files, users = columns.task_id, columns.files, \
-            columns.users
+        task_id, files, users = columns.task_id, columns.files.rows(), \
+            columns.users.rows()
         positions = self._positions
         for start in range(0, len(positions), _ITER_ROWS):
             block = positions[start:start + _ITER_ROWS]
@@ -140,8 +132,8 @@ class GeneratedRequests(Sequence):
                     block, columns.times[index].tolist(),
                     columns.file_rows[index].tolist(),
                     columns.user_rows[index].tolist()):
-                yield _request(task_id(row), when, files[file_row],
-                               users[user_row])
+                yield request_record(task_id(row), when, files[file_row],
+                                     users[user_row])
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or \
@@ -165,45 +157,38 @@ class GeneratedRequests(Sequence):
             columns.user_rows[index], columns.files, columns.users,
             partial(_task_id_at, columns.task_id, positions))
 
-    def blocks(self, files: Optional[dict[str, Column]] = None,
-               users: Optional[dict[str, Column]] = None
-               ) -> dict[str, Column]:
+    def blocks(self) -> dict[str, Column]:
         """The rows' ``RequestRecord`` columns, encoded for
         :func:`~repro.workload.columnar.write_blocks`: every file and
-        user field is encoded once per file or user and taken by row.
-
-        ``files``/``users`` are ``columns.files``/``columns.users``
-        already encoded (:func:`~repro.workload.columnar.encode_records`),
-        e.g. for the week's own catalog and users files."""
+        user field is taken by row from the catalog's and the users'
+        own columns."""
         columns = self.columns
         index = _index(self._positions)
         file_rows = columns.file_rows[index]
         user_rows = columns.user_rows[index]
-        if files is None:
-            files = encode_records(columns.files, CatalogFile)
-        if users is None:
-            users = encode_records(columns.users, User)
-        reports = users["reports_bandwidth"][0]
-        reported = np.where(reports, users["access_bandwidth"][0], 0.0)
+        files, users = columns.files.column, columns.users.column
+        reports = users("reports_bandwidth")
+        reported = np.where(reports, users("access_bandwidth"), 0.0)
         positions = np.arange(len(columns.times))[index]
         task_ids = np.char.add(self.prefix.encode(),
                                np.char.zfill(positions.astype("S"), 8))
         return {
             "task_id": (task_ids, None),
-            "user_id": (users["user_id"][0][user_rows], None),
-            "ip_address": (users["ip_address"][0][user_rows], None),
+            "user_id": (users("user_id")[user_rows], None),
+            "ip_address": (users("ip_address")[user_rows], None),
             "access_bandwidth": (reported[user_rows], ~reports[user_rows]),
             "request_time": (columns.times[index], None),
-            "file_id": (files["file_id"][0][file_rows], None),
-            "file_type": (files["file_type"][0][file_rows], None),
-            "file_size": (files["size"][0][file_rows], None),
-            "source_url": (files["source_url"][0][file_rows], None),
-            "protocol": (files["protocol"][0][file_rows], None),
+            "file_id": (files("file_id")[file_rows], None),
+            "file_type": (files("file_type")[file_rows], None),
+            "file_size": (files("size")[file_rows], None),
+            "source_url": (files("source_url")[file_rows], None),
+            "protocol": (files("protocol")[file_rows], None),
         }
 
 
-def _request(task_id: str, when: float, record: CatalogFile,
-             user: User) -> RequestRecord:
+def request_record(task_id: str, when: float, record: CatalogFile,
+                   user: User) -> RequestRecord:
+    """The request row of ``user`` asking for ``record`` at ``when``."""
     return RequestRecord(task_id, user.user_id, user.ip_address,
                          user.reported_bandwidth, when, record.file_id,
                          record.file_type, record.size, record.source_url,
@@ -234,7 +219,7 @@ class Workload:
 
     config: WorkloadConfig
     catalog: FileCatalog
-    users: list[User]
+    users: UserPopulation
     requests: Sequence[RequestRecord]
 
     @property
@@ -249,49 +234,44 @@ class Workload:
 
         A generated week returns the columns it was generated as.  A
         columnar view resolves its ``file_id`` and ``user_id`` byte
-        columns against the catalog and the users in one dict pass
-        each, and reads task ids one element at a time; a list computes
-        the same arrays from its records.  A repeated user id resolves
-        to its last row, as :meth:`user_by_id` does.
+        columns against the catalog's and the users' id columns in one
+        dict pass each, and reads task ids one element at a time; a
+        list computes the same arrays from its records.  No catalog or
+        user row is built.  A repeated user id resolves to its last
+        row, as :meth:`user_by_id` does.
         """
         requests = self.requests
         if isinstance(requests, GeneratedRequests):
             return requests.request_columns()
-        files = list(self.catalog)
-        users = self.users
+        file_ids = self.catalog.column("file_id").tolist()
+        user_ids = self.users.column("user_id").tolist()
         if isinstance(requests, ColumnarRows):
             return RequestColumns(
                 requests.column("request_time"),
-                _resolve(requests.column("file_id").tolist(),
-                         [record.file_id.encode() for record in files]),
-                _resolve(requests.column("user_id").tolist(),
-                         [user.user_id.encode() for user in users]),
-                files, users, partial(requests.value, "task_id"))
+                _resolve(requests.column("file_id").tolist(), file_ids),
+                _resolve(requests.column("user_id").tolist(), user_ids),
+                self.catalog, self.users,
+                partial(requests.value, "task_id"))
         return RequestColumns(
             np.fromiter((request.request_time for request in requests),
                         dtype=np.float64, count=len(requests)),
-            _resolve([request.file_id for request in requests],
-                     [record.file_id for record in files]),
-            _resolve([request.user_id for request in requests],
-                     [user.user_id for user in users]),
-            files, users, partial(_list_task_id, requests))
+            _resolve([request.file_id.encode() for request in requests],
+                     file_ids),
+            _resolve([request.user_id.encode() for request in requests],
+                     user_ids),
+            self.catalog, self.users, partial(_list_task_id, requests))
 
-    def requests_per_file(self) -> tuple[list[CatalogFile], np.ndarray]:
-        """The catalog in row order and the request count of each file."""
+    def requests_per_file(self) -> tuple[FileCatalog, np.ndarray]:
+        """The catalog and the request count of each file, in row
+        order."""
         columns = self.request_columns()
         return columns.files, np.bincount(columns.file_rows,
                                           minlength=len(columns.files))
 
     def request_class_shares(self) -> dict[PopularityClass, float]:
         """Observed request share per popularity class."""
-        counts: dict[PopularityClass, int] = {}
         files, per_file = self.requests_per_file()
-        for record, count in zip(files, per_file.tolist()):
-            klass = record.popularity_class
-            counts[klass] = counts.get(klass, 0) + count
-        total = max(len(self.requests), 1)
-        return {klass: counts.get(klass, 0) / total
-                for klass in PopularityClass}
+        return class_shares(files.demands(), per_file)
 
 
 def _resolve(keys: list, ids: list) -> np.ndarray:
@@ -325,13 +305,13 @@ class WorkloadGenerator:
                                   rng_factory.stream("catalog"))
             self.population.generate(self.config.user_count,
                                      rng_factory.stream("users"))
-            requests = build_requests(self.catalog, self.population.users,
+            requests = build_requests(self.catalog, self.population,
                                       self.arrivals, rng_factory)
         return Workload(config=self.config, catalog=self.catalog,
-                        users=self.population.users, requests=requests)
+                        users=self.population, requests=requests)
 
 
-def build_requests(catalog: FileCatalog, users: list[User],
+def build_requests(catalog: FileCatalog, users: UserPopulation,
                    arrivals: ArrivalProcess, rng_factory: RngFactory,
                    task_prefix: str = "t") -> GeneratedRequests:
     """Expand a catalog's weekly demands into a timed request trace.
@@ -339,9 +319,9 @@ def build_requests(catalog: FileCatalog, users: list[User],
     Shared by the single-week generator and the multi-week evolution:
     one request slot per (file, demand unit), arrival times drawn from
     the arrival process, users assigned fetch-at-most-once.  The trace
-    is kept as columns -- arrival times, file rows into
-    ``list(catalog)`` and user rows into ``users`` -- under a
-    :class:`GeneratedRequests` view; no request row is built.
+    is kept as columns -- arrival times, file rows into ``catalog``
+    and user rows into ``users`` -- under a :class:`GeneratedRequests`
+    view; no row is built.
     """
     assign_rng = rng_factory.stream("request-assignment")
     time_rng = rng_factory.stream("request-times")
@@ -351,10 +331,8 @@ def build_requests(catalog: FileCatalog, users: list[User],
     # produces the exact same permutation (and leaves the generator in
     # the exact same state) as shuffling the Python object list the
     # scalar version used, at a fraction of the cost.
-    records = list(catalog)
-    demands = np.fromiter((record.weekly_demand for record in records),
-                          dtype=np.int64, count=len(records))
-    slot_indices = np.repeat(np.arange(len(records)), demands)
+    demands = catalog.demands()
+    slot_indices = np.repeat(np.arange(len(catalog)), demands)
     assign_rng.shuffle(slot_indices)
     times = arrivals.sample_times(len(slot_indices), time_rng)
 
@@ -378,7 +356,7 @@ def build_requests(catalog: FileCatalog, users: list[User],
             append(pick_fresh())
     return GeneratedRequests(
         RequestColumns(times, slot_indices,
-                       np.frombuffer(user_rows, dtype=np.int64), records,
+                       np.frombuffer(user_rows, dtype=np.int64), catalog,
                        users,
                        partial("{}{:08d}".format, task_prefix)),
         task_prefix)

@@ -21,7 +21,7 @@ Evolution model per week:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -80,8 +80,8 @@ class MultiWeekGenerator:
         """Produce the next week's workload.
 
         Each returned :class:`Workload` carries a *snapshot* of the
-        catalog and user list, so earlier weeks stay valid after later
-        evolution mutates the live state.
+        catalog and the users, so earlier weeks stay valid after later
+        evolution changes the live state.
         """
         if self._catalog is None:
             generator = WorkloadGenerator(self.config,
@@ -95,19 +95,14 @@ class MultiWeekGenerator:
         return self._evolve_week()
 
     def _snapshot(self, requests: GeneratedRequests) -> Workload:
-        """The week over copies of the live catalog and user list; its
+        """The week over copies of the live catalog and users; its
         requests are rebound to them row for row, so the week reads the
         demands it was generated with after later weeks evolve them."""
         assert self._catalog is not None and self._population is not None
-        catalog = FileCatalog(
-            size_model=self._catalog.size_model,
-            type_model=self._catalog.type_model,
-            popularity_model=self._catalog.popularity_model,
-            files={file_id: dataclass_replace(record)
-                   for file_id, record in self._catalog.files.items()})
-        users = list(self._population.users)
+        catalog = self._catalog.copy()
+        users = self._population.copy()
         return Workload(config=self.config, catalog=catalog, users=users,
-                        requests=requests.bind(list(catalog), users))
+                        requests=requests.bind(catalog, users))
 
     def weeks(self, count: int) -> Iterator[Workload]:
         """Yield ``count`` consecutive weeks."""
@@ -126,16 +121,18 @@ class MultiWeekGenerator:
         novelty_rng = self._rng_factory.stream(f"{label}-novelty")
         growth_rng = self._rng_factory.stream(f"{label}-growth")
 
-        # Cool existing demand.
+        # Cool existing demand (``sigma * standard_normal()`` is the
+        # value ``normal(0.0, sigma)`` draws).
         evolution = self.evolution
-        for record in self._catalog:
-            if record.weekly_demand <= 0:
+        demands = self._catalog.demands().tolist()
+        for row, demand in enumerate(demands):
+            if demand <= 0:
                 continue
-            factor = evolution.demand_decay * float(
-                np.exp(decay_rng.normal(0.0, evolution.decay_sigma)))
-            record.weekly_demand = int(
-                np.floor(record.weekly_demand * factor +
-                         decay_rng.random()))
+            factor = evolution.demand_decay * float(np.exp(
+                evolution.decay_sigma * decay_rng.standard_normal()))
+            demands[row] = int(np.floor(demand * factor
+                                        + decay_rng.random()))
+        self._catalog.set_demands(demands)
 
         # Novelty stream: brand-new files with fresh demands.
         new_files = max(1, int(round(self.config.file_count *
@@ -149,7 +146,7 @@ class MultiWeekGenerator:
             self._population.generate(new_users, growth_rng)
 
         requests = build_requests(
-            self._catalog, self._population.users, self.arrivals,
+            self._catalog, self._population, self.arrivals,
             self._rng_factory.fork(label),
             task_prefix=f"w{self._week}t")
         return self._snapshot(requests)

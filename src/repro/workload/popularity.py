@@ -25,6 +25,7 @@ power law (the "fetch-at-most-once" effect).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -58,13 +59,32 @@ def classify(weekly_demand: float) -> PopularityClass:
     return PopularityClass.HIGHLY_POPULAR
 
 
+def class_codes(demand: np.ndarray) -> np.ndarray:
+    """Per weekly demand, the index of its class in
+    ``tuple(PopularityClass)``, as :func:`classify` classifies it."""
+    return (demand >= UNPOPULAR_BELOW).astype(int) \
+        + (demand > HIGHLY_POPULAR_ABOVE)
+
+
+def class_shares(demand: np.ndarray, weights: np.ndarray | None = None
+                 ) -> dict[PopularityClass, float]:
+    """The share of ``weights`` (of files, when None) in each class of
+    the weekly ``demand``."""
+    import numpy as np
+    totals = np.bincount(class_codes(demand), weights,
+                         len(PopularityClass)).tolist()
+    total = max(sum(totals), 1)
+    return {klass: part / total
+            for klass, part in zip(PopularityClass, totals)}
+
+
 @lru_cache(maxsize=None)
-def _geometric_table(p: float) -> tuple[np.ndarray, np.ndarray]:
+def _geometric_table(p: float) -> tuple[tuple, tuple]:
     """(support, normalised CDF) of the truncated geometric on [1, 6].
 
     The CDF is built exactly the way ``Generator.choice`` builds it
     internally (cumsum of the normalised weights, renormalised by the
-    last entry), so a single ``searchsorted`` over one uniform draw
+    last entry), so one ``bisect_right`` over one uniform draw
     consumes the RNG stream identically to the original per-call
     ``rng.choice``.
     """
@@ -74,11 +94,11 @@ def _geometric_table(p: float) -> tuple[np.ndarray, np.ndarray]:
     probs = weights / weights.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return np.arange(1, UNPOPULAR_BELOW), cdf
+    return tuple(range(1, UNPOPULAR_BELOW)), tuple(cdf.tolist())
 
 
 @lru_cache(maxsize=None)
-def _powerlaw_table(exponent: float) -> tuple[np.ndarray, np.ndarray]:
+def _powerlaw_table(exponent: float) -> tuple[tuple, tuple]:
     """(support, normalised CDF) of the truncated power law on [7, 84]."""
     import numpy as np
     support = np.arange(UNPOPULAR_BELOW, HIGHLY_POPULAR_ABOVE + 1)
@@ -86,7 +106,7 @@ def _powerlaw_table(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     probs = weights / weights.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return support, cdf
+    return tuple(support.tolist()), tuple(cdf.tolist())
 
 
 @dataclass(frozen=True)
@@ -138,30 +158,24 @@ class PopularityModel:
 
     def sample_weekly_demand(self, rng: np.random.Generator,
                              klass: PopularityClass | None = None) -> int:
-        """Draw one file's weekly demand (>= 1)."""
+        """Draw one file's weekly demand (>= 1).  ``bisect_right`` makes
+        the comparisons ``searchsorted(side="right")`` makes."""
         klass = klass or self.sample_class(rng)
         if klass is PopularityClass.UNPOPULAR:
-            return self._sample_truncated_geometric(rng)
-        if klass is PopularityClass.POPULAR:
-            return self._sample_truncated_powerlaw(rng)
-        return self._sample_highly_popular(rng)
-
-    def _sample_truncated_geometric(self, rng: np.random.Generator) -> int:
-        support, cdf = _geometric_table(self.unpopular_geom_p)
-        index = cdf.searchsorted(rng.random(), side="right")
-        return int(support[min(index, len(support) - 1)])
-
-    def _sample_truncated_powerlaw(self, rng: np.random.Generator) -> int:
-        support, cdf = _powerlaw_table(self.popular_exponent)
-        index = cdf.searchsorted(rng.random(), side="right")
-        return int(support[min(index, len(support) - 1)])
+            support, cdf = _geometric_table(self.unpopular_geom_p)
+        elif klass is PopularityClass.POPULAR:
+            support, cdf = _powerlaw_table(self.popular_exponent)
+        else:
+            return self._sample_highly_popular(rng)
+        return support[min(bisect_right(cdf, rng.random()),
+                           len(support) - 1)]
 
     def _sample_highly_popular(self, rng: np.random.Generator) -> int:
         import numpy as np
         lo = HIGHLY_POPULAR_ABOVE + 1
         while True:
             draw = self.highly_popular_median * float(
-                np.exp(rng.normal(0.0, self.highly_popular_sigma)))
+                np.exp(self.highly_popular_sigma * rng.standard_normal()))
             if lo <= draw <= self.max_weekly_demand:
                 return int(np.floor(draw))
 

@@ -9,15 +9,13 @@ logged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Optional, Type, TypeVar
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.netsim.isp import ISP
 from repro.transfer.protocols import Protocol
 from repro.workload.filetypes import FileType
 from repro.workload.popularity import PopularityClass, classify
-
-T = TypeVar("T", bound="_TraceRecord")
 
 #: Enum field types serialised by ``.value``; enums are final classes
 #: here, so an exact type test replaces the old isinstance chain.
@@ -26,14 +24,14 @@ _ENUM_TYPES = {Protocol, FileType, ISP, PopularityClass}
 
 @dataclass(slots=True)
 class _TraceRecord:
-    """Shared (de)serialisation for trace rows (JSONL-friendly dicts).
+    """Shared serialisation for trace rows (JSONL-friendly dicts).
 
     ``to_dict`` walks the declared fields directly instead of going
-    through :func:`dataclasses.asdict` (which deep-copies every value);
-    ``from_dict`` runs a per-class conversion plan computed once rather
-    than re-inspecting ``fields(cls)`` per row.  Both produce exactly
-    the dicts the old implementations did -- same keys, same order,
-    same values -- so serialised traces are byte-identical.
+    through :func:`dataclasses.asdict` (which deep-copies every value)
+    and produces exactly the dicts that did -- same keys, same order,
+    same values -- so serialised traces are byte-identical.  Rows are
+    parsed into columns, not one by one
+    (:func:`repro.workload.traceio.read_jsonl`).
     """
 
     def to_dict(self) -> dict[str, Any]:
@@ -45,36 +43,6 @@ class _TraceRecord:
                 value = value.value
             out[name] = value
         return out
-
-    @classmethod
-    def _conversion_plan(cls) -> tuple[tuple[str, Any], ...]:
-        """(field name, enum constructor) pairs needing deserialisation.
-
-        Stored per concrete class (``cls.__dict__``, not inherited) the
-        first time a record of that class is parsed.
-        """
-        plan = cls.__dict__.get("_FROM_DICT_PLAN")
-        if plan is None:
-            plan = []
-            for spec in fields(cls):
-                if spec.type in ("Protocol", Protocol):
-                    plan.append((spec.name, Protocol))
-                elif spec.type in ("FileType", FileType):
-                    plan.append((spec.name, FileType))
-                elif spec.type in ("ISP", ISP, "Optional[ISP]"):
-                    plan.append((spec.name, ISP))
-            plan = tuple(plan)
-            cls._FROM_DICT_PLAN = plan
-        return plan
-
-    @classmethod
-    def from_dict(cls: Type[T], raw: dict[str, Any]) -> T:
-        converted = dict(raw)
-        for name, enum_type in cls._conversion_plan():
-            value = converted.get(name)
-            if value is not None:
-                converted[name] = enum_type(value)
-        return cls(**converted)
 
 
 @dataclass(slots=True)

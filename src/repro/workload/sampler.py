@@ -31,12 +31,12 @@ def sample_benchmark_requests(workload: Workload, count: int = 1000,
     if rng is None:
         rng = np.random.default_rng(seed)
     # Eligibility is a property of the user, so it is decided once per
-    # user and read off the request columns; only the sampled rows are
-    # built.
+    # user off the users' columns and read off the request columns;
+    # only the sampled rows are built.
     columns = workload.request_columns()
-    eligible_user = np.fromiter(
-        (user.reports_bandwidth and user.isp is isp
-         for user in columns.users), dtype=bool, count=len(columns.users))
+    users = columns.users
+    eligible_user = users.column("reports_bandwidth") \
+        & (users.column("isp") == isp.value.encode())
     eligible = np.flatnonzero(eligible_user[columns.user_rows])
     if not len(eligible):
         raise ValueError(f"workload has no replayable requests from {isp}")

@@ -38,20 +38,22 @@ class FileSizeModel:
             raise ValueError("small_share must be a probability")
         # Frozen dataclass: stash the log bounds once instead of calling
         # np.log twice per small-class draw.
-        object.__setattr__(self, "_log_min", float(np.log(self.min_size)))
-        object.__setattr__(self, "_log_small",
-                           float(np.log(self.small_threshold)))
+        log_min = float(np.log(self.min_size))
+        object.__setattr__(self, "_log_min", log_min)
+        object.__setattr__(self, "_log_span",
+                           float(np.log(self.small_threshold)) - log_min)
 
     def sample(self, rng: np.random.Generator) -> tuple[float, bool]:
-        """Draw one file size; returns ``(bytes, is_small_class)``."""
+        """Draw one file size; returns ``(bytes, is_small_class)``
+        (``lo + span * random()`` is ``uniform(lo, hi)``, bit for bit)."""
         if rng.random() < self.small_share:
-            log_size = rng.uniform(self._log_min, self._log_small)
-            return float(np.exp(log_size)), True
+            return float(np.exp(self._log_min
+                                + self._log_span * rng.random())), True
         # Truncated lognormal via rejection; acceptance is ~97% so the
         # loop is effectively bounded.
         while True:
             size = self.large_median * float(
-                np.exp(rng.normal(0.0, self.large_sigma)))
+                np.exp(self.large_sigma * rng.standard_normal()))
             if self.small_threshold <= size <= self.max_size:
                 return size, False
 

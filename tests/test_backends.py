@@ -11,6 +11,7 @@ scorecard's reuse of a week the caller already holds.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -51,6 +52,7 @@ from repro.core.odr import OdrMiddleware
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.transfer.protocols import Protocol
+from repro.workload.catalog import FileCatalog
 from repro.workload.filetypes import FileType
 from repro.workload.records import CatalogFile
 
@@ -261,10 +263,9 @@ class TestCoopApCache:
                                protocol=Protocol.BITTORRENT,
                                weekly_demand=demand,
                                source_url=f"magnet://o/{file_id}")
-        return [row("huge-popular", 9e9, 1000),
-                row("small-popular", 1e9, 500),
-                row("small-mid", 1e9, 100),
-                row("cold", 1e9, 1)]
+        return FileCatalog.from_records([
+            row("huge-popular", 9e9, 1000), row("small-popular", 1e9, 500),
+            row("small-mid", 1e9, 100), row("cold", 1e9, 1)])
 
     def test_from_catalog_greedy_skips_oversized(self):
         cache = CooperativeApCache.from_catalog(self.catalog_rows(),
@@ -280,6 +281,26 @@ class TestCoopApCache:
         assert not cache.admits(FileSnapshot("cold",
                                              Protocol.BITTORRENT))
         assert cache.hits == 2 and cache.misses == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_from_catalog_keeps_the_sorted_greedy(self, seed):
+        """The resident set ranked once off the columns is the one a
+        greedy walk of ``sorted()`` over the rows picks."""
+        catalog = FileCatalog()
+        catalog.generate(3000, np.random.default_rng(seed))
+        capacity = 1e11
+        resident, used = set(), 0.0
+        for record in sorted(catalog, key=lambda record:
+                             (-record.weekly_demand, record.file_id)):
+            if used + record.size <= capacity:
+                resident.add(record.file_id)
+                used += record.size
+        cache = CooperativeApCache.from_catalog(catalog,
+                                                capacity_bytes=capacity)
+        assert 0 < len(resident) < len(catalog)
+        assert cache._resident == resident
+        assert cache.resident_bytes == used
+        assert catalog.ranking() is catalog.ranking()
 
     def test_threshold_mode_without_catalog(self):
         cache = CooperativeApCache()

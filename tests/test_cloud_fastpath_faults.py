@@ -36,6 +36,7 @@ from repro.workload.generator import (
 )
 from repro.workload.popularity import PopularityClass
 from repro.workload.records import CatalogFile, RequestRecord, User
+from repro.workload.users import UserPopulation
 
 #: Every file is 20 MB, pulled at 1 MB/s: a session lasts exactly 20 s.
 SIZE = 20e6
@@ -77,8 +78,7 @@ def _week(record: CatalogFile, times: list[float],
     """Requests for ``record`` at ``times``, by ``users`` (one per
     request; all by USER if None)."""
     users = users or [USER] * len(times)
-    catalog = FileCatalog()
-    catalog.files[record.file_id] = record
+    catalog = FileCatalog.from_records([record])
     requests = [RequestRecord(
         task_id=f"t{index}", user_id=user.user_id,
         ip_address=user.ip_address, access_bandwidth=USER_BANDWIDTH,
@@ -87,7 +87,8 @@ def _week(record: CatalogFile, times: list[float],
         source_url=record.source_url, protocol=record.protocol)
         for index, (when, user) in enumerate(zip(times, users))]
     return Workload(WorkloadConfig(scale=0.01), catalog,
-                    list({user.user_id: user for user in users}.values()),
+                    UserPopulation.from_records(list(
+                        {user.user_id: user for user in users}.values())),
                     requests)
 
 

@@ -243,10 +243,10 @@ class TestColumnarReductions:
 
 
 class TestRowViews:
-    def test_tasks_view(self, result):
+    def test_tasks_view(self, result, week):
         tasks = result.tasks
         rows = list(tasks)
-        assert len(tasks) == len(rows) == len(result.table.requests)
+        assert len(tasks) == len(rows) == len(week.requests)
         assert bool(tasks)
         assert tasks[0] == rows[0] and tasks[-1] == rows[-1]
         assert tasks[len(rows) // 2] == rows[len(rows) // 2]
@@ -328,7 +328,7 @@ class TestDerivedAfterRun:
         reference = ContentDatabase()
         columns = week.request_columns()
         for position in np.argsort(columns.times, kind="stable").tolist():
-            record = columns.files[columns.file_rows[position]]
+            record = columns.files.row(columns.file_rows[position])
             reference.record_request(record.file_id, record.size,
                                      columns.times[position].item())
         for record in columns.files:
@@ -386,3 +386,22 @@ def test_upload_gauges_follow_the_pools(week, monkeypatch, faulted):
                  if instrument.name == "repro_cloud_upload_gbps"
                  and dict(instrument.labels)["isp"] == isp.value]
         assert gauge[0].peak == to_gbps(pool.peak_committed) > 0.0
+
+
+def test_tasks_of_a_mapped_week_are_built_from_the_columns(week, tmp_path):
+    """``result.tasks`` of the week loaded from ``.col`` files equals the
+    generated week's, and decodes no request row from the mapping."""
+    from repro.workload.traceio import load_workload, save_workload
+    save_workload(week, tmp_path, trace_format="columnar")
+    mapped = load_workload(tmp_path)
+    trace = mapped.requests.trace
+    decoded = []
+    for name in ("row", "take", "_build"):
+        def counting(*args, __read=getattr(trace, name)):
+            decoded.append(args)
+            return __read(*args)
+        setattr(trace, name, counting)
+    cloud = CloudConfig(scale=GOLDEN_SCALE)
+    generated = XuanfengCloud(cloud).run(week).tasks
+    assert list(XuanfengCloud(cloud).run(mapped).tasks) == list(generated)
+    assert decoded == []

@@ -43,7 +43,7 @@ class TestStableHash:
 class TestShardPlan:
     def test_every_file_owned_by_exactly_one_shard(self, workload):
         plan = _tiny_plan(4)
-        file_ids = sorted(workload.catalog.files)
+        file_ids = sorted(record.file_id for record in workload.catalog)
         seen = []
         for spec in plan.specs():
             seen.extend(file_id for file_id in file_ids
@@ -52,8 +52,8 @@ class TestShardPlan:
 
     def test_single_shard_owns_everything(self, workload):
         plan = _tiny_plan(1)
-        assert {plan.shard_of_file(file_id)
-                for file_id in workload.catalog.files} == {0}
+        assert {plan.shard_of_file(record.file_id)
+                for record in workload.catalog} == {0}
 
     def test_membership_is_stable(self):
         plan = _tiny_plan(8)

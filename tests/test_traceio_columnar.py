@@ -38,7 +38,7 @@ from repro.workload.columnar import (
     ColumnarRows,
     ColumnarTrace,
     is_columnar,
-    read_columnar,
+    open_columnar,
     write_blocks,
     write_columnar,
 )
@@ -102,8 +102,8 @@ def test_columnar_roundtrip_matches_jsonl(name, records_by_type, tmp_path):
     write_columnar(col_path, records, record_type)
     write_jsonl(jsonl_path, iter(records))
 
-    mapped = read_columnar(col_path, record_type)
-    buffered = read_columnar(col_path, record_type, mmap=False)
+    mapped = _read(col_path, record_type)
+    buffered = _read(col_path, record_type, mmap=False)
     via_jsonl = read_jsonl(jsonl_path, record_type)
 
     assert mapped == records
@@ -111,6 +111,11 @@ def test_columnar_roundtrip_matches_jsonl(name, records_by_type, tmp_path):
     assert via_jsonl == records
     assert [r.to_dict() for r in mapped] == \
         [r.to_dict() for r in via_jsonl]
+
+
+def _read(path, record_type, mmap=True):
+    """Every row of a ``.col`` file."""
+    return list(ColumnarRows(open_columnar(path, record_type, mmap)))
 
 
 def test_optional_fields_roundtrip_none_and_values(tmp_path):
@@ -133,8 +138,8 @@ def test_optional_fields_roundtrip_none_and_values(tmp_path):
                                  (pres, PreDownloadRecord)):
         path = tmp_path / f"{record_type.__name__}.col"
         write_columnar(path, records, record_type)
-        assert read_columnar(path, record_type) == records
-        assert read_columnar(path, record_type, mmap=False) == records
+        assert _read(path, record_type) == records
+        assert _read(path, record_type, mmap=False) == records
 
 
 # -- pinned bytes -------------------------------------------------------------
@@ -184,7 +189,7 @@ def test_record_type_mismatch_raises(workload, tmp_path):
     path = tmp_path / "requests.col"
     write_columnar(path, workload.requests[:4], RequestRecord)
     with pytest.raises(ColumnarFormatError):
-        read_columnar(path, User)
+        open_columnar(path, User)
 
 
 def test_is_columnar_detects_format(workload, tmp_path):
@@ -202,7 +207,7 @@ def test_truncated_file_raises(workload, tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(ColumnarFormatError):
-        ColumnarTrace(path).materialize()
+        ColumnarTrace(path)
 
 
 def test_take_decodes_selected_rows_in_order(workload, tmp_path):
@@ -213,7 +218,7 @@ def test_take_decodes_selected_rows_in_order(workload, tmp_path):
     assert len(trace) == len(records)
     assert trace.take([7, 0, 7, 3]) == \
         [records[7], records[0], records[7], records[3]]
-    assert trace.materialize(2, 5) == records[2:5]
+    assert trace.take(range(2, 5)) == records[2:5]
     assert [trace.row(index) for index in (9, 0, 4)] == \
         [records[9], records[0], records[4]]
     assert trace.value("task_id", 6) == records[6].task_id
@@ -280,7 +285,7 @@ class TestMappedRequests:
             request = workload.requests[index]
             assert viewed.task_id(index) == listed.task_id(index) == \
                 request.task_id
-            assert viewed.files[viewed.file_rows[index]].file_id == \
+            assert viewed.files.row(viewed.file_rows[index]).file_id == \
                 request.file_id
             assert viewed.users[viewed.user_rows[index]].user_id == \
                 request.user_id
