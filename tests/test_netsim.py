@@ -112,7 +112,7 @@ class TestIpAllocation:
     def test_rolls_over_blocks_then_exhausts(self):
         # Small blocks, so every ISP crosses block boundaries (a /31
         # and a /32 hold no usable address and are skipped) and runs
-        # out of addresses.
+        # out of addresses.  ``addresses`` walks the same blocks.
         profiles = tuple(
             IspProfile(isp, (f"10.{row}.0.0/29", f"10.{row}.1.0/31",
                              f"10.{row}.2.255/32", f"10.{row}.3.0/30",
@@ -124,6 +124,14 @@ class TestIpAllocation:
             expected = list(self.reference_addresses(
                 registry.profile(isp).networks()))
             assert len(expected) == 6 + 2 + 6
+            values = [int(ipaddress.ip_address(address))
+                      for address in expected]
+            for first in range(len(values) + 1):
+                for count in range(len(values) - first + 1):
+                    assert allocator.addresses(isp, first, count) == \
+                        values[first:first + count]
+                with pytest.raises(RuntimeError, match="exhausted"):
+                    allocator.addresses(isp, first, len(values) - first + 1)
             assert [allocator.allocate(isp) for _ in expected] == expected
             for _ in range(2):
                 with pytest.raises(RuntimeError, match="exhausted"):
