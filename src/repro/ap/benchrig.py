@@ -8,12 +8,16 @@ AP's pre-download speed is throttled to the recorded user bandwidth to
 approximate the original network conditions; completed files are removed
 from the small storage devices; performance data aggregates to a storage
 server.
+
+:func:`sharded_ap_replay` (``repro ap --jobs``) runs the same campaign
+with one worker process per AP and merges it back into the sequential
+rig's report, whatever the number of processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +34,9 @@ from repro.transfer.source import SourceModel
 from repro.workload.catalog import FileCatalog
 from repro.workload.popularity import PopularityClass
 from repro.workload.records import PreDownloadRecord, RequestRecord
+
+if TYPE_CHECKING:
+    from repro.recovery.durable import DurableOutcome, RecoveryConfig
 
 
 @dataclass
@@ -172,19 +179,11 @@ class ApBenchmarkRig:
                     task_label=f"{ap.hardware.name}:{request.task_id}")
             finish = start + outcome.duration
             clocks[ap.hardware.name] = finish
-            self._m_replays.inc()
-            if outcome.success:
-                self._m_iowait.observe(iowait)
-                self._m_write_rate.observe(outcome.average_rate)
-            else:
-                self.metrics.counter(
-                    "repro_ap_failures_total",
-                    cause=outcome.failure_cause or "unknown").inc()
             if outcome.success:
                 # Small devices are wiped between tasks (section 5.1).
                 ap.store(outcome.bytes_obtained)
                 ap.remove(outcome.bytes_obtained)
-            results.append(ApPreDownloadResult(
+            result = ApPreDownloadResult(
                 ap_name=ap.hardware.name,
                 record=PreDownloadRecord(
                     task_id=request.task_id, file_id=record.file_id,
@@ -195,8 +194,22 @@ class ApBenchmarkRig:
                     peak_speed=outcome.peak_rate,
                     success=outcome.success,
                     failure_cause=outcome.failure_cause),
-                file=record, iowait_ratio=iowait))
+                file=record, iowait_ratio=iowait)
+            self._observe(result)
+            results.append(result)
         return ApBenchmarkReport(results)
+
+    def _observe(self, result: ApPreDownloadResult) -> None:
+        """Record one replayed request on the rig's instruments."""
+        record = result.record
+        self._m_replays.inc()
+        if record.success:
+            self._m_iowait.observe(result.iowait_ratio)
+            self._m_write_rate.observe(record.average_speed)
+        else:
+            self.metrics.counter(
+                "repro_ap_failures_total",
+                cause=record.failure_cause or "unknown").inc()
 
     def replay_top_popular(self, requests: Sequence[RequestRecord],
                            ap: SmartAP, top: int = 10,
@@ -215,3 +228,117 @@ class ApBenchmarkRig:
                              seed=self._rng_factory.master_seed + 1,
                              metrics=self.metrics)
         return rig.replay(subset, throttle_to_user=False)
+
+
+class ApReplayTask(NamedTuple):
+    """Spawn-safe payload: one AP's share of a replay campaign.
+
+    The sequential rig deals requests round-robin (``index % len(aps)``)
+    and keeps all cross-request state (RNG stream, clock, storage) per
+    AP, so replaying AP ``k``'s slice ``requests[k::n]`` alone
+    reproduces its sequential results exactly.
+
+    The slice travels one of two ways: ``requests`` carries the record
+    objects themselves (pickled to the worker), or ``requests_trace``
+    names a columnar ``.col`` file plus the slice's row indices -- the
+    worker memory-maps the shared trace and decodes only its own rows,
+    so nothing request-sized crosses the process boundary.
+    """
+
+    ap_index: int
+    catalog_files: tuple                 # CatalogFile records referenced
+    requests: tuple                      # this AP's slice, in order
+    seed: int
+    throttle_to_user: bool = True
+    requests_trace: tuple = ()           # (path, row indices) alternative
+
+
+def ap_replay_worker(task: ApReplayTask) -> list[ApPreDownloadResult]:
+    """Replay one AP's slice on a single-AP rig."""
+    catalog = FileCatalog.from_records(task.catalog_files)
+    if task.requests_trace:
+        from repro.workload.columnar import ColumnarTrace
+        path, indices = task.requests_trace
+        requests = ColumnarTrace(path).take(indices)
+    else:
+        requests = list(task.requests)
+    hardware = BENCHMARKED_APS[task.ap_index]
+    rig = ApBenchmarkRig(
+        catalog, aps=[SmartAP(hardware, source_model=SourceModel())],
+        seed=task.seed)
+    report = rig.replay(requests,
+                        throttle_to_user=task.throttle_to_user)
+    return report.results
+
+
+def sharded_ap_replay(catalog: FileCatalog,
+                      requests: Sequence[RequestRecord], *,
+                      jobs: int = 1, seed: int = 20150301,
+                      throttle_to_user: bool = True,
+                      metrics: AnyRegistry = NOOP,
+                      recovery: Optional[RecoveryConfig] = None,
+                      requests_trace: Optional[tuple] = None
+                      ) -> tuple[ApBenchmarkReport, DurableOutcome]:
+    """Replay the AP campaign with one process per benchmarked AP.
+
+    Results are reassembled into the sequential round-robin order, so
+    the merged report is identical to ``ApBenchmarkRig.replay`` on the
+    full request sequence (per-AP RNG streams and clocks are
+    self-contained), and the merged results feed ``metrics`` through
+    the rig's own instruments.  ``jobs`` caps worker processes; the
+    fan-out is fixed at one task per AP, keyed ``ap-00``, ``ap-01``,
+    ....  Runs on :func:`~repro.recovery.durable.durable_map`, so a
+    killed or hung worker costs a bounded requeue and ``recovery``
+    makes the campaign durable/resumable with per-AP checkpoints; the
+    map's outcome (worker walls, reused checkpoints, retries) is
+    returned beside the report.
+
+    ``requests_trace`` -- ``(path, row_indices)`` naming ``requests``'
+    rows in a columnar ``.col`` trace -- switches the workers to
+    zero-copy mode: each memory-maps the shared trace and decodes only
+    its own slice instead of unpickling the request objects.  The
+    replay itself (and its results) is identical either way.
+    """
+    from repro.recovery.durable import durable_map
+    if not requests:
+        raise ValueError("nothing to replay")
+    ap_count = len(BENCHMARKED_APS)
+    needed = {request.file_id for request in requests}
+    files = tuple(record for record in catalog if record.file_id in needed)
+    if requests_trace is not None:
+        trace_path, rows = requests_trace
+        if len(rows) != len(requests):
+            raise ValueError("requests_trace indices must cover exactly "
+                             "the requests being replayed")
+        tasks = [ApReplayTask(
+            ap_index=index, catalog_files=files, requests=(), seed=seed,
+            throttle_to_user=throttle_to_user,
+            requests_trace=(str(trace_path),
+                            tuple(rows[index::ap_count])))
+            for index in range(ap_count)
+            if rows[index::ap_count]]
+    else:
+        tasks = [ApReplayTask(ap_index=index, catalog_files=files,
+                              requests=tuple(requests[index::ap_count]),
+                              seed=seed,
+                              throttle_to_user=throttle_to_user)
+                 for index in range(ap_count)
+                 if requests[index::ap_count]]
+    outcome = durable_map(
+        [f"ap-{task.ap_index:02d}" for task in tasks], tasks,
+        ap_replay_worker, jobs=jobs, metrics=metrics, recovery=recovery,
+        identity={"kind": "ap-replay", "seed": seed,
+                  "throttle_to_user": throttle_to_user,
+                  "requests": len(requests), "ap_count": ap_count})
+
+    merged: list[Optional[ApPreDownloadResult]] = [None] * len(requests)
+    for task, ap_results in zip(tasks, outcome.results):
+        for position, result in enumerate(ap_results):
+            merged[task.ap_index + position * ap_count] = result
+    assert all(result is not None for result in merged)
+    report = ApBenchmarkReport(list(merged))      # type: ignore[arg-type]
+    if metrics.enabled:
+        rig = ApBenchmarkRig(catalog, metrics=metrics)
+        for result in report.results:
+            rig._observe(result)
+    return report, outcome

@@ -12,8 +12,8 @@ Determinism is the design driver, in three layers:
   stream forked off ``(seed, combo name, file id)``, never from a
   shared sequential stream, so no combo or file can perturb another;
 * **content sharding**: requests are partitioned by their file
-  (:meth:`~repro.scale.plan.ShardPlan.shard_of_file`), and all
-  cache-coupled state (the content database rows a strategy reads,
+  (:func:`shard_of_file`, a platform-stable hash of the file id), and
+  all cache-coupled state (the content database rows a strategy reads,
   pre-download outcomes) is per-file, so shard outputs merge
   identically for any ``--shards``;
 * **order-independent reduction**: shard results are
@@ -21,9 +21,8 @@ Determinism is the design driver, in three layers:
   shard order regardless of worker scheduling, so ``--jobs`` cannot
   change a byte.
 
-The shards run on the shared shard executor
-(:func:`repro.scale.executor.run_sharded` over a
-:class:`~repro.scale.plan.ShardPlan`), so a killed worker is requeued
+The shards run on :func:`repro.recovery.durable.durable_map`, keyed
+``shard-0000``, ``shard-0001``, ..., so a killed worker is requeued
 rather than failing the run.  The same scorecard therefore reproduces
 across runs, shard counts, process counts and worker deaths -- which
 is what the CI backend-matrix job diffs.
@@ -32,6 +31,7 @@ is what the CI backend-matrix job diffs.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -43,9 +43,8 @@ from repro.cloud.database import ContentDatabase
 from repro.core.auxiliary import SmartApInfo, UserContext
 from repro.core.decision import Action
 from repro.obs.histogram import QuantileSketch
-from repro.scale.executor import run_sharded
-from repro.scale.plan import ShardPlan, ShardSpec, stable_hash
-from repro.scale.reducers import canonical_digest, hex_floats
+from repro.perf.golden import canonical_digest, hex_floats
+from repro.recovery.durable import durable_map
 from repro.sim.randomness import RngFactory
 from repro.workload.generator import (
     Workload,
@@ -198,6 +197,18 @@ class ComboStats:
         }
 
 
+def stable_hash(text: str) -> int:
+    """Platform-stable 64-bit hash of a string (first 8 SHA-256 bytes),
+    never Python's salted ``hash()``."""
+    digest = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def shard_of_file(file_id: str, shards: int) -> int:
+    """Owning shard of a file, hence of all its requests."""
+    return stable_hash(f"file:{file_id}") % shards
+
+
 def _smart_ap_for(user_id: str) -> Optional[SmartApInfo]:
     """Deterministic AP ownership: no RNG, pure content hash."""
     if stable_hash(f"smart-ap:{user_id}") % 1000 >= AP_PERMILLE:
@@ -316,27 +327,27 @@ def _generate(scale: float, seed: int) -> Workload:
                                             seed=seed)).generate()
 
 
-def run_shard(spec: ShardSpec, *, limit: int, deadline_seconds: float,
-              faults: bool, combos: tuple[ComboSpec, ...],
+def run_shard(shard: int, *, scale: float, seed: int, shards: int,
+              limit: int, deadline_seconds: float, faults: bool,
+              combos: tuple[ComboSpec, ...],
               workload: Optional[Workload] = None) -> list[ComboStats]:
-    """Replay this shard's slice of the trace under every combo.
+    """Replay shard ``shard``'s slice of the trace under every combo.
 
-    The :func:`~repro.scale.executor.run_sharded` worker: a spawn
-    worker regenerates the week from the spec's ``(scale, seed)``;
-    in-process callers bind the week they already hold.  The shard
-    takes the first ``limit`` trace rows, keeps the files hashing into
-    its shard, and walks them file by file in sorted order with a
-    per-(combo, file) RNG stream.
+    The :func:`~repro.recovery.durable.durable_map` worker: a spawn
+    worker regenerates the week from ``(scale, seed)``; in-process
+    callers bind the week they already hold.  The shard takes the
+    first ``limit`` trace rows, keeps the files hashing into it, and
+    walks them file by file in sorted order with a per-(combo, file)
+    RNG stream.
     """
     from repro.backends.registry import resolve_strategy
 
     if workload is None:
-        workload = _generate(spec.scale, spec.seed)
+        workload = _generate(scale, seed)
     trace = workload.requests[:limit]
     by_file: dict[str, list[RequestRecord]] = {}
-    plan = spec.plan
     for request in trace:
-        if plan.shard_of_file(request.file_id) != spec.shard:
+        if shard_of_file(request.file_id, shards) != shard:
             continue
         by_file.setdefault(request.file_id, []).append(request)
 
@@ -356,7 +367,7 @@ def run_shard(spec: ShardSpec, *, limit: int, deadline_seconds: float,
             catalog=workload.catalog, faults=injector,
             backend_names=combo.backend_names,
             deadline_seconds=deadline_seconds)
-        factory = RngFactory(spec.seed).fork(f"backends:{combo.name}")
+        factory = RngFactory(seed).fork(f"backends:{combo.name}")
         stats = ComboStats(combo=combo.name)
         for file_id in sorted(by_file):
             record = workload.catalog[file_id]
@@ -399,6 +410,8 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
     replay it instead of generating their own.  Spawn workers
     (``jobs > 1``) always regenerate it, which yields the same week.
     """
+    if not scale > 0:
+        raise ValueError("scale must be positive")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if jobs < 1:
@@ -422,11 +435,12 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
         week = workload if workload is not None \
             else _generate(scale, seed)
     worker = functools.partial(
-        run_shard, limit=limit, deadline_seconds=deadline_seconds,
-        faults=faults, combos=combo_specs, workload=week)
-    shard_results, _info = run_sharded(
-        ShardPlan(scale=scale, seed=seed, shards=shards), worker,
-        jobs=jobs)
+        run_shard, scale=scale, seed=seed, shards=shards, limit=limit,
+        deadline_seconds=deadline_seconds, faults=faults,
+        combos=combo_specs, workload=week)
+    shard_results = durable_map(
+        [f"shard-{shard:04d}" for shard in range(shards)],
+        range(shards), worker, jobs=jobs).results
     merged = {combo.name: ComboStats.fold(
         [shard_result[index] for shard_result in shard_results])
         for index, combo in enumerate(combo_specs)}

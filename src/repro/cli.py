@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from repro.sim.clock import MINUTE, to_gbps
@@ -32,9 +33,9 @@ def _add_scale(parser: argparse.ArgumentParser,
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="fan the run out over N worker processes "
-                             "(repro.scale); results are independent "
-                             "of N (use --jobs 1 for the fan-out "
-                             "without parallelism)")
+                             "(recovery.durable_map); results are "
+                             "independent of N (use --jobs 1 for the "
+                             "fan-out without parallelism)")
 
 
 def _add_trace_format(parser: argparse.ArgumentParser,
@@ -279,7 +280,7 @@ def cmd_ap(args: argparse.Namespace) -> int:
             print("error: --faults replays sequentially (per-AP fault "
                   "clocks); drop --jobs/--run-dir", file=sys.stderr)
             return 2
-        from repro.scale import sharded_ap_replay
+        from repro.ap.benchrig import sharded_ap_replay
         jobs = args.jobs if args.jobs is not None else 1
         requests_trace = None
         if getattr(args, "trace", None):
@@ -296,18 +297,20 @@ def cmd_ap(args: argparse.Namespace) -> int:
                     columnar,
                     [positions[request.task_id.encode()]
                      for request in sample])
+        started = time.perf_counter()
         with span(registry, "ap_replay", sample=len(sample)):
-            report, info = sharded_ap_replay(
+            report, outcome = sharded_ap_replay(
                 workload.catalog, sample, jobs=jobs,
                 metrics=registry, recovery=recovery,
                 requests_trace=requests_trace)
-        print(f"parallel replay:   {info.shards} AP workers, "
-              f"{jobs} jobs, {info.wall_seconds:.1f}s wall")
+        workers = len(outcome.results)
+        print(f"parallel replay:   {workers} AP workers, "
+              f"{jobs} jobs, {time.perf_counter() - started:.1f}s wall")
         if recovery is not None:
             from repro.perf.golden import ap_payload, digest
             print(f"reused AP shards:  "
-                  f"{info.reused_shards}/{info.shards} "
-                  f"(retries: {info.shard_retries})")
+                  f"{len(outcome.reused)}/{workers} "
+                  f"(retries: {outcome.retries})")
             print(f"merged digest:     "
                   f"{digest(ap_payload(report.results))}")
     else:
@@ -385,25 +388,59 @@ def cmd_odr(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as runner_main
-    argv = ["--scale", str(args.scale), "--seed", str(args.seed)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.run_dir is not None:
-        argv += ["--run-dir", str(args.run_dir)]
-    if args.resume is not None:
-        argv += ["--resume", str(args.resume)]
-    if args.shard_timeout is not None:
-        argv += ["--shard-timeout", str(args.shard_timeout)]
-    if args.max_shard_retries is not None:
-        argv += ["--max-shard-retries", str(args.max_shard_retries)]
-    if args.output:
-        argv += ["--output", str(args.output)]
-    if args.metrics_out:
-        argv += ["--metrics-out", str(args.metrics_out)]
-    if args.metrics_format:
-        argv += ["--metrics-format", args.metrics_format]
-    return runner_main(argv)
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.runner import render_experiments_md
+    from repro.experiments.scorecard import Scorecard, evaluate_claims
+    from repro.obs import NOOP, MetricsRegistry
+    recovery = _recovery_config(args)
+    metrics = NOOP if args.metrics_out is None else MetricsRegistry()
+    if args.jobs is not None or recovery is not None:
+        # The parallel group runner: same document for any --jobs value
+        # (each driver group rebuilds its artefacts in a fresh context,
+        # so this path's numbers differ slightly from the shared-context
+        # sequential path where later drivers see mutated artefacts).
+        # --run-dir/--resume route here too: group checkpoints belong
+        # to this path, where every group is a self-contained worker.
+        from repro.experiments.runner import run_parallel
+        reports, claims, _timings, failures = run_parallel(
+            args.scale, args.seed, jobs=args.jobs or 1, metrics=metrics,
+            recovery=recovery)
+        context = ExperimentContext(scale=args.scale, seed=args.seed,
+                                    metrics=metrics)
+        context.failures.extend(failures)
+    else:
+        from repro.experiments import default_context
+        from repro.experiments.runner import run_all
+        context = default_context(scale=args.scale, seed=args.seed)
+        if metrics.enabled:
+            context.metrics = metrics
+        reports = run_all(context)
+        claims = evaluate_claims(context)
+    document = render_experiments_md(reports, args.scale,
+                                     failures=context.failures)
+
+    scorecard = Scorecard(reports=reports, claims=claims)
+    document += "\n## Reproduction scorecard\n\n```\n" + \
+        scorecard.render() + "\n```\n"
+    if args.output is not None:
+        # Atomic so a crash mid-write can never corrupt the previous
+        # good EXPERIMENTS.md.
+        from repro.recovery.atomic import atomic_write_text
+        atomic_write_text(args.output, document)
+        print(f"wrote {args.output} ({len(reports)} experiments)")
+    else:
+        print(document)
+    if args.metrics_out is not None:
+        from repro.obs import export
+        fmt = args.metrics_format or "jsonl"
+        export(metrics, fmt, args.metrics_out)
+        print(f"wrote {fmt} metrics to {args.metrics_out}")
+    if context.failures:
+        for failure in context.failures:
+            print(f"EXPERIMENT FAILED {failure.experiment_id}: "
+                  f"{failure.error}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:

@@ -2,26 +2,38 @@
 
 Usage::
 
-    python -m repro.experiments.runner --scale 0.01 --output EXPERIMENTS.md
+    python -m repro experiments --scale 0.01 --output EXPERIMENTS.md
+
+:func:`run_all` runs the drivers in one process against one shared
+:class:`~repro.experiments.context.ExperimentContext`.  :func:`run_parallel`
+(``--jobs``, ``--run-dir``) runs them in driver groups instead.
+Several drivers *mutate* shared artefacts (the ODR replays write into
+the cloud's content database), so drivers cannot be scattered across
+processes one by one.  The registry is partitioned into :data:`GROUPS`
+with disjoint artefact needs; each group gets a fresh context in its
+own worker and rebuilds exactly the artefacts it reads.  Because a
+group's results never depend on any other group, the merged document
+is independent of ``--jobs``, so the number of workers is a pure
+wall-clock knob.  The cost of isolation is rebuild work: the workload
+(and for most groups the cloud run) is re-simulated per group.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
+import functools
 import time
 import traceback
-from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.experiments import REGISTRY, default_context
 from repro.experiments.base import ExperimentReport
-from repro.experiments.context import (
-    DEFAULT_SCALE,
-    ExperimentContext,
-    ExperimentFailure,
-)
+from repro.experiments.context import ExperimentContext, \
+    ExperimentFailure
 from repro.obs import NOOP, span
+from repro.obs.registry import AnyRegistry
+
+if TYPE_CHECKING:
+    from repro.recovery.durable import RecoveryConfig
 
 #: Paper-section ordering for the document.
 ORDER = [
@@ -77,8 +89,8 @@ def render_experiments_md(reports: list[ExperimentReport],
         "Reproduction of every table and figure in \"Offline Downloading"
         " in China: A Comparative Study\" (IMC 2015).",
         "",
-        f"All rows below were produced by `python -m "
-        f"repro.experiments.runner --scale {scale}` -- a synthetic week "
+        "All rows below were produced by `python -m repro "
+        f"experiments --scale {scale}` -- a synthetic week "
         f"at {scale:.0%} of the real trace's dimensions, simulated "
         "end-to-end (no numbers are hard-coded into the pipeline; the "
         "`paper=` column comes from `repro.paper`, the `measured=` "
@@ -147,102 +159,136 @@ def render_experiments_md(reports: list[ExperimentReport],
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE,
-                        help="fraction of the real week to synthesise")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (default: the context's)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="run driver groups in N worker processes "
-                             "(repro.scale); results are independent of "
-                             "N, including N=1")
-    parser.add_argument("--run-dir", type=Path, default=None,
-                        help="durable run: checkpoint each finished "
-                             "experiment group here (resumable)")
-    parser.add_argument("--resume", type=Path, default=None,
-                        help="resume a --run-dir: completed groups are "
-                             "reloaded from their checkpoints, only "
-                             "unfinished groups are recomputed")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        help="per-group watchdog seconds (with "
-                             "--run-dir/--resume)")
-    parser.add_argument("--max-shard-retries", type=int, default=None,
-                        help="requeue budget for a lost group worker")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write EXPERIMENTS.md here (default: stdout)")
-    parser.add_argument("--metrics-out", type=Path, default=None,
-                        help="instrument the run and write metrics here")
-    parser.add_argument("--metrics-format",
-                        choices=("jsonl", "prom", "table"),
-                        default="jsonl")
-    args = parser.parse_args(argv)
-
-    from repro.experiments.context import DEFAULT_SEED
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    from repro.experiments.scorecard import Scorecard, evaluate_claims
-    recovery = None
-    if args.resume is not None or args.run_dir is not None:
-        from repro.recovery import RecoveryConfig
-        from repro.recovery.durable import DEFAULT_MAX_RETRIES
-        recovery = RecoveryConfig(
-            run_dir=args.resume or args.run_dir,
-            resume=args.resume is not None,
-            shard_timeout=args.shard_timeout,
-            max_shard_retries=args.max_shard_retries
-            if args.max_shard_retries is not None
-            else DEFAULT_MAX_RETRIES)
-    if args.jobs is not None or recovery is not None:
-        # The parallel group runner: same document for any --jobs value
-        # (each driver group rebuilds its artefacts in a fresh context,
-        # so this path's numbers differ slightly from the shared-context
-        # sequential path where later drivers see mutated artefacts).
-        # --run-dir/--resume route here too: group checkpoints belong
-        # to this path, where every group is a self-contained worker.
-        from repro.scale.runner import run_parallel
-        metrics = NOOP
-        if args.metrics_out is not None:
-            from repro.obs import MetricsRegistry
-            metrics = MetricsRegistry()
-        reports, claims, _timings, failures = run_parallel(
-            args.scale, seed, jobs=args.jobs or 1, metrics=metrics,
-            recovery=recovery)
-        context = ExperimentContext(scale=args.scale, seed=seed,
-                                    metrics=metrics)
-        context.failures.extend(failures)
-    else:
-        context = default_context(scale=args.scale, seed=seed)
-        if args.metrics_out is not None:
-            from repro.obs import MetricsRegistry
-            context.metrics = MetricsRegistry()
-        reports = run_all(context)
-        claims = evaluate_claims(context)
-    document = render_experiments_md(reports, args.scale,
-                                     failures=context.failures)
-
-    scorecard = Scorecard(reports=reports, claims=claims)
-    document += "\n## Reproduction scorecard\n\n```\n" + \
-        scorecard.render() + "\n```\n"
-    if args.output is not None:
-        # Atomic so a crash mid-write can never corrupt the previous
-        # good EXPERIMENTS.md.
-        from repro.recovery.atomic import atomic_write_text
-        atomic_write_text(args.output, document)
-        print(f"wrote {args.output} ({len(reports)} experiments)")
-    else:
-        print(document)
-    if args.metrics_out is not None:
-        from repro.obs import export
-        export(context.metrics, args.metrics_format, args.metrics_out)
-        print(f"wrote {args.metrics_format} metrics to "
-              f"{args.metrics_out}")
-    if context.failures:
-        for failure in context.failures:
-            print(f"EXPERIMENT FAILED {failure.experiment_id}: "
-                  f"{failure.error}", file=sys.stderr)
-        return 1
-    return 0
+#: Driver groups with disjoint mutable-artefact footprints.  Order maps
+#: group name -> (experiment ids in document order, context artefacts the
+#: group warms up front).  ``claims`` re-evaluates the scorecard claims
+#: on a fresh context (the sequential path evaluates them on the shared,
+#: already-replayed context; a fresh context is the reproducible
+#: definition).
+GROUPS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "workload": (("workload_stats", "fig05", "fig06_07"),
+                 ("workload",)),
+    "cloud": (("fig08", "fig09", "fig10", "fig11", "cloud_text"),
+              ("cloud_result",)),
+    "ap": (("table1", "fig13_14", "ap_failures", "table2"),
+           ("cloud_result", "ap_report")),
+    "odr": (("fig16", "fig17"),
+            ("cloud_result", "ap_report", "odr_result")),
+    # The backend matrix replays the context's week (read only) with
+    # databases of its own, so it needs nothing but the workload.
+    "backends": (("backend_matrix",), ("workload",)),
+    "claims": ((), ("cloud_result",)),
+}
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check_group_coverage() -> None:
+    """Assert GROUPS and the document ORDER cover the same registry.
+
+    Raises at run (and test) time when an experiment is registered but
+    not grouped, grouped twice, or grouped but unknown -- the drift guard
+    that keeps the parallel document identical to the sequential one.
+    """
+    grouped: list[str] = []
+    for ids, _warm in GROUPS.values():
+        grouped.extend(ids)
+    duplicates = sorted({eid for eid in grouped
+                         if grouped.count(eid) > 1})
+    if duplicates:
+        raise RuntimeError(f"experiments grouped twice: {duplicates}")
+    missing = sorted(set(ORDER) - set(grouped))
+    if missing:
+        raise RuntimeError(
+            f"experiments not covered by runner.GROUPS: {missing}")
+    unknown = sorted(set(grouped) - set(REGISTRY))
+    if unknown:
+        raise RuntimeError(f"GROUPS references unknown experiments: "
+                           f"{unknown}")
+    ungrouped = sorted(set(REGISTRY) - set(grouped) - set(ORDER))
+    if ungrouped:
+        raise RuntimeError(
+            f"registered experiments outside ORDER and GROUPS: "
+            f"{ungrouped}")
+
+
+class GroupResult(NamedTuple):
+    """One group's reports (document order), timings and failures, and
+    for the ``claims`` group the headline claims."""
+
+    reports: list[tuple[str, ExperimentReport]]
+    timings: dict[str, float]
+    failures: list[ExperimentFailure]
+    claims: Optional[list] = None
+
+
+def run_group(group: str, *, scale: float, seed: int) -> GroupResult:
+    """Build a fresh context and run one group's drivers in order."""
+    context = ExperimentContext(scale=scale, seed=seed)
+    ids, warm = GROUPS[group]
+    context.warm(*warm)
+    result = GroupResult(reports=[], timings={}, failures=[])
+    for experiment_id in ids:
+        t0 = time.perf_counter()
+        try:
+            report = REGISTRY[experiment_id](context)
+        except Exception as error:   # noqa: BLE001 - degrade, not die
+            # Mirror the sequential runner: one broken driver becomes a
+            # failure entry and the rest of the group still runs.
+            result.failures.append(ExperimentFailure(
+                experiment_id=experiment_id,
+                error=f"{type(error).__name__}: {error}",
+                traceback=traceback.format_exc()))
+            continue
+        result.timings[experiment_id] = time.perf_counter() - t0
+        result.reports.append((experiment_id, report))
+    if group == "claims":
+        from repro.experiments.scorecard import evaluate_claims
+        result = result._replace(claims=evaluate_claims(context))
+    return result
+
+
+def run_parallel(scale: float, seed: int, *, jobs: int = 1,
+                 metrics: AnyRegistry = NOOP,
+                 recovery: Optional[RecoveryConfig] = None
+                 ) -> tuple[list[ExperimentReport], list,
+                            dict[str, float],
+                            list[ExperimentFailure]]:
+    """Run every experiment via the group partition.
+
+    Returns ``(reports in document order, headline claims, timings,
+    failures)``.  The output is independent of ``jobs``; with
+    ``jobs <= 1`` the groups run inline (no processes), which is also
+    the reference behaviour the invariance tests compare against.
+
+    The groups run on :func:`~repro.recovery.durable.durable_map`.
+    With ``recovery`` each finished group is checkpointed into the run
+    directory (``group-<name>``), so a crashed or interrupted document
+    build resumes by recomputing only the groups that never completed
+    -- the completed sections come back bit-identical from their
+    checkpoints.
+    """
+    from repro.recovery.durable import durable_map
+    check_group_coverage()
+    results = durable_map(
+        [f"group-{group}" for group in GROUPS], list(GROUPS),
+        functools.partial(run_group, scale=scale, seed=seed),
+        jobs=jobs, metrics=metrics, recovery=recovery,
+        identity={"kind": "experiment-groups", "scale": scale,
+                  "seed": seed, "groups": list(GROUPS)}).results
+
+    by_id: dict[str, ExperimentReport] = {}
+    timings: dict[str, float] = {}
+    claims: list = []
+    failures: list[ExperimentFailure] = []
+    for result in results:
+        for experiment_id, report in result.reports:
+            by_id[experiment_id] = report
+        timings.update(result.timings)
+        failures.extend(result.failures)
+        if result.claims is not None:
+            claims = result.claims
+    failures.sort(key=lambda failure: failure.experiment_id)
+    ordered = [by_id[experiment_id] for experiment_id in ORDER
+               if experiment_id in by_id]
+    extras = [by_id[experiment_id] for experiment_id in sorted(by_id)
+              if experiment_id not in ORDER]
+    return ordered + extras, claims, timings, failures

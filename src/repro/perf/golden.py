@@ -34,9 +34,7 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
-from typing import Callable
-
-from repro.scale.reducers import canonical_digest
+from typing import Any, Callable
 
 #: Dimensions of the golden scenarios; small enough to run in seconds,
 #: large enough to hit every sampling branch (all three popularity
@@ -77,7 +75,27 @@ WEBAPP_COOKIE_CASES = (
 )
 
 
-#: SHA-256 over the canonical JSON form of a payload.
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 over the canonical (sorted, compact) JSON of ``payload``."""
+    encoded = json.dumps(payload, sort_keys=True,
+                         separators=(",", ":")).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def hex_floats(value: Any) -> Any:
+    """Floats as exact ``float.hex`` strings, so a digest has no
+    formatting slack; dicts and lists are walked.  Two payloads then
+    digest equal iff every count and every bit of every float agree."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hex_floats(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [hex_floats(item) for item in value]
+    return value
+
+
+#: The golden scenarios' short name for :func:`canonical_digest`.
 digest = canonical_digest
 
 
@@ -309,7 +327,6 @@ def metrics_payload(registry) -> list:
     are left out, as are the :data:`UNPINNED_METRICS` and a gauge's
     value and per-bin levels: a gauge pins only its peak.
     """
-    from repro.scale.reducers import hex_floats
     rows = []
     for row in registry.to_rows():
         if row["type"] == "span" or row["metric"] in UNPINNED_METRICS:

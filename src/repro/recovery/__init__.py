@@ -11,7 +11,8 @@ discipline to the harness itself:
   result checkpoints (pickle + SHA-256), where a digest mismatch means
   *recompute*, never *merge*;
 * :mod:`~repro.recovery.durable` -- :func:`durable_map`, the
-  failure-tolerant process-pool map under ``repro.scale``: crashed
+  failure-tolerant process-pool map that the backend matrix, the
+  smart-AP replay and the experiments groups call directly: crashed
   workers (``BrokenProcessPool``) and watchdog-expired hangs requeue
   with a bounded attempt budget, SIGINT/SIGTERM checkpoint and raise
   :class:`RunInterrupted`, and ``--resume`` recomputes only what is

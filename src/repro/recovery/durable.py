@@ -1,11 +1,12 @@
 """Durable, worker-failure-tolerant map over picklable work items.
 
-:func:`durable_map` is the recovery-aware core under
-``repro.scale.executor`` (the backend matrix and the AP/experiments
-fan-outs); its pool is the only process pool in
-``src/`` outside serving.  It maps a module-level worker over keyed
-payloads, inline or on a spawn-context process pool, and survives
-exactly the failures that kill a plain ``ProcessPoolExecutor`` run:
+:func:`durable_map` is the one process map in ``src/`` outside
+serving: the backend matrix (``repro.backends.replay``), the smart-AP
+replay (``repro.ap.benchrig``) and the experiments document's driver
+groups (``repro.experiments.runner``) call it directly.  It maps a
+module-level worker over keyed payloads, inline or on a spawn-context
+process pool, and survives exactly the failures that kill a plain
+``ProcessPoolExecutor`` run:
 
 * **a crashed worker** (SIGKILL, OOM, preemption) surfaces as
   ``BrokenProcessPool`` -- instead of aborting, the pool is rebuilt and
@@ -252,7 +253,18 @@ def durable_map(keys: Sequence[str], payloads: Sequence[Any],
     ``payloads[i]`` is the argument for ``keys[i]``.  Results come back
     in key order regardless of scheduling.  See the module docstring
     for the failure semantics.
+
+    ``identity`` is the run directory's manifest; the map completes it
+    with the worker's :func:`worker_identity` only when ``recovery``
+    asks for a run directory (naming a ``functools.partial`` worker
+    hashes the ``repr`` of its bound arguments, which may be large).
+    Per-item worker walls land in the registry as
+    ``repro_recovery_item_wall_seconds{key=<key>}`` gauges and the
+    map's own wall as ``repro_recovery_map_wall_seconds``.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    started = time.perf_counter()
     keys = list(keys)
     payloads = list(payloads)
     if len(keys) != len(payloads):
@@ -265,7 +277,9 @@ def durable_map(keys: Sequence[str], payloads: Sequence[Any],
     walls: dict[str, float] = {key: 0.0 for key in keys}
     reused: list[str] = []
     if recovery is not None:
-        run_dir = _open_run_dir(recovery, identity or {}, keys)
+        run_dir = _open_run_dir(
+            recovery, dict(identity or {}, worker=worker_identity(worker)),
+            keys)
         for key in keys:
             status = run_dir.checkpoint_status(key)
             if status == STATUS_OK:
@@ -325,6 +339,11 @@ def durable_map(keys: Sequence[str], payloads: Sequence[Any],
     if run_dir is not None:
         run_dir.write_state("complete", completed=len(keys),
                             total=len(keys))
+    for key in keys:
+        metrics.gauge("repro_recovery_item_wall_seconds",
+                      key=key).set(walls[key])
+    metrics.gauge("repro_recovery_map_wall_seconds").set(
+        time.perf_counter() - started)
     return DurableOutcome(results=[results[key] for key in keys],
                           walls=[walls[key] for key in keys],
                           reused=tuple(reused), retries=retries)

@@ -169,9 +169,10 @@ class GeneratedRequests(Sequence):
         files, users = columns.files.column, columns.users.column
         reports = users("reports_bandwidth")
         reported = np.where(reports, users("access_bandwidth"), 0.0)
-        positions = np.arange(len(columns.times))[index]
-        task_ids = np.char.add(self.prefix.encode(),
-                               np.char.zfill(positions.astype("S"), 8))
+        digits = np.arange(len(columns.times))[index].astype("S")
+        if len(digits):         # zfill of an empty array raises
+            digits = np.char.zfill(digits, 8)
+        task_ids = np.char.add(self.prefix.encode(), digits)
         return {
             "task_id": (task_ids, None),
             "user_id": (users("user_id")[user_rows], None),

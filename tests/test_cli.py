@@ -239,6 +239,23 @@ class TestDurableCommands:
         assert excinfo.value.code == 2
         assert "--run-dir or --resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("knob", [["--shard-timeout", "5"],
+                                      ["--max-shard-retries", "0"]])
+    def test_experiments_recovery_knobs_require_a_run_dir(
+            self, knob, capsys, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the experiments")
+
+        monkeypatch.setattr(runner_module, "run_all", refuse)
+        monkeypatch.setattr(runner_module, "run_parallel", refuse,
+                            raising=False)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "--scale", "0.0008", *knob])
+        assert excinfo.value.code == 2
+        assert "--run-dir or --resume" in capsys.readouterr().err
+
     def test_resume_of_missing_run_dir_exits_2(self, tmp_path, capsys):
         assert main(self.AP + ["--resume", str(tmp_path / "nope")]) == 2
         assert "nothing to resume" in capsys.readouterr().err

@@ -140,18 +140,16 @@ class TestGracefulDegradation:
         assert "ValueError: nope" in document
 
     def test_group_runner_collects_failures(self, monkeypatch):
-        import repro.scale.runner as scale_runner
-        import repro.experiments as experiments_module
+        import repro.experiments.runner as runner_module
 
         def bad(ctx):
             raise ValueError("group driver broke")
 
-        registry = dict(experiments_module.REGISTRY)
+        registry = dict(runner_module.REGISTRY)
         registry["fig05"] = bad
-        monkeypatch.setattr(experiments_module, "REGISTRY", registry)
-        task = scale_runner.GroupTask(group="workload", scale=0.004,
-                                      seed=20150222)
-        result = scale_runner.run_group(task)
+        monkeypatch.setattr(runner_module, "REGISTRY", registry)
+        result = runner_module.run_group("workload", scale=0.004,
+                                         seed=20150222)
         ran = [experiment_id for experiment_id, _ in result.reports]
         assert "fig05" not in ran
         assert "workload_stats" in ran and "fig06_07" in ran

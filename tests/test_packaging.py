@@ -83,7 +83,8 @@ def _fresh(script: str) -> object:
 NOT_ON_THE_SERVE_PATH = (
     "multiprocessing", "numpy", "scipy", "repro.cloud.system",
     "repro.workload.generator", "repro.analysis.cdf",
-    "repro.recovery.durable", "repro.scale", "repro.experiments",
+    "repro.recovery.durable", "repro.experiments",
+    "repro.backends.replay", "repro.ap.benchrig", "repro.perf.golden",
     "repro.faults.injector", "repro.faults.plan", "repro.sim.engine",
     "repro.sim.randomness", "repro.backends.faultgate")
 

@@ -28,9 +28,8 @@ from repro.recovery import (
     worker_identity,
 )
 from repro.recovery.crashhook import ENV_VAR, maybe_crash, parse_hooks
+from repro.ap.benchrig import sharded_ap_replay
 from repro.perf.golden import ap_payload, digest
-from repro.scale import ShardPlan, sharded_ap_replay
-from repro.scale.executor import run_sharded
 
 SCALE = 0.0008
 SEED = 20150222
@@ -357,10 +356,11 @@ class TestShardedRecovery:
 
     @staticmethod
     def replay(workload, **kwargs):
-        """The AP campaign over 30 requests: (result payload, info)."""
-        report, info = sharded_ap_replay(
+        """The AP campaign over 30 requests: (result payload, the map's
+        outcome)."""
+        report, outcome = sharded_ap_replay(
             workload.catalog, workload.requests[:30], seed=7, **kwargs)
-        return ap_payload(report.results), info
+        return ap_payload(report.results), outcome
 
     def test_kill_resume_merge_is_bit_identical(
             self, workload, tmp_path, monkeypatch):
@@ -368,10 +368,10 @@ class TestShardedRecovery:
 
         # A worker SIGKILLed mid-run costs a requeue, not the run ...
         monkeypatch.setenv(ENV_VAR, "ap-01:1:kill")
-        recovered, info = self.replay(
+        recovered, outcome = self.replay(
             workload, jobs=2,
             recovery=RecoveryConfig(run_dir=tmp_path / "run"))
-        assert info.shard_retries >= 1
+        assert outcome.retries >= 1
         assert recovered == plain
         assert digest(recovered) == digest(plain)
         monkeypatch.delenv(ENV_VAR)
@@ -380,36 +380,34 @@ class TestShardedRecovery:
         # exactly that AP's slice, still merging bit-identically.
         run_dir = RunDir.open(tmp_path / "run")
         run_dir.checkpoint_path("ap-00").write_bytes(b"torn")
-        resumed, resumed_info = self.replay(
+        resumed, resumed_outcome = self.replay(
             workload, recovery=RecoveryConfig(run_dir=tmp_path / "run",
                                               resume=True))
-        assert resumed_info.reused_shards == resumed_info.shards - 1
+        assert len(resumed_outcome.reused) == \
+            len(resumed_outcome.results) - 1
         assert resumed == plain
         assert digest(resumed) == digest(plain)
 
     def test_run_info_reports_reuse_and_retries(self, workload,
                                                 tmp_path):
-        _results, info = self.replay(
+        _results, outcome = self.replay(
             workload, recovery=RecoveryConfig(run_dir=tmp_path / "run"))
-        assert info.reused_shards == 0
-        record = info.to_dict()
-        assert record["reused_shards"] == 0
-        assert record["shard_retries"] == 0
+        assert outcome.reused == ()
+        assert outcome.retries == 0
 
     def test_worker_errors_still_propagate_with_recovery(
             self, tmp_path):
-        def boom(spec):
+        def boom(shard):
             raise RuntimeError("shard exploded")
         with pytest.raises(RuntimeError, match="shard exploded"):
-            run_sharded(ShardPlan(scale=SCALE, seed=SEED, shards=2),
-                        boom,
+            durable_map(["shard-0000", "shard-0001"], [0, 1], boom,
                         recovery=RecoveryConfig(
                             run_dir=tmp_path / "run"))
 
 
 class TestGroupRunnerRecovery:
     def test_resume_skips_completed_groups(self, tmp_path):
-        from repro.scale.runner import GROUPS, run_parallel
+        from repro.experiments.runner import GROUPS, run_parallel
         reports, claims, _timings, failures = run_parallel(
             SCALE, SEED, jobs=1,
             recovery=RecoveryConfig(run_dir=tmp_path / "run"))

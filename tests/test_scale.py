@@ -1,32 +1,31 @@
-"""Tests for the multi-process execution subsystem."""
+"""Tests for scaling out: the campaigns that fan out over worker
+processes through ``recovery.durable_map`` -- the backend matrix's
+content shards (``backends.replay``), the parallel AP replay
+(``ap.benchrig``) and the experiments document's driver groups
+(``experiments.runner``) -- and the exact digests of their merged
+results (``perf.golden``)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.backends.replay import ComboStats
+from repro.ap.benchrig import sharded_ap_replay
+from repro.backends.replay import ComboStats, shard_of_file, stable_hash
 from repro.core.decision import Action
 from repro.experiments import REGISTRY
-from repro.experiments.runner import ORDER
-from repro.obs import MetricsRegistry, QuantileSketch
-from repro.scale import (
+from repro.experiments.runner import (
     GROUPS,
-    ScaleRunInfo,
-    ShardPlan,
+    ORDER,
     check_group_coverage,
-    sharded_ap_replay,
-    stable_hash,
+    run_parallel,
 )
-from repro.scale.executor import run_sharded
-from repro.scale.reducers import canonical_digest, hex_floats
+from repro.obs import MetricsRegistry, QuantileSketch
+from repro.perf.golden import canonical_digest, hex_floats
+from repro.recovery import durable_map
 
 SCALE = 0.0008
 SEED = 20150222
-
-
-def _tiny_plan(shards: int) -> ShardPlan:
-    return ShardPlan(scale=SCALE, seed=SEED, shards=shards)
 
 
 class TestStableHash:
@@ -41,25 +40,24 @@ class TestStableHash:
 
 
 class TestShardPlan:
+    """The backend matrix's content partition, ``shard_of_file``."""
+
     def test_every_file_owned_by_exactly_one_shard(self, workload):
-        plan = _tiny_plan(4)
         file_ids = sorted(record.file_id for record in workload.catalog)
         seen = []
-        for spec in plan.specs():
+        for shard in range(4):
             seen.extend(file_id for file_id in file_ids
-                        if plan.shard_of_file(file_id) == spec.shard)
+                        if shard_of_file(file_id, 4) == shard)
         assert sorted(seen) == file_ids
 
     def test_single_shard_owns_everything(self, workload):
-        plan = _tiny_plan(1)
-        assert {plan.shard_of_file(record.file_id)
+        assert {shard_of_file(record.file_id, 1)
                 for record in workload.catalog} == {0}
 
     def test_membership_is_stable(self):
-        plan = _tiny_plan(8)
         file_ids = [f"f{index:04d}" for index in range(50)]
-        assert [plan.shard_of_file(i) for i in file_ids] == \
-            [plan.shard_of_file(i) for i in file_ids]
+        assert [shard_of_file(i, 8) for i in file_ids] == \
+            [shard_of_file(i, 8) for i in file_ids]
 
 
 class TestShardedApReplay:
@@ -68,49 +66,74 @@ class TestShardedApReplay:
         requests = workload.requests[:30]
         sequential = ApBenchmarkRig(workload.catalog, seed=7).replay(
             requests)
-        parallel, info = sharded_ap_replay(
+        parallel, outcome = sharded_ap_replay(
             workload.catalog, requests, jobs=1, seed=7)
         assert [r.record.to_dict() for r in sequential.results] == \
             [r.record.to_dict() for r in parallel.results]
         assert [r.ap_name for r in sequential.results] == \
             [r.ap_name for r in parallel.results]
         assert sequential.failure_ratio == parallel.failure_ratio
-        assert info.shards == 3
+        assert len(outcome.results) == 3
 
     def test_reports_one_wall_per_ap_worker(self, workload):
         metrics = MetricsRegistry()
-        _report, info = sharded_ap_replay(
+        _report, outcome = sharded_ap_replay(
             workload.catalog, workload.requests[:30], jobs=1, seed=7,
             metrics=metrics)
-        assert len(info.shard_walls) == info.shards
-        assert info.work_seconds == sum(info.shard_walls)
+        assert len(outcome.walls) == len(outcome.results)
         walls = [name for name in metrics.snapshot()
-                 if name.startswith("repro_scale_shard_wall_seconds")]
-        assert len(walls) == info.shards
+                 if name.startswith("repro_recovery_item_wall_seconds")]
+        assert len(walls) == len(outcome.results)
+
+    def test_records_the_rigs_instruments(self, workload):
+        from repro.ap.benchrig import ApBenchmarkRig
+        requests = workload.requests[:30]
+        sequential = MetricsRegistry()
+        ApBenchmarkRig(workload.catalog, seed=7,
+                       metrics=sequential).replay(requests)
+        parallel = MetricsRegistry()
+        sharded_ap_replay(workload.catalog, requests, jobs=1, seed=7,
+                          metrics=parallel)
+        rig = {name: value for name, value
+               in sequential.snapshot().items()
+               if name.startswith("repro_ap_")}
+        assert rig
+        assert {name: value for name, value
+                in parallel.snapshot().items()
+                if name.startswith("repro_ap_")} == rig
+
+
+def _shard_keys(shards: int) -> list[str]:
+    return [f"shard-{shard:04d}" for shard in range(shards)]
 
 
 class TestExecutor:
     def test_results_arrive_in_shard_order(self):
-        plan = _tiny_plan(4)
-        results, info = run_sharded(
-            plan, lambda spec: f"shard-{spec.shard}")
-        assert results == [f"shard-{k}" for k in range(4)]
-        assert info.jobs == 1 and info.shards == 4
-        assert info.work_seconds >= 0.0
+        outcome = durable_map(_shard_keys(4), range(4),
+                              lambda shard: f"shard-{shard}")
+        assert outcome.results == [f"shard-{k}" for k in range(4)]
+        assert len(outcome.walls) == 4
+        assert sum(outcome.walls) >= 0.0
 
     def test_worker_errors_propagate(self):
-        def boom(spec):
+        def boom(shard):
             raise RuntimeError("shard exploded")
         with pytest.raises(RuntimeError, match="shard exploded"):
-            run_sharded(_tiny_plan(2), boom)
+            durable_map(_shard_keys(2), range(2), boom)
 
-    def test_run_info_serialises(self):
-        info = ScaleRunInfo(jobs=2, shards=4, wall_seconds=1.5,
-                            shard_walls=(0.1, 0.2, 0.3, 0.4))
-        record = info.to_dict()
-        assert record["jobs"] == 2
-        assert record["shard_walls"] == [0.1, 0.2, 0.3, 0.4]
-        assert record["work_seconds"] == pytest.approx(1.0)
+    def test_wall_gauges_name_every_item_and_the_map(self):
+        metrics = MetricsRegistry()
+        outcome = durable_map(_shard_keys(4), range(4), str,
+                              metrics=metrics)
+        snapshot = metrics.snapshot()
+        walls = sorted(name for name in snapshot if name.startswith(
+            "repro_recovery_item_wall_seconds"))
+        assert len(walls) == 4
+        assert all("shard-000" in name for name in walls)
+        assert sorted(snapshot[name] for name in walls) == \
+            sorted(outcome.walls)
+        assert snapshot["repro_recovery_map_wall_seconds"] >= \
+            max(outcome.walls)
 
 
 class TestReducers:
@@ -208,7 +231,6 @@ class TestGroupCoverage:
 
 class TestParallelExperiments:
     def test_document_is_jobs_invariant(self):
-        from repro.scale.runner import run_parallel
         outputs = []
         for jobs in (1, 2):
             reports, claims, timings, failures = run_parallel(

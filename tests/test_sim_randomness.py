@@ -59,10 +59,11 @@ class TestRngFactory:
 
 
 class TestShardDeterminism:
-    """Regression guards for the properties ``repro.scale`` builds on:
-    forked children must be insensitive to the parent's draw history,
-    and a factory shipped to another process (the spawn pool pickles
-    its payloads) must produce the same streams there as here."""
+    """Regression guards for the properties the fan-outs over
+    ``recovery.durable_map`` build on: forked children must be
+    insensitive to the parent's draw history, and a factory shipped to
+    another process (the spawn pool pickles its payloads) must produce
+    the same streams there as here."""
 
     def test_fork_ignores_parent_draw_order(self):
         quiet = RngFactory(11)

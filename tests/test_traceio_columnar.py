@@ -309,6 +309,21 @@ class TestMappedRequests:
         assert (tmp_path / "cut.col").read_bytes() == \
             (tmp_path / "rows.col").read_bytes()
 
+    def test_an_empty_view_saves_as_columns_and_reads_back(self,
+                                                            tmp_path):
+        import dataclasses
+        week = WorkloadGenerator(WorkloadConfig(scale=0.0005)).generate()
+        empty = week.requests[5:5]
+        write_blocks(tmp_path / "empty.col", RequestRecord, empty.blocks())
+        write_columnar(tmp_path / "rows.col", [], RequestRecord)
+        assert (tmp_path / "empty.col").read_bytes() == \
+            (tmp_path / "rows.col").read_bytes()
+        save_workload(dataclasses.replace(week, requests=empty),
+                      tmp_path / "week", trace_format="columnar")
+        loaded = load_workload(tmp_path / "week", trace_format="columnar")
+        assert len(loaded.requests) == 0 and list(loaded.requests) == []
+        assert len(loaded.catalog) == len(week.catalog)
+
     def test_jsonl_requests_load_as_a_list(self, workload, tmp_path):
         save_workload(workload, tmp_path)
         assert isinstance(load_workload(tmp_path).requests, list)
@@ -355,14 +370,14 @@ def test_sharded_ap_replay_from_mapped_trace_matches_golden(
     trace, memory-map it, and decode only their own rows; the merged
     report must still match the sequential golden replay bit for bit.
     """
-    from repro.scale.pipelines import sharded_ap_replay
+    from repro.ap.benchrig import sharded_ap_replay
     from repro.workload import sample_benchmark_requests
     sample = sample_benchmark_requests(workload, 200)
     trace_path = tmp_path / "sample.col"
     write_columnar(trace_path, sample, RequestRecord)
-    report, info = sharded_ap_replay(
+    report, outcome = sharded_ap_replay(
         workload.catalog, sample, jobs=2,
         requests_trace=(trace_path, list(range(len(sample)))))
     assert golden.digest(golden.ap_payload(report.results)) == \
         PINNED["ap_replay"]
-    assert info.jobs == 2
+    assert len(outcome.results) == 3
