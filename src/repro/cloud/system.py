@@ -25,7 +25,7 @@ from repro.cloud.predownload import PreDownloaderFleet
 from repro.cloud.storagepool import CloudStoragePool
 from repro.cloud.upload import PathChoice, UploadingServers
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CLOUD_KINDS
+from repro.faults.plan import CLOUD_KINDS, FaultPlan
 from repro.faults.policies import ResiliencePolicies
 from repro.netsim.isp import MAJOR_ISPS
 from repro.obs.registry import AnyRegistry, NOOP
@@ -564,12 +564,12 @@ class XuanfengCloud:
                  policies: Optional[ResiliencePolicies] = None):
         self.config = config
         # Fault injection + resilience are strictly opt-in: with
-        # ``faults=None`` tasks run on the fault-free task machine
-        # (repro.cloud.fastpath), so every hop and RNG draw is that of
-        # the fault-free build (golden digests depend on this).
-        # ``policies`` is read only when ``faults`` is given, but then
-        # it changes the week even under an empty plan: the policies
-        # also retry admission rejects that no fault caused.
+        # ``faults=None`` the task machine (repro.cloud.fastpath) runs
+        # over an empty plan with no policies, so no window, retry or
+        # checkpoint changes the week.  ``policies`` is read only when
+        # ``faults`` is given, but then it changes the week even under
+        # an empty plan: the policies also retry admission rejects that
+        # no fault caused.
         self.faults = faults
         self.policies = policies
         self.fetch_model = FetchSpeedModel()
@@ -595,8 +595,11 @@ class XuanfengCloud:
         sim = Simulator(metrics=self.metrics)
         rng = self._rng_factory.stream(f"cloud-run-{self._runs}")
         self._runs += 1
-        if self.faults is not None:
-            self.faults.bind(sim, kinds=CLOUD_KINDS)
+        faults, policies = self.faults, self.policies
+        if faults is None:
+            # No fault plan: the one task machine over an empty one.
+            faults, policies = FaultInjector(FaultPlan("none", 0)), None
+        faults.bind(sim, kinds=CLOUD_KINDS)
         if self.config.collaborative_cache and not self._preseeded:
             # The pool predates the first measured week; on subsequent
             # runs of the same instance (multi-week studies) the pool's
@@ -610,13 +613,12 @@ class XuanfengCloud:
                     self.database.set_cached(record.file_id, True)
 
         # Imported here: the machine module imports this one.
-        from repro.cloud.fastpath import FastTaskMachine, FaultedTaskMachine
-        machine_class = FastTaskMachine if self.faults is None \
-            else FaultedTaskMachine
+        from repro.cloud.fastpath import TaskMachine
         # The machine's state and its run table are one large acyclic
         # object graph (repro.sim.collector).
         with paused():
-            machine = machine_class(self, sim, workload, rng)
+            machine = TaskMachine(self, sim, workload, rng, faults,
+                                  policies)
             machine.start()
             sim.run()
         table = machine.table

@@ -176,11 +176,11 @@ class UploadingServers:
         return tuple(group[4].server_isp for group
                      in self._candidates(self.admission_row(user_isp)))
 
-    def admit(self, row: AdmissionRow, now: float,
+    def admit(self, row: AdmissionRow,
               speed: Callable[[float, PathQuality], float],
               bandwidth: float,
               exclude: frozenset[str] = frozenset(),
-              rate_scale: Optional[Callable[[str, float], float]] = None,
+              rate_scale: Optional[Callable[[str], float]] = None,
               ) -> Optional[tuple[PathChoice, ReservationPool, float]]:
         """Pick a group for one fetch, compute its rate, and commit it.
 
@@ -194,9 +194,9 @@ class UploadingServers:
         rejected).
 
         ``exclude`` names server groups that are dark (fault injection:
-        a crashed group is skipped as if exhausted); ``rate_scale(label,
-        now)`` maps a candidate group to a degradation multiplier on its
-        flow rate.  Both default to no-ops so the fault-free path is
+        a crashed group is skipped as if exhausted); ``rate_scale(label)``
+        maps a candidate group to a degradation multiplier on its flow
+        rate.  Both default to no-ops so the fault-free path is
         unchanged.
         """
         self.total_fetches += 1
@@ -215,7 +215,7 @@ class UploadingServers:
                         pool.capacity - committed >= MIN_USEFUL_RATE:
                     rate = min(speed(bandwidth, quality), max_fetch_rate)
                     if rate_scale is not None:
-                        rate *= rate_scale(label, now)
+                        rate *= rate_scale(label)
                     if rate > 0 and pool.commit(rate):
                         return choice, pool, rate
             candidates = (_most_headroom(row.tiers[0]),)
@@ -230,7 +230,7 @@ class UploadingServers:
                 continue
             rate = min(speed(bandwidth, quality), max_fetch_rate)
             if rate_scale is not None:
-                rate *= rate_scale(label, now)
+                rate *= rate_scale(label)
             if rate <= 0:
                 continue
             # "No limitation on the user's fetching speed": the flow is

@@ -139,9 +139,9 @@ class TestUploadingServers:
         assert ISP.OTHER not in candidates
 
     @staticmethod
-    def admit(uploads, isp, speed, now=0.0):
+    def admit(uploads, isp, speed):
         """Admit one fetch whose every path runs at ``speed`` B/s."""
-        return uploads.admit(uploads.admission_row(isp), now,
+        return uploads.admit(uploads.admission_row(isp),
                              lambda bandwidth, quality: bandwidth, speed)
 
     def test_privileged_selection_and_reservation(self):
