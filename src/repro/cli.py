@@ -391,9 +391,8 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.context import ExperimentContext
     from repro.experiments.runner import render_experiments_md
     from repro.experiments.scorecard import Scorecard, evaluate_claims
-    from repro.obs import NOOP, MetricsRegistry
     recovery = _recovery_config(args)
-    metrics = NOOP if args.metrics_out is None else MetricsRegistry()
+    metrics = _metrics_registry(args)
     if args.jobs is not None or recovery is not None:
         # The parallel group runner: same document for any --jobs value
         # (each driver group rebuilds its artefacts in a fresh context,
@@ -411,9 +410,11 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     else:
         from repro.experiments import default_context
         from repro.experiments.runner import run_all
-        context = default_context(scale=args.scale, seed=args.seed)
-        if metrics.enabled:
-            context.metrics = metrics
+        # A metered run gets a context of its own: the memoised one may
+        # have built its artefacts already, with no registry to record.
+        context = ExperimentContext(scale=args.scale, seed=args.seed,
+                                    metrics=metrics) if metrics.enabled \
+            else default_context(scale=args.scale, seed=args.seed)
         reports = run_all(context)
         claims = evaluate_claims(context)
     document = render_experiments_md(reports, args.scale,
@@ -430,11 +431,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         print(f"wrote {args.output} ({len(reports)} experiments)")
     else:
         print(document)
-    if args.metrics_out is not None:
-        from repro.obs import export
-        fmt = args.metrics_format or "jsonl"
-        export(metrics, fmt, args.metrics_out)
-        print(f"wrote {fmt} metrics to {args.metrics_out}")
+    _emit_metrics(metrics, args)
     if context.failures:
         for failure in context.failures:
             print(f"EXPERIMENT FAILED {failure.experiment_id}: "

@@ -108,16 +108,21 @@ class RunInterrupted(RuntimeError):
 
 
 class ShardLostError(RuntimeError):
-    """An item exhausted its attempt budget under a recovery config."""
+    """An item exhausted its attempt budget under a recovery config.
 
-    def __init__(self, key: str, attempts: int,
+    A broken worker pool does not say whose worker died, so ``keys``
+    names every item that was running when it broke for the last time:
+    any of them may be the one that lost its worker.
+    """
+
+    def __init__(self, keys: Sequence[str], attempts: int,
                  run_dir: Optional[Path] = None):
-        self.key = key
+        self.keys = tuple(keys)
         self.attempts = attempts
         self.run_dir = run_dir
         super().__init__(
-            f"item {key} lost its worker {attempts} time(s); attempt "
-            f"budget exhausted")
+            f"the worker pool broke while {', '.join(self.keys)} ran; "
+            f"attempt budget ({attempts} per item) exhausted")
 
 
 @dataclass(frozen=True)
@@ -457,9 +462,14 @@ def _run_pool(remaining: list[tuple[str, Any]], worker: Callable,
         for key in unfinished:
             if key not in charged:
                 attempts[key] -= 1
-        lost = ", ".join(sorted(charged))
-        print(f"warning: worker pool broke; lost {lost} "
-              f"({len(unfinished)} item(s) requeued)", file=sys.stderr)
+        running = sorted(charged)
+        print(f"warning: worker pool broke while {', '.join(running)} "
+              f"ran ({len(unfinished)} item(s) unfinished)",
+              file=sys.stderr)
+        if durable and any(attempts[key] > max_retries
+                           for key in running):
+            raise ShardLostError(running, max_retries + 1,
+                                 run_dir=run_dir.path if run_dir else None)
         for key in unfinished:
             if attempts[key] <= max_retries:
                 if key in charged:
@@ -467,10 +477,6 @@ def _run_pool(remaining: list[tuple[str, Any]], worker: Callable,
                     metrics.counter(
                         "repro_recovery_shard_retries_total").inc()
                 queue.append((key, payload_by_key[key]))
-            elif durable:
-                raise ShardLostError(key, attempts[key],
-                                     run_dir=run_dir.path
-                                     if run_dir else None)
             else:
                 # Pre-recovery fallback: never die with a raw
                 # BrokenProcessPool -- finish the lost item here, in

@@ -172,6 +172,24 @@ class TestPipelineCommands:
         assert "paper vs measured" in document
         assert "fig17" in document
 
+    def test_experiments_metrics_table_to_stdout(self, tmp_path, capsys):
+        assert main(["experiments", "--scale", "0.0015",
+                     "--output", str(tmp_path / "EXP.md"),
+                     "--metrics-format", "table"]) == 0
+        assert "repro_cloud_tasks_total" in capsys.readouterr().out
+
+    def test_experiments_metrics_out_creates_its_directory(self, tmp_path,
+                                                           capsys):
+        metrics = tmp_path / "a" / "b" / "m.jsonl"
+        assert main(["experiments", "--scale", "0.0015",
+                     "--output", str(tmp_path / "EXP.md"),
+                     "--metrics-out", str(metrics)]) == 0
+        rows = [json.loads(line)
+                for line in metrics.read_text().splitlines()]
+        assert any(row.get("metric") == "repro_cloud_tasks_total"
+                   for row in rows)
+        assert f"to {metrics}" in capsys.readouterr().out
+
 
 class TestShardedCommands:
     @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])

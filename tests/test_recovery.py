@@ -9,6 +9,7 @@ pools can pickle them (the repo-wide executor invariant).
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -36,6 +37,12 @@ SEED = 20150222
 
 
 def _double(value):
+    return value * 2
+
+
+def _slow_double(value):
+    # Long enough to still be running when a sibling's worker dies.
+    time.sleep(value)
     return value * 2
 
 
@@ -315,6 +322,22 @@ class TestDurableMapPool:
             recovery=RecoveryConfig(run_dir=tmp_path / "run",
                                     resume=True))
         assert resumed.results == [2, 4]
+
+    def test_lost_budget_names_every_item_running_when_the_pool_broke(
+            self, tmp_path, monkeypatch, capsys):
+        # item-1's worker dies while item-0 still runs.  The broken pool
+        # cannot say whose worker died, so the abort must not name
+        # item-0 alone (the first key over budget).
+        monkeypatch.setenv(ENV_VAR, "item-1:1:kill")
+        with pytest.raises(ShardLostError) as excinfo:
+            durable_map(_keys(2), [0.5, 0.0], _slow_double, jobs=2,
+                        recovery=RecoveryConfig(run_dir=tmp_path / "run",
+                                                max_shard_retries=0))
+        assert "item-1" in excinfo.value.keys
+        assert "item-1" in str(excinfo.value)
+        warning = [line for line in capsys.readouterr().err.splitlines()
+                   if "worker pool broke" in line]
+        assert warning and "item-1" in warning[0]
 
     def test_non_durable_run_survives_via_inline_fallback(
             self, monkeypatch, capsys):
