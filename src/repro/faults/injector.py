@@ -8,7 +8,7 @@ Two modes of use, both deterministic:
   interrupt machinery (``Interrupt.cause`` is the :class:`FaultSpec`).
   A waiter is anything with ``Process.interrupt(cause)`` semantics: a
   :class:`~repro.sim.engine.Process`, or a cloud task of
-  :class:`~repro.cloud.fastpath.FastTaskMachine`.  ``bind`` runs
+  :class:`~repro.cloud.fastpath.TaskMachine`.  ``bind`` runs
   before the run schedules anything else, so a window opening at ``s``
   fires first among the events at ``s`` and reaches exactly the waits
   that started before ``s`` and end at or after it.

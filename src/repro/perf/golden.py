@@ -12,15 +12,17 @@ pre-optimisation code, the ``cloud_replay_faulted*`` digests from the
 generator-coroutine task path (``cloud_replay_faulted_dense`` from the
 task machine that registered every wait with the fault injector;
 ``cloud_replay_faulted_broadcast`` is the live code's),
-``cloud_replay_ablations`` from the
-task machines that built a result object per task, ``engine_storm``
+``engine_storm``
 from the single-heap engine that predates batched same-instant dispatch,
 ``cloud_bandwidth_series`` from the per-(flow, bin) Python loop, the
 ``backend_matrix*`` digests from shards that each regenerated their
-week, ``odr_webapp_decide`` from the
-``json.dumps(payload, indent=2)`` rendering of the decision body, and
-``cloud_metrics`` from the per-event engine and per-task cloud
-instruments that predate reading those counts off the run state.
+week, and ``odr_webapp_decide`` from the
+``json.dumps(payload, indent=2)`` rendering of the decision body.
+``cloud_metrics`` and ``cloud_replay_ablations`` are the live code's:
+one task machine for every replay takes one hop per pre-download
+session where the fault-free one took three, which moves the engine's
+event counts and, on a finite pre-downloader fleet, the hop in which a
+VM slot is freed.
 
 Regenerate (only when an output change is intended and understood)::
 
