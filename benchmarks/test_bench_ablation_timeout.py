@@ -31,8 +31,10 @@ def sweep(context, timeout: float, sample_size: int = 1200):
         record = context.workload.catalog[request.file_id]
         limits = SessionLimits(rate_caps=(2.5e6,),
                                stagnation_timeout=timeout)
-        session = DownloadSession(fleet.source_for(record), record.size,
-                                  CLOUD_VANTAGE, limits=limits)
+        session = DownloadSession(
+            fleet.source_for(record.file_id, record.protocol,
+                             record.weekly_demand),
+            record.size, CLOUD_VANTAGE, limits=limits)
         outcome = session.simulate(rng)
         if not outcome.success:
             failures += 1

@@ -11,16 +11,20 @@ operations, and ``np.add.at`` adds the terms into each bin in flow
 order, so each bin's total is the same sequence of float additions and
 the series is bit-identical to the loop's.  A cumulative sum or
 difference array would regroup the additions and drift in the last
-ulp.  Flows are expanded :data:`CHUNK_FLOWS` at a time, so the
-(flow, bin) arrays stay a few MB however long the trace is.
+ulp.  Flows are expanded at most :data:`CHUNK_FLOWS` and
+:data:`CHUNK_TERMS` (flow, bin) terms at a time -- a flow longer than
+that alone is one step -- so the (flow, bin) arrays stay a few MB
+however long the trace and its flows are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Flows expanded into their (flow, bin) terms per step.
+#: Flows expanded into their (flow, bin) terms per step, and the terms
+#: a step expands (about 140 bytes of temporaries each).
 CHUNK_FLOWS = 4096
+CHUNK_TERMS = 16384
 
 
 def bin_rate_series(flows, bin_width: float,
@@ -52,8 +56,16 @@ def bin_rate_series(flows, bin_width: float,
     last = np.minimum(((end - 1e-12) / bin_width).astype(np.int64),
                       n_bins - 1)
     spans = np.maximum(last - first + 1, 0)
-    for lo in range(0, len(start), CHUNK_FLOWS):
-        chunk = slice(lo, lo + CHUNK_FLOWS)
+    through = np.cumsum(spans)   # terms up to and including each flow
+    lo = 0
+    while lo < len(start):
+        # The flows whose terms fit in CHUNK_TERMS: at least one, at
+        # most CHUNK_FLOWS.
+        before = through[lo - 1] if lo else 0
+        hi = int(np.searchsorted(through, before + CHUNK_TERMS, "right"))
+        hi = min(max(hi, lo + 1), lo + CHUNK_FLOWS)
+        chunk = slice(lo, hi)
+        lo = hi
         counts = spans[chunk]
         owner = np.repeat(np.arange(len(counts)), counts)
         offset = np.arange(len(owner)) \

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.workload.popularity import PopularityClass, classify
-from repro.workload.records import CatalogFile
 
 
 @dataclass
@@ -71,20 +70,20 @@ class ContentDatabase:
         row.last_request_time = when
         return row
 
-    def record_requests(self, files: Sequence[CatalogFile],
-                        counts: Sequence[int],
+    def record_requests(self, file_ids: Sequence[str],
+                        sizes: Sequence[float], counts: Sequence[int],
                         last_times: Sequence[float]) -> None:
         """Record a replay's requests at once: each file's request
         count and the time of its last request, as that many
         :meth:`record_request` calls in time order would."""
         rows = self._rows
-        for record, count, when in zip(files, counts, last_times):
-            file_id = record.file_id
+        for file_id, size, count, when in zip(file_ids, sizes, counts,
+                                              last_times):
             row = rows.get(file_id)
             if row is None:
                 row = rows[file_id] = FileMetadata(file_id=file_id,
-                                                   size=record.size)
-            row.size = record.size
+                                                   size=size)
+            row.size = size
             row.request_count += count
             row.last_request_time = when
 

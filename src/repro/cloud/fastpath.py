@@ -3,13 +3,17 @@
 :class:`TaskMachine` is the one implementation of a cloud task, with and
 without fault injection: a replay with no fault plan runs it over an
 empty plan, with no resilience policies.  Per-task state lives in
-preallocated parallel tables (phase codes, phase start times, wait
-deadlines, attempt counts) plus parallel object slots, and every hop is
-a plain scheduled callback that indexes into those tables -- no
-generators, no Process objects, no ``yield`` plumbing.  The arrival
-order is batch-computed with numpy up front; the mutable per-event
-scalars live in plain Python lists, whose single-element reads/writes
-are several times cheaper than numpy fancy indexing.  Each task's
+typed columns only: what a task reads of its file and user (file row,
+size, access bandwidth, ISP code), gathered once from the catalog's and
+the users' columns -- a replay builds no catalog or user row -- and its
+phase code.  Every other per-task slot (waiter, in-flight event, VM
+slot, retry count) is a ``dict`` entry that lives only while its phase
+does, and an attempt's session outcome or fetch pool rides in the
+arguments of its timeout.  Every hop is a plain scheduled callback that
+indexes into those columns -- no generators, no Process objects, no
+``yield`` plumbing.  The arrival order is batch-computed with numpy up
+front; single-element reads of an ``array``/``bytearray`` are several
+times cheaper than numpy scalar indexing.  Each task's
 outcome is written straight into the columns of the replay's
 :class:`~repro.cloud.system.RunTable`; the machine builds no per-task
 result, record, flow or admission object, and writes only what a later
@@ -90,8 +94,8 @@ from repro.cloud.system import (
     GROUP_CODES,
     REJECTED_GROUP,
     RunTable,
+    _array,
     _floats,
-    _take,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CLOUD_KINDS
@@ -165,7 +169,8 @@ class _Task:
                 machine._session_interrupted(idx, error.cause)
                 return
             if phase == PHASE_FETCH:
-                machine._fetch_end(idx, error.cause)
+                machine._fetch_end(idx, machine.exposure[idx][1],
+                                   error.cause)
                 return
         elif phase == PHASE_COALESCE:
             machine._coalesce_done(idx, value)
@@ -210,44 +215,60 @@ class TaskMachine:
         columns = workload.request_columns()
         n = self.n = len(workload.requests)
         table = self.table = RunTable(columns)
-        self.records = table.records
-        self.users = table.users
-        # Fetch admission rows, resolved once per user (the per-fetch
-        # path then never hashes an ISP member).
+        files = columns.files
+        file_rows = columns.file_rows
+
+        # What a task reads of its file and user, gathered once from
+        # the catalog's and the users' columns into typed per-task
+        # columns: its file's row and size, its user's access bandwidth
+        # and the admission row of its user's ISP (one per distinct
+        # ISP, so the per-fetch path never hashes an ISP member).  The
+        # rest is per file, by row: the content id (the key of every
+        # per-file structure), protocol, weekly demand and P2P flag.
+        # Scalar reads of an ``array``/``bytearray``/list cell are
+        # several times cheaper than numpy scalar indexing.
+        self.file_row = _array("q", file_rows)
+        self.size = _array("d", files.column("size")[file_rows])
+        self.bandwidth = _array("d", columns.users.column(
+            "access_bandwidth")[columns.user_rows])
         uploads = cloud.uploads
-        self.rows = _take([uploads.admission_row(user.isp)
-                           for user in columns.users.rows()],
-                          columns.user_rows)
+        isps, codes = table.user_isps()
+        self.rows = [uploads.admission_row(isp) for isp in isps]
+        self.isp = bytearray(codes.astype(np.uint8))
+        self.file_ids = files.file_ids()
+        self.protocols = files.values("protocol")
+        self.demands = files.demands().tolist()
+        self.p2p = bytearray(protocol.is_p2p for protocol in self.protocols)
 
-        # Columnar per-task state: one row per task, written/read by the
-        # phase callbacks.  The mutable scalars are plain lists
-        # (single-element list indexing beats numpy scalar indexing by
-        # ~5x).
-        self.phase = [PHASE_NEW] * n
-
-        # Object slots, live only while the owning phase is (``pools``
-        # keeps the admitting group's pool, a shared object).
-        self.waiters: list[Optional[_Task]] = [None] * n
-        self.events: list = [None] * n
-        self.outcomes: list = [None] * n
-        self.slots: list = [None] * n
-        self.pools: list = [None] * n
+        # Per-task phase codes (``PHASE_*``).  Every other per-task
+        # slot is kept by task only while the task's phase needs it: a
+        # ``dict`` entry popped when the phase ends.  ``waiters`` holds
+        # the task's ``_Task`` from its first wait on an event or a
+        # window until it is done, ``events`` an owner's in-flight
+        # pre-download event and ``slots`` its VM slot until its
+        # pre-download ends.  The value an attempt's end needs (the
+        # session's outcome, the fetch's pool) rides in its timeout's
+        # arguments, or in ``exposure`` for a registered wait.
+        self.phase = bytearray(n)
+        self.waiters: dict[int, _Task] = {}
+        self.events: dict[int, Any] = {}
+        self.slots: dict[int, Any] = {}
 
         # Attempt state.  Under a plan with a window, the current
         # attempt's start and deadline are float columns (see
         # ``_wait``); without one an attempt is never cut short, and a
-        # fetch has one attempt, from ``fetch_start``.  ``attempts``
-        # counts the attempts a retry has ended (see ``_backoff``); a
-        # task that ran its own pre-download resets it for the fetch
-        # (``_pre_finish``).  Across attempts the run table's byte,
-        # traffic and peak cells accumulate the committed checkpoint and
-        # the totals.  What only a fault sets is kept by task, for the
-        # tasks it touched: the impacted tasks, each backoff jitter
+        # fetch has one attempt, from ``fetch_start``.  Across attempts
+        # the run table's byte, traffic and peak cells accumulate the
+        # committed checkpoint and the totals.  What only a fault sets
+        # is kept by task, for the tasks it touched: the attempts a
+        # retry has ended (see ``_backoff``; reset for the fetch by
+        # ``_pre_finish``), the impacted tasks, each backoff jitter
         # stream (created on first draw, as a stream depends only on its
-        # label) and the entity each registered wait is registered on.
+        # label) and, per registered wait, its entity and its attempt's
+        # value.
         self.attempt_start = _floats(n) if self._windows else None
         self.deadline = _floats(n) if self._windows else None
-        self.attempts = [0] * n
+        self.attempts: dict[int, int] = {}
         self.impacted: set[int] = set()
         self.jitter: dict[int, np.random.Generator] = {}
         self.exposure: dict[int, tuple] = {}
@@ -364,14 +385,13 @@ class TaskMachine:
     def _begin(self, idx: int) -> None:
         cloud = self.cloud
         sim = self.sim
-        record = self.records[idx]
-        file_id = record.file_id
+        file_id = self.file_ids[self.file_row[idx]]
         start = sim._now
         self.pre_start[idx] = start
         collaborative = self._collaborative
         if collaborative and self._cache_get(file_id) is not None:
             self.pre_finish[idx] = start
-            self.pre_bytes[idx] = record.size
+            self.pre_bytes[idx] = self.size[idx]
             self.cache_hit[idx] = True
             self._after_predownload(idx, True)
             return
@@ -396,12 +416,15 @@ class TaskMachine:
         self._start_predownload(idx)
 
     def _done(self, idx: int) -> None:
-        """Mark the task terminal and drop its waiter."""
+        """Mark the task terminal and drop what it kept by task."""
         self.phase[idx] = PHASE_DONE
-        self.waiters[idx] = None
+        self.waiters.pop(idx, None)
+        if self._retry is not None:
+            self.attempts.pop(idx, None)
+            self.jitter.pop(idx, None)
 
     def _waiter(self, idx: int) -> _Task:
-        waiter = self.waiters[idx]
+        waiter = self.waiters.get(idx)
         if waiter is None:
             waiter = self.waiters[idx] = _Task(self, idx)
         return waiter
@@ -414,7 +437,7 @@ class TaskMachine:
         """Count a retry of the attempt that just failed at ``layer``
         and return its backoff, or None when no policy allows one."""
         retry = self._retry
-        attempt = self.attempts[idx] + 1
+        attempt = self.attempts.get(idx, 0) + 1
         if retry is None or not retry.allows(attempt + 1):
             return None
         self.attempts[idx] = attempt
@@ -426,21 +449,23 @@ class TaskMachine:
         return retry.backoff(attempt, jitter)
 
     def _wait(self, idx: int, now: float, duration: float, entity: tuple,
-              end) -> None:
-        """Run ``end(idx)`` after ``duration``, a wait on ``entity``.
+              end, value) -> None:
+        """Run ``end(idx, value)`` after ``duration``, a wait on
+        ``entity``; ``value`` is what the attempt's end needs.
 
         With no window in the plan that is one timeout.  Otherwise the
         wait ends at its deadline -- at once if that is not after now --
         and it registers with the injector, and its timeout is
-        token-guarded, iff a window can open inside it.
+        token-guarded, iff a window can open inside it.  A registered
+        wait keeps its entity and ``value`` in ``exposure``.
         """
         if not self._windows:
-            self._call_in(duration, end, idx)
+            self._call_in(duration, end, idx, value)
             return
         self.attempt_start[idx] = now
         deadline = self.deadline[idx] = now + duration
         if not now < deadline:
-            end(idx)
+            end(idx, value)
             return
         # The wait ends when its timeout fires, at ``now + (deadline -
         # now)`` -- which rounding can put one ulp past the deadline --
@@ -449,50 +474,50 @@ class TaskMachine:
                          max(deadline, now + (deadline - now))):
             waiter = self._waiter(idx)
             self.faults.register(entity, waiter)
-            self.exposure[idx] = entity
+            self.exposure[idx] = (entity, value)
             self._call_in(deadline - now, self._exposed_due, idx,
                           waiter._resume_token, end)
         else:
-            self._call_in(deadline - now, end, idx)
+            self._call_in(deadline - now, end, idx, value)
 
     def _exposed_due(self, idx: int, token: int, end) -> None:
         """An exposed wait's deadline timeout.  Token-guarded as
         ``Process._step``: a timeout whose wait an interrupt already
         ended is stale."""
-        waiter = self.waiters[idx]
+        waiter = self.waiters.get(idx)
         if waiter is None or token != waiter._resume_token:
             return   # the wait (or the task) has since ended
         waiter._resume_token = token + 1
         self._continue(idx, end)
 
     def _continue(self, idx: int, end) -> None:
-        """Continue an exposed wait: ``end(idx)`` if its deadline has
-        come, else a token-guarded timeout to it."""
+        """Continue an exposed wait: ``end(idx, value)`` if its deadline
+        has come, else a token-guarded timeout to it."""
         now = self.sim._now
         deadline = self.deadline[idx]
         if now < deadline:
             self._call_in(deadline - now, self._exposed_due, idx,
                           self.waiters[idx]._resume_token, end)
         else:
-            end(idx)
+            end(idx, self.exposure[idx][1])
 
-    def _wait_over(self, idx: int, now: float, fault, end) -> bool:
+    def _wait_over(self, idx: int, now: float, fault, end, value) -> bool:
         """Under a windowed plan, at an attempt's end: re-arm a timeout
         that fired short of the deadline by rounding and return False,
         else end the wait's registration, if any, and return True."""
         if fault is None:
             deadline = self.deadline[idx]
             if now < deadline:
-                self._call_in(deadline - now, end, idx)
+                self._call_in(deadline - now, end, idx, value)
                 return False
-        entity = self.exposure.pop(idx, None)
-        if entity is not None:
-            self.faults.unregister(entity, self.waiters[idx])
+        exposure = self.exposure.pop(idx, None)
+        if exposure is not None:
+            self.faults.unregister(exposure[0], self.waiters[idx])
         return True
 
     def _start_predownload(self, idx: int) -> None:
-        record = self.records[idx]
-        file_id = record.file_id
+        row = self.file_row[idx]
+        file_id = self.file_ids[row]
         now = self.sim._now
         dead = False
         if self._windows:
@@ -516,43 +541,40 @@ class TaskMachine:
                 self._call_in(self._stagnation_timeout, self._pre_stalled,
                               idx)
                 return
-            dead = record.is_p2p and "seed_death" in kinds and inj.active(
+            dead = self.p2p[row] and "seed_death" in kinds and inj.active(
                 "seed_death", file_id, now) is not None
         # With checkpoint-resume on, ``pre_bytes`` holds the committed
         # bytes and the attempt fetches the remainder.
+        size = self.size[idx]
         outcome = self._session_for(
-            record, size=max(record.size - self.pre_bytes[idx], 0.0)
-            if self._resume else None,
-            mid_failure_probability=1.0 if dead else None,
-        ).simulate(self.rng)
-        self.outcomes[idx] = outcome
+            file_id, max(size - self.pre_bytes[idx], 0.0)
+            if self._resume else size, self.protocols[row],
+            self.demands[row], 1.0 if dead else None).simulate(self.rng)
         self.phase[idx] = PHASE_SESSION
         self._wait(idx, now, outcome.duration, ("file", file_id),
-                   self._pre_attempt_end)
+                   self._pre_attempt_end, outcome)
 
     def _session_interrupted(self, idx: int, spec) -> None:
-        if spec.kind != "seed_death" or self.records[idx].is_p2p:
-            self._pre_attempt_end(idx, spec)
+        if spec.kind != "seed_death" or self.p2p[self.file_row[idx]]:
+            self._pre_attempt_end(idx, self.exposure[idx][1], spec)
         else:
             # seed_death on a non-P2P file: no swarm to kill.
             self._continue(idx, self._pre_attempt_end)
 
-    def _pre_attempt_end(self, idx: int, fault=None) -> None:
-        """End a pre-download attempt: at its deadline (``fault`` None;
-        an unexposed wait's timeout lands here directly) or interrupted
-        by the window ``fault``."""
+    def _pre_attempt_end(self, idx: int, outcome: DownloadOutcome,
+                         fault=None) -> None:
+        """End the pre-download attempt that gave ``outcome``: at its
+        deadline (``fault`` None; an unexposed wait's timeout lands here
+        directly) or interrupted by the window ``fault``."""
         now = self.sim._now
-        if self._windows and not self._wait_over(idx, now, fault,
-                                                 self._pre_attempt_end):
+        if self._windows and not self._wait_over(
+                idx, now, fault, self._pre_attempt_end, outcome):
             return
-        record = self.records[idx]
-        file_id = record.file_id
-        outcome = self.outcomes[idx]
-        self.outcomes[idx] = None
+        file_id = self.file_ids[self.file_row[idx]]
         if fault is not None:
             self.impacted.add(idx)
             self.faults.impact(fault)
-            remaining = max(record.size - self.pre_bytes[idx], 0.0)
+            remaining = max(self.size[idx] - self.pre_bytes[idx], 0.0)
             elapsed = now - self.attempt_start[idx]
             frac = min(elapsed / outcome.duration, 1.0) \
                 if outcome.duration > 0 else 1.0
@@ -573,7 +595,7 @@ class TaskMachine:
         if self._resume and obtained > 0:
             self.pre_bytes[idx] += obtained
         if outcome.success:
-            size = record.size
+            size = self.size[idx]
             duration = now - self.pre_start[idx]
             self._pre_finish(idx, True, size,
                              size / duration
@@ -605,12 +627,10 @@ class TaskMachine:
         cloud = self.cloud
         sim = self.sim
         now = sim._now
-        record = self.records[idx]
-        file_id = record.file_id
-        slot = self.slots[idx]
+        file_id = self.file_ids[self.file_row[idx]]
+        slot = self.slots.pop(idx, None)
         if slot is not None:
             cloud._vm_slots.release(slot, sim)
-            self.slots[idx] = None
         self._in_flight.pop(file_id, None)
         if idx in self.impacted:
             self.impacted.discard(idx)
@@ -629,7 +649,7 @@ class TaskMachine:
                 # admitted to the pool (later requests miss).
                 inj.impact(pressure)
             else:
-                cloud.pool.insert(record)
+                cloud.pool.insert(file_id, self.size[idx])
                 cloud.database.set_cached(file_id, True)
         table = self.table
         self.pre_finish[idx] = now
@@ -638,10 +658,9 @@ class TaskMachine:
         if cause is not None:
             table.cause[idx] = cause
         # The fetch counts its attempts, and draws its jitter, afresh.
-        self.attempts[idx] = 0
+        self.attempts.pop(idx, None)
         self.jitter.pop(idx, None)
-        self.events[idx].trigger(idx)
-        self.events[idx] = None
+        self.events.pop(idx).trigger(idx)
         self._after_predownload(idx, success)
 
     def _coalesce_done(self, idx: int, owner: int) -> None:
@@ -650,8 +669,9 @@ class TaskMachine:
         self.pre_finish[idx] = self.sim._now
         success = self.table.success[owner]
         if success:
-            self._cache_get(self.records[idx].file_id)  # count the warm hit
-            self.pre_bytes[idx] = self.records[idx].size
+            # Count the warm hit.
+            self._cache_get(self.file_ids[self.file_row[idx]])
+            self.pre_bytes[idx] = self.size[idx]
             self.cache_hit[idx] = True
         else:
             self.pre_bytes[idx] = self.pre_bytes[owner]
@@ -681,7 +701,7 @@ class TaskMachine:
     # and retries after the window clears plus backoff.  isp_degrade
     # scales candidate flow rates at admission time.  The attempt's
     # path and rate sit in the task's ``fetch_path``/``fetch_rate``
-    # cells until the fetch ends.
+    # cells until the fetch ends; its pool rides to ``_fetch_end``.
 
     def _rejected_flow(self, idx: int, now: float) -> None:
         """Append the flow a rejected fetch would have been, at the
@@ -689,13 +709,13 @@ class TaskMachine:
         self._flow_task(idx)
         self._flow_group(REJECTED_GROUP)
         self._flow_start(now)
-        self._flow_end(now + self.records[idx].size / FETCH_SPEED_MEAN)
+        self._flow_end(now + self.size[idx] / FETCH_SPEED_MEAN)
         self._flow_rate(FETCH_SPEED_MEAN)
 
     def _fetch_attempt(self, idx: int) -> None:
-        row = self.rows[idx]
+        row = self.rows[self.isp[idx]]
         now = self.sim._now
-        bandwidth = self.users[idx].access_bandwidth
+        bandwidth = self.bandwidth[idx]
         down = _NO_GROUPS
         if self._windows:
             inj = self.faults
@@ -729,33 +749,31 @@ class TaskMachine:
         if down and row.label in down and not path.privileged:
             self.faults.failover("cloud-fetch")
         self.fetch_path[idx] = path
-        self.pools[idx] = pool
         self.fetch_rate[idx] = rate
-        remaining = self.records[idx].size
+        remaining = self.size[idx]
         if self._resume:
             remaining = max(remaining - self.fetch_bytes[idx], 0.0)
         duration = remaining / rate if rate > 0 else 0.0
         self.phase[idx] = PHASE_FETCH
         if self._windows:
             self._wait(idx, now, duration, self._entity_of[pool],
-                       self._fetch_end)
+                       self._fetch_end, pool)
         else:   # ``_wait`` with no window, inlined on the hottest hop
-            self._call_in(duration, self._fetch_end, idx)
+            self._call_in(duration, self._fetch_end, idx, pool)
 
-    def _fetch_end(self, idx: int, fault=None) -> None:
-        """End a fetch attempt: at its deadline (``fault`` None; an
-        unexposed wait's timeout lands here directly) or interrupted by
-        the ``server_crash`` window ``fault`` -- the only interrupt kind
-        of the ISP domain."""
+    def _fetch_end(self, idx: int, pool, fault=None) -> None:
+        """End a fetch attempt on ``pool``: at its deadline (``fault``
+        None; an unexposed wait's timeout lands here directly) or
+        interrupted by the ``server_crash`` window ``fault`` -- the only
+        interrupt kind of the ISP domain."""
         now = self.sim._now
         if self._windows:
-            if not self._wait_over(idx, now, fault, self._fetch_end):
+            if not self._wait_over(idx, now, fault, self._fetch_end, pool):
                 return
             start = self.attempt_start[idx]
         else:
             start = self.fetch_start[idx]
         rate = self.fetch_rate[idx]
-        pool = self.pools[idx]
         pool.release(rate)
         # The flow row, open-coded on the hottest hop.
         self._flow_task(idx)
@@ -766,7 +784,7 @@ class TaskMachine:
         if fault is None:
             table = self.table
             random = self._rng_random
-            size = self.records[idx].size
+            size = self.size[idx]
             self.fetch_finish[idx] = now
             self.fetch_bytes[idx] = size
             # ``lo + (hi - lo) * rng.random()`` is the exact computation
@@ -790,7 +808,7 @@ class TaskMachine:
         # failed fetch reports.
         if self._resume:
             moved = min(rate * (now - start), max(
-                self.records[idx].size - self.fetch_bytes[idx], 0.0))
+                self.size[idx] - self.fetch_bytes[idx], 0.0))
             if moved > 0:
                 self.fetch_bytes[idx] += moved
         inj = self.faults

@@ -17,6 +17,7 @@ from repro.cloud.config import CloudConfig
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.transfer.session import DownloadOutcome, DownloadSession, \
     SessionLimits
+from repro.transfer.protocols import Protocol
 from repro.transfer.source import CLOUD_VANTAGE, ContentSource, SourceModel
 from repro.workload.records import CatalogFile
 
@@ -51,36 +52,39 @@ class PreDownloaderFleet:
         self._m_traffic = metrics.counter(
             "repro_cloud_predownload_traffic_bytes_total")
 
-    def source_for(self, record: CatalogFile) -> ContentSource:
-        source = self._sources.get(record.file_id)
+    def source_for(self, file_id: str, protocol: Protocol,
+                   weekly_demand: int) -> ContentSource:
+        """The data source of file ``file_id`` (built on first use)."""
+        source = self._sources.get(file_id)
         if source is None:
-            source = self.source_model.build(
-                record.file_id, record.protocol, record.weekly_demand)
-            self._sources[record.file_id] = source
+            source = self._sources[file_id] = self.source_model.build(
+                file_id, protocol, weekly_demand)
         return source
 
-    def session_for(self, record: CatalogFile,
-                    size: Optional[float] = None,
+    def session_for(self, file_id: str, size: float, protocol: Protocol,
+                    weekly_demand: int,
                     mid_failure_probability: Optional[float] = None,
                     ) -> DownloadSession:
-        """Build one attempt's session.
+        """Build one attempt's session, transferring ``size`` bytes.
 
-        ``size`` overrides the transfer size (checkpoint-resume restarts
-        fetch only the uncommitted remainder); ``mid_failure_probability``
-        overrides the protocol model's mid-transfer failure chance (fault
-        injection forces 1.0 while a swarm's seeds are dead).  Both
-        default to the fault-free behaviour.
+        ``size`` is the file's size, or the uncommitted remainder of a
+        checkpoint-resume restart; ``mid_failure_probability`` overrides
+        the protocol model's mid-transfer failure chance (fault
+        injection forces 1.0 while a swarm's seeds are dead).
         """
-        return DownloadSession(self.source_for(record),
-                               record.size if size is None else size,
-                               CLOUD_VANTAGE, limits=self._limits,
+        return DownloadSession(self.source_for(file_id, protocol,
+                                               weekly_demand),
+                               size, CLOUD_VANTAGE, limits=self._limits,
                                mid_failure_probability=mid_failure_probability,
                                metrics=self.metrics)
 
     def attempt(self, record: CatalogFile,
                 rng: np.random.Generator) -> DownloadOutcome:
-        """Run one pre-download attempt to completion (analytic form)."""
-        outcome = self.session_for(record).simulate(rng)
+        """Run one pre-download attempt of a catalog row to completion
+        (analytic form)."""
+        outcome = self.session_for(
+            record.file_id, record.size, record.protocol,
+            record.weekly_demand).simulate(rng)
         self.account(outcome)
         return outcome
 
@@ -113,8 +117,9 @@ class PreDownloaderFleet:
             session = sessions.get(record.file_id)
             if session is None:
                 session = sessions[record.file_id] = DownloadSession(
-                    self.source_for(record), record.size, CLOUD_VANTAGE,
-                    limits=self._limits)
+                    self.source_for(record.file_id, record.protocol,
+                                    record.weekly_demand),
+                    record.size, CLOUD_VANTAGE, limits=self._limits)
             if not session.simulate(rng).success:
                 failures += 1
         return failures / len(records)

@@ -15,8 +15,7 @@ import numpy as np
 from repro.storage.dedup import ContentStore
 from repro.storage.lru import LRUCache
 from repro.workload.catalog import FileCatalog
-from repro.workload.popularity import PopularityClass
-from repro.workload.records import CatalogFile
+from repro.workload.popularity import PopularityClass, class_codes
 
 
 class CloudStoragePool:
@@ -50,10 +49,10 @@ class CloudStoragePool:
         """Hit-test with recency refresh and hit/miss accounting."""
         return self._cache.get(file_id) is not None
 
-    def insert(self, record: CatalogFile) -> list[str]:
+    def insert(self, file_id: str, size: float) -> list[str]:
         """Cache a freshly pre-downloaded file; returns evicted IDs."""
-        evicted = self._cache.put(record.file_id, record.size, record.size)
-        self._store.add(record.file_id, record.size)
+        evicted = self._cache.put(file_id, size, size)
+        self._store.add(file_id, size)
         for file_id in evicted:
             if file_id in self._store:
                 self._store.drop(file_id)
@@ -65,14 +64,19 @@ class CloudStoragePool:
         """Populate the pool with files cached before the week began.
 
         Files are inserted in random order so the initial LRU ordering
-        carries no popularity bias.  Returns the number seeded.
+        carries no popularity bias.  Returns the number seeded.  Reads
+        the catalog's columns; the shuffled list holds row indices, so
+        it takes the draws a list of rows would.
         """
-        records = list(catalog)
-        rng.shuffle(records)  # type: ignore[arg-type]
+        rows = list(range(len(catalog)))
+        rng.shuffle(rows)  # type: ignore[arg-type]
+        file_ids = catalog.file_ids()
+        sizes = catalog.column("size").tolist()
+        classes = class_codes(catalog.demands()).tolist()
+        chance = [probabilities.get(klass, 0.0) for klass in PopularityClass]
         seeded = 0
-        for record in records:
-            probability = probabilities.get(record.popularity_class, 0.0)
-            if rng.random() < probability:
-                self.insert(record)
+        for row in rows:
+            if rng.random() < chance[classes[row]]:
+                self.insert(file_ids[row], sizes[row])
                 seeded += 1
         return seeded

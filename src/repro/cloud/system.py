@@ -27,7 +27,7 @@ from repro.cloud.upload import PathChoice, UploadingServers
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CLOUD_KINDS, FaultPlan
 from repro.faults.policies import ResiliencePolicies
-from repro.netsim.isp import MAJOR_ISPS
+from repro.netsim.isp import ISP, MAJOR_ISPS
 from repro.obs.registry import AnyRegistry, NOOP
 from repro.paper import IMPEDED_FETCH_THRESHOLD
 from repro.sim.clock import to_gbps
@@ -113,9 +113,13 @@ def _floats(count: int = 0) -> array:
     return array("d", bytes(8 * count))
 
 
-def _take(objects: list, rows: np.ndarray) -> list:
-    """``[objects[row] for row in rows]``."""
-    return list(map(objects.__getitem__, rows.tolist()))
+def _array(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array`` of ``typecode``, copied without a
+    Python number each."""
+    column = array(typecode)
+    column.frombytes(np.ascontiguousarray(values, dtype=typecode)
+                     .data.cast("B"))
+    return column
 
 
 def _view(column, dtype) -> np.ndarray:
@@ -129,10 +133,13 @@ class RunTable:
 
     One row per task, indexed by the task's position in the workload's
     requests.  Each task's file, user, arrival time, weekly demand and
-    task id come from :meth:`Workload.request_columns`, so a week
-    mapped from a columnar trace builds no request row to replay.  The
-    task machine writes each outcome straight into typed columns --
-    ``array('d')`` floats, ``bytearray`` flags and two object lists
+    task id come from :meth:`Workload.request_columns`, and every file
+    or user field is read from the catalog's or the users' columns at
+    the task's file or user row (:meth:`file_field`,
+    :meth:`user_field`): a replay builds no request, catalog or user
+    row.  Only :meth:`task_row` does, for a caller that asks for one.
+    The task machine writes each outcome straight into typed columns
+    -- ``array('d')`` floats, ``bytearray`` flags and two object lists
     (failure cause, fetch path) -- instead of allocating per-task
     record objects.  Columns start zeroed, so a writer only stores the
     fields that differ from zero.
@@ -151,9 +158,6 @@ class RunTable:
     def __init__(self, columns: RequestColumns):
         n = len(columns.times)
         self.task_id = columns.task_id
-        # Per-task file and user, shared with the task machine.
-        self.records = _take(columns.files.rows(), columns.file_rows)
-        self.users = _take(columns.users.rows(), columns.user_rows)
         self._columns = columns
         self.demand = columns.files.demands()[columns.file_rows]
         # Pre-download columns.
@@ -186,12 +190,34 @@ class RunTable:
         self.flow_rate = _floats()
         self.retried_rejects = _floats()
 
+    # -- file and user fields ------------------------------------------------------
+
+    def file_field(self, name: str, tasks: np.ndarray) -> np.ndarray:
+        """Catalog column ``name`` at the file of each of ``tasks``."""
+        columns = self._columns
+        return columns.files.column(name)[columns.file_rows[tasks]]
+
+    def user_field(self, name: str, tasks: np.ndarray) -> np.ndarray:
+        """User column ``name`` at the user of each of ``tasks``."""
+        columns = self._columns
+        return columns.users.column(name)[columns.user_rows[tasks]]
+
+    def user_isps(self) -> tuple[list[ISP], np.ndarray]:
+        """The distinct home ISPs of the week's users, and each task's
+        user's ISP as an index into them."""
+        columns = self._columns
+        names, codes = np.unique(columns.users.column("isp"),
+                                 return_inverse=True)
+        return ([ISP(name.decode("utf-8")) for name in names.tolist()],
+                codes[columns.user_rows])
+
     # -- rows ------------------------------------------------------------------
 
     def pre_record(self, idx: int) -> PreDownloadRecord:
-        record = self.records[idx]
+        columns = self._columns
         return PreDownloadRecord(
-            self.task_id(idx), record.file_id,
+            self.task_id(idx),
+            columns.files.file_ids()[columns.file_rows.item(idx)],
             self.pre_start[idx], self.pre_finish[idx], self.pre_bytes[idx],
             self.pre_traffic[idx], bool(self.cache_hit[idx]),
             self.pre_rate[idx], self.pre_peak[idx],
@@ -201,10 +227,14 @@ class RunTable:
         state = self.fetch_state[idx]
         if state == FETCH_NONE:
             return None
-        user = self.users[idx]
+        user = self._columns.user_rows.item(idx)
+        value = self._columns.users.value
         return FetchRecord(
-            self.task_id(idx), user.user_id, user.ip_address,
-            user.reported_bandwidth, self.fetch_start[idx],
+            self.task_id(idx), value("user_id", user),
+            value("ip_address", user),
+            value("access_bandwidth", user)
+            if value("reports_bandwidth", user) else None,
+            self.fetch_start[idx],
             self.fetch_finish[idx], self.fetch_bytes[idx],
             self.fetch_traffic[idx], self.fetch_rate[idx],
             self.fetch_peak[idx], state == FETCH_REJECTED)
@@ -212,11 +242,12 @@ class RunTable:
     def task_row(self, position: int) -> TaskResult:
         """The task that finished its pre-download ``position``-th."""
         idx = self.order[position]
-        record = self.records[idx]
+        columns = self._columns
+        record = columns.files.row(columns.file_rows.item(idx))
         return TaskResult(
-            request_record(self.task_id(idx),
-                           self._columns.times.item(idx), record,
-                           self.users[idx]),
+            request_record(self.task_id(idx), columns.times.item(idx),
+                           record,
+                           columns.users.row(columns.user_rows.item(idx))),
             record, self.pre_record(idx), self.fetch_record(idx),
             self.fetch_path[idx])
 
@@ -228,16 +259,18 @@ class RunTable:
                  > HIGHLY_POPULAR_ABOVE),
             self.flow_group[position] == REJECTED_GROUP)
 
-    def requests_per_file(self) -> tuple[list[CatalogFile], list[int],
-                                         list[float]]:
-        """(file, request count, time of the last request) of every
-        requested file, in catalog row order."""
+    def requests_per_file(self) -> tuple[list[str], list[float],
+                                         list[int], list[float]]:
+        """(file id, size, request count, time of the last request) of
+        every requested file, in catalog row order."""
         files, file_rows = self._columns.files, self._columns.file_rows
         counts = np.bincount(file_rows, minlength=len(files))
         last = np.full(len(files), -np.inf)
         np.maximum.at(last, file_rows, _view(self.pre_start, np.float64))
-        rows = np.flatnonzero(counts)
-        return (_take(files.rows(), rows), counts[rows].tolist(),
+        rows = np.flatnonzero(counts).tolist()
+        file_ids = files.file_ids()
+        return ([file_ids[row] for row in rows],
+                files.column("size")[rows].tolist(), counts[rows].tolist(),
                 last[rows].tolist())
 
     # -- numpy views -------------------------------------------------------------
@@ -259,13 +292,12 @@ class RunTable:
         if name == "rejected":
             return self.flow_column("group") == REJECTED_GROUP
         if name == "crossed":
-            columns = self._columns
-            home = np.array([GROUP_CODES.get(user.isp, REJECTED_GROUP)
-                             for user in columns.users.rows()],
-                            dtype=np.uint8)
+            isps, codes = self.user_isps()
+            home = np.array([GROUP_CODES.get(isp, REJECTED_GROUP)
+                             for isp in isps], dtype=np.uint8)
             group = self.flow_column("group")
             return (group != REJECTED_GROUP) & (group != home[
-                columns.user_rows[self.flow_column("task")]])
+                codes[self.flow_column("task")]])
         column = getattr(self, f"flow_{name}")
         if isinstance(column, bytearray):
             return _view(column, np.uint8)
@@ -392,11 +424,8 @@ class CloudRunResult:
         speeds = table.ordered("fetch_rate")[succeeded]
         positive = delays > 0
         positions = np.flatnonzero(succeeded)[positive]
-        order = table.order
-        records = table.records
-        sizes = np.fromiter((records[order[position]].size
-                             for position in positions.tolist()),
-                            dtype=np.float64, count=len(positions))
+        sizes = table.file_field("size",
+                                 _view(table.order, np.int64)[positions])
         speeds[positive] = sizes / delays[positive]
         return _cdf(speeds)
 
@@ -476,17 +505,14 @@ class CloudRunResult:
         rows = order[impeded]
         rejected = table.ordered("fetch_state")[impeded] == FETCH_REJECTED
         paths = table.fetch_path
-        users = table.users
         barrier = np.fromiter(
             (paths[idx] is not None and not paths[idx].privileged
              for idx in rows.tolist()), dtype=bool, count=len(rows))
         # Unreported access bandwidth is approximated by the peak
         # fetch speed, exactly as the paper's footnote 2 does.
-        peaks = table.ordered("fetch_peak")[impeded]
-        approx = np.fromiter(
-            (users[idx].access_bandwidth if users[idx].reports_bandwidth
-             else peak for idx, peak in zip(rows.tolist(), peaks.tolist())),
-            dtype=np.float64, count=len(rows))
+        approx = np.where(table.user_field("reports_bandwidth", rows),
+                          table.user_field("access_bandwidth", rows),
+                          table.ordered("fetch_peak")[impeded])
         barrier &= ~rejected
         low = ~rejected & ~barrier & (approx < IMPEDED_FETCH_THRESHOLD)
         counts = {"isp_barrier": int(np.count_nonzero(barrier)),
@@ -608,9 +634,9 @@ class XuanfengCloud:
             self.pool.preseed(workload.catalog,
                               self.config.precached_probability,
                               self._rng_factory.stream("preseed"))
-            for record in workload.catalog:
-                if record.file_id in self.pool:
-                    self.database.set_cached(record.file_id, True)
+            for file_id in workload.catalog.file_ids():
+                if file_id in self.pool:
+                    self.database.set_cached(file_id, True)
 
         # Imported here: the machine module imports this one.
         from repro.cloud.fastpath import TaskMachine

@@ -85,6 +85,7 @@ class FileCatalog(CachedRows):
     def _set_blocks(self, blocks: dict[str, Column]) -> None:
         super()._set_blocks(blocks)
         self._by_file_id: Optional[dict[str, CatalogFile]] = None
+        self._file_ids: Optional[list[str]] = None
         self._ranking: Optional[np.ndarray] = None
 
     def generate(self, count: int, rng: np.random.Generator) -> None:
@@ -146,6 +147,13 @@ class FileCatalog(CachedRows):
 
     def __getitem__(self, file_id: str) -> CatalogFile:
         return self._by_id()[file_id]
+
+    def file_ids(self) -> list[str]:
+        """Every file's content id, in row order: decoded once, from the
+        id column alone (no row is built)."""
+        if self._file_ids is None:
+            self._file_ids = self.values("file_id")
+        return self._file_ids
 
     def demands(self) -> np.ndarray:
         """The weekly demand column (shared with snapshots: do not write

@@ -398,6 +398,11 @@ class ColumnTable:
         """Field ``name`` of row ``index``, decoding only that element."""
         return self._scalars()[name](index)
 
+    def values(self, name: str) -> list:
+        """Field ``name`` of every row, in row order, building no row."""
+        return self._decode(name, dict(SCHEMAS[self.record_name])[name],
+                            slice(None))
+
     def take(self, indices: Sequence[int]) -> list:
         """Decode exactly the given rows, in the given order."""
         return self._build(np.asarray(indices, dtype=np.intp))

@@ -75,22 +75,20 @@ class TestCloudStoragePool:
         pool = CloudStoragePool(1e9)
         record = make_file()
         assert not pool.lookup(record.file_id)
-        pool.insert(record)
+        pool.insert(record.file_id, record.size)
         assert pool.lookup(record.file_id)
         assert pool.hit_ratio == 0.5
 
     def test_insert_tracks_bytes(self):
         pool = CloudStoragePool(1e9)
-        pool.insert(make_file(size=4e8))
+        pool.insert("x", 4e8)
         assert pool.used_bytes == 4e8
         assert len(pool) == 1
 
     def test_lru_eviction_under_pressure(self):
         pool = CloudStoragePool(1e9)
-        first = make_file("a", size=6e8)
-        second = make_file("b", size=6e8)
-        pool.insert(first)
-        evicted = pool.insert(second)
+        pool.insert("a", 6e8)
+        evicted = pool.insert("b", 6e8)
         assert evicted == ["a"]
         assert "a" not in pool and "b" in pool
 
@@ -236,7 +234,10 @@ class TestPreDownloaderFleet:
     def test_sources_are_cached_per_file(self):
         fleet = PreDownloaderFleet(CloudConfig())
         record = make_file()
-        assert fleet.source_for(record) is fleet.source_for(record)
+        source = fleet.source_for(record.file_id, record.protocol,
+                                  record.weekly_demand)
+        assert fleet.source_for(record.file_id, record.protocol,
+                                record.weekly_demand) is source
 
     def test_attempt_accounting_and_traffic(self):
         fleet = PreDownloaderFleet(CloudConfig())

@@ -302,8 +302,9 @@ class TestDerivedAfterRun:
     derived from the run table once the replay ends and must equal what
     per-event bookkeeping gives."""
 
-    def test_flow_flags(self, result):
+    def test_flow_flags(self, week, result):
         table = result.table
+        columns = week.request_columns()
         tasks = table.flow_column("task").tolist()
         rejected = table.flow_column("rejected").tolist()
         crossed = table.flow_column("crossed").tolist()
@@ -313,7 +314,8 @@ class TestDerivedAfterRun:
         checked = 0
         for task, was_rejected, was_crossed, was_popular in zip(
                 tasks, rejected, crossed, popular):
-            assert was_popular == (table.records[task].popularity_class
+            record = columns.files.row(columns.file_rows[task])
+            assert was_popular == (record.popularity_class
                                    is PopularityClass.HIGHLY_POPULAR)
             if was_rejected:
                 assert not was_crossed

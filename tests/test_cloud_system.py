@@ -154,3 +154,61 @@ class TestFastPathEquivalence:
 
         assert digest(cloud_payload(cloud_result)) == \
             self.GENERATOR_PATH_DIGEST
+
+
+class TestCacheOracle:
+    """The LRU's hit and miss counts of a fault-free week whose pool
+    evicts nothing, derived from the request columns, the preseeded
+    files and the run table by the documented lookup rule: ``_begin``
+    looks a task's file up once, and a coalesced waiter looks it up
+    again when its owner's pre-download succeeds."""
+
+    def test_hits_and_misses_follow_from_the_columns(self, monkeypatch):
+        from collections import defaultdict
+
+        import numpy as np
+
+        from repro.cloud import CloudConfig, XuanfengCloud
+        from repro.cloud.storagepool import CloudStoragePool
+        from repro.workload import WorkloadConfig, WorkloadGenerator
+
+        preseeded: set[str] = set()
+        preseed = CloudStoragePool.preseed
+
+        def recording(pool, catalog, *args):
+            seeded = preseed(pool, catalog, *args)
+            preseeded.update(file_id for file_id in catalog.file_ids()
+                             if file_id in pool)
+            return seeded
+
+        monkeypatch.setattr(CloudStoragePool, "preseed", recording)
+        week = WorkloadGenerator(WorkloadConfig(scale=0.002)).generate()
+        cloud = XuanfengCloud(CloudConfig(scale=0.002))
+        result = cloud.run(week)
+        stats = cloud.pool._cache.stats
+        assert stats.evictions == 0 and preseeded
+
+        # With no eviction a file is in the pool from its preseeding or
+        # from the end of its first successful own pre-download on.
+        columns = week.request_columns()
+        table = result.table
+        file_ids = week.catalog.file_ids()
+        starts = table.pre_start.tolist()
+        finishes = table.pre_finish.tolist()
+        tasks_of = defaultdict(list)
+        for idx in np.argsort(columns.times, kind="stable").tolist():
+            tasks_of[file_ids[columns.file_rows[idx]]].append(idx)
+        hits = misses = 0
+        for file_id, tasks in tasks_of.items():
+            cached_from = -np.inf if file_id in preseeded else np.inf
+            for idx in tasks:
+                if table.coalesced[idx]:
+                    misses += 1
+                    hits += table.success[idx]   # the owner's outcome
+                elif cached_from <= starts[idx]:
+                    hits += 1
+                else:   # the task pre-downloads the file itself
+                    misses += 1
+                    if table.success[idx]:
+                        cached_from = min(cached_from, finishes[idx])
+        assert (stats.hits, stats.misses) == (hits, misses)

@@ -294,10 +294,51 @@ def test_a_mapped_week_builds_each_row_once_on_access(constructions,
     assert week.catalog.row(3) is first
     assert week.catalog[first.file_id] is first
     assert list(week.catalog)[3] is first
-    assert week.users[-1] is week.users[len(week.users) - 1]
     XuanfengCloud(CloudConfig(scale=0.002)).run(week)
-    assert constructions == {CatalogFile: len(week.catalog),
-                             User: len(week.users)}
+    # The replay builds no row: the users are still unbuilt.
+    assert constructions == {CatalogFile: len(week.catalog), User: 0}
+    assert week.users[-1] is week.users[len(week.users) - 1]
+    assert constructions[User] == len(week.users)
+
+
+@pytest.mark.parametrize("source", ["generated", "columnar", "faulted"])
+def test_a_replay_and_its_reductions_build_no_row(constructions, tmp_path,
+                                                  source):
+    from pathlib import Path
+
+    from repro.cloud import CloudConfig, XuanfengCloud
+    from repro.faults import DEFAULT_POLICIES, FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+    from repro.workload.records import CatalogFile, User
+    from repro.workload.traceio import load_workload, save_workload
+    week = WorkloadGenerator(WorkloadConfig(scale=0.002)).generate()
+    injector = policies = None
+    if source == "columnar":
+        save_workload(week, tmp_path, trace_format="columnar")
+        week = load_workload(tmp_path)
+    elif source == "faulted":
+        injector = FaultInjector(FaultPlan.from_file(
+            Path(__file__).resolve().parents[1] / "examples"
+            / "chaos_plan.json"))
+        policies = DEFAULT_POLICIES
+    result = XuanfengCloud(CloudConfig(scale=0.002), faults=injector,
+                           policies=policies).run(week)
+    # The bench's reductions, and those that read file or user fields.
+    assert len(result.tasks) == len(week.requests)
+    result.fetch_speed_cdf()
+    result.attempt_speed_cdf()
+    result.bandwidth_series(only_highly_popular=True)
+    result.failure_ratio_by_class()
+    result.e2e_speed_cdf()
+    result.impeded_breakdown()
+    result.table.flow_column("crossed")
+    assert 0 < result.cache_hit_ratio < 1
+    if injector is not None:
+        assert injector.impacts > 0
+    assert constructions == {CatalogFile: 0, User: 0}
+    result.tasks[0]   # a task row is built from its file and user rows
+    assert constructions[CatalogFile] and constructions[User]
 
 
 def test_a_snapshot_keeps_its_week_as_later_weeks_evolve():
