@@ -16,7 +16,7 @@ from typing import Optional
 from repro.workload.popularity import PopularityClass, classify
 
 
-@dataclass
+@dataclass(slots=True)
 class FileMetadata:
     """Per-file bookkeeping row."""
 

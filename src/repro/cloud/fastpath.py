@@ -305,7 +305,6 @@ class TaskMachine:
         # ``ISP`` member is a Python-level call).
         self._entity_of = {pool: ("isp", isp.value)
                            for isp, pool in uploads.pools.items()}
-        self.pre_start = table.pre_start
         self.pre_finish = table.pre_finish
         self.pre_bytes = table.pre_bytes
         self.cache_hit = table.cache_hit
@@ -387,7 +386,6 @@ class TaskMachine:
         sim = self.sim
         file_id = self.file_ids[self.file_row[idx]]
         start = sim._now
-        self.pre_start[idx] = start
         collaborative = self._collaborative
         if collaborative and self._cache_get(file_id) is not None:
             self.pre_finish[idx] = start
@@ -596,7 +594,7 @@ class TaskMachine:
             self.pre_bytes[idx] += obtained
         if outcome.success:
             size = self.size[idx]
-            duration = now - self.pre_start[idx]
+            duration = now - self._times.item(idx)
             self._pre_finish(idx, True, size,
                              size / duration
                              if self._measured and duration > 0
@@ -636,7 +634,7 @@ class TaskMachine:
             self.impacted.discard(idx)
             inj = self.faults
             if success:
-                inj.recover("cloud-pre", now - self.pre_start[idx])
+                inj.recover("cloud-pre", now - self._times.item(idx))
             else:
                 inj.abort("cloud-pre")
         if success and self._collaborative:

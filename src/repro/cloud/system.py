@@ -159,9 +159,10 @@ class RunTable:
         n = len(columns.times)
         self.task_id = columns.task_id
         self._columns = columns
+        self.arrival = columns.times
         self.demand = columns.files.demands()[columns.file_rows]
-        # Pre-download columns.
-        self.pre_start = _floats(n)
+        # Pre-download columns; a pre-download starts at its task's
+        # arrival.
         self.pre_finish = _floats(n)
         self.pre_bytes = _floats(n)
         self.pre_traffic = _floats(n)
@@ -218,7 +219,7 @@ class RunTable:
         return PreDownloadRecord(
             self.task_id(idx),
             columns.files.file_ids()[columns.file_rows.item(idx)],
-            self.pre_start[idx], self.pre_finish[idx], self.pre_bytes[idx],
+            self.arrival.item(idx), self.pre_finish[idx], self.pre_bytes[idx],
             self.pre_traffic[idx], bool(self.cache_hit[idx]),
             self.pre_rate[idx], self.pre_peak[idx],
             bool(self.success[idx]), self.cause[idx])
@@ -266,7 +267,7 @@ class RunTable:
         files, file_rows = self._columns.files, self._columns.file_rows
         counts = np.bincount(file_rows, minlength=len(files))
         last = np.full(len(files), -np.inf)
-        np.maximum.at(last, file_rows, _view(self.pre_start, np.float64))
+        np.maximum.at(last, file_rows, self.arrival)
         rows = np.flatnonzero(counts).tolist()
         file_ids = files.file_ids()
         return ([file_ids[row] for row in rows],
@@ -386,7 +387,8 @@ class CloudRunResult:
 
     def _pre_delays(self) -> np.ndarray:
         table = self.table
-        return table.ordered("pre_finish") - table.ordered("pre_start")
+        return table.ordered("pre_finish") \
+            - table.arrival[_view(table.order, np.int64)]
 
     def _fetch_delays(self) -> np.ndarray:
         table = self.table
@@ -681,7 +683,7 @@ class XuanfengCloud:
             metrics.record_bins(metrics.counter(name), bins.tolist(),
                                 counts[bins].astype(float).tolist())
 
-        arrivals = _view(table.pre_start, np.float64)
+        arrivals = table.arrival
         hit = (_view(table.cache_hit, np.uint8) != 0) \
             & (_view(table.coalesced, np.uint8) == 0)
         starts = table.flow_column("start")

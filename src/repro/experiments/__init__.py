@@ -3,8 +3,9 @@
 Each driver consumes a shared :class:`ExperimentContext` (one synthetic
 week, one cloud run, one AP replay -- built lazily and memoised) and
 returns an :class:`ExperimentReport` holding paper-vs-measured rows plus
-a rendered text table.  The benchmark harness under ``benchmarks/`` and
-EXPERIMENTS.md are both generated from these reports.
+a rendered text table.  EXPERIMENTS.md is generated from these reports,
+and the scorecard (:mod:`repro.experiments.scorecard`) checks each
+report's rows and data against the paper's figure and table bounds.
 """
 
 from repro.experiments.base import ExperimentReport, REGISTRY, register

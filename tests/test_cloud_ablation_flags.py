@@ -24,10 +24,13 @@ class TestCacheSwitch:
                                         collaborative_cache=False)) \
             .run(small_workload)
         assert off.cache_hit_ratio == 0.0
-        assert off.request_failure_ratio > on.request_failure_ratio
+        # The paper's counterfactual: the pool halves failures (8.7%
+        # with it, 16.4% without).
+        assert off.request_failure_ratio > 1.8 * on.request_failure_ratio
         # Every request pays a pre-download attempt without the cache.
         assert off.fleet.attempts >= len(small_workload.requests)
         assert on.fleet.attempts < 0.5 * off.fleet.attempts
+        assert off.fleet.traffic_bytes > 3.0 * on.fleet.traffic_bytes
 
 
 class TestPrivilegedPathSwitch:
@@ -41,12 +44,14 @@ class TestPrivilegedPathSwitch:
         # the most-headroom group at rest.
         assert candidates[0] is not ISP.CERNET
 
-    def test_isp_blind_cloud_degrades_fetches(self, small_workload):
-        aware = XuanfengCloud(CloudConfig(scale=SMALL.scale)) \
-            .run(small_workload)
-        blind = XuanfengCloud(CloudConfig(scale=SMALL.scale,
+    def test_isp_blind_cloud_degrades_fetches(self, workload,
+                                              cloud_result):
+        # The shared week: at scale 0.002 the ISP-blind cloud's impeded
+        # share is only ~1.3x the aware one's.
+        blind = XuanfengCloud(CloudConfig(scale=cloud_result.config.scale,
                                           privileged_paths=False)) \
-            .run(small_workload)
-        assert blind.impeded_fetch_share > aware.impeded_fetch_share
+            .run(workload)
+        assert blind.impeded_fetch_share > \
+            1.5 * cloud_result.impeded_fetch_share
         assert blind.fetch_speed_cdf().median < \
-            aware.fetch_speed_cdf().median
+            0.6 * cloud_result.fetch_speed_cdf().median

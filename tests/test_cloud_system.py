@@ -193,7 +193,7 @@ class TestCacheOracle:
         columns = week.request_columns()
         table = result.table
         file_ids = week.catalog.file_ids()
-        starts = table.pre_start.tolist()
+        starts = columns.times.tolist()
         finishes = table.pre_finish.tolist()
         tasks_of = defaultdict(list)
         for idx in np.argsort(columns.times, kind="stable").tolist():

@@ -9,6 +9,7 @@ from repro.core.bba import (
     simulate_playback,
     streaming_verdict,
 )
+from repro.paper import IMPEDED_FETCH_THRESHOLD
 from repro.sim.clock import kbps
 
 
@@ -96,3 +97,25 @@ class TestStreamingVerdict:
         assert not hard_rule(steady_slow) and \
             streaming_verdict(steady_slow)
         assert not streaming_verdict(bursty, rebuffer_tolerance=0.02)
+
+    def test_bba_rescues_impeded_fetches_of_the_week(self, cloud_result):
+        """Section 6.1 on the simulated week's fetch speeds: BBA-0 plays
+        a meaningful share of the 'impeded' fetches at a lower rung and
+        almost never rejects one the hard rule passes."""
+        rng = np.random.default_rng(99)
+        speeds = [record.average_speed
+                  for record in cloud_result.fetch_records
+                  if not record.rejected][:1500]
+        verdicts = []
+        for speed in speeds:
+            # A mildly bursty per-second profile around the flow's mean.
+            profile = speed * rng.uniform(0.7, 1.3, size=240)
+            verdicts.append((speed >= IMPEDED_FETCH_THRESHOLD,
+                             streaming_verdict(profile)))
+        hard_ok = sum(1 for hard, _bba in verdicts if hard)
+        bba_ok = sum(1 for _hard, bba in verdicts if bba)
+        rescued = sum(1 for hard, bba in verdicts if bba and not hard)
+        lost = sum(1 for hard, bba in verdicts if hard and not bba)
+        assert lost < 0.02 * len(verdicts)
+        assert bba_ok > hard_ok
+        assert rescued > 0.05 * len(verdicts)

@@ -104,12 +104,15 @@ class TestBottleneckImprovements:
 
 class TestOtherBaselines:
     def test_always_hybrid_hits_b4(self, evaluator, benchmark_sample,
-                                   cloud):
+                                   cloud, odr_result):
         result = evaluator.replay(benchmark_sample,
                                   AlwaysHybridStrategy(cloud.database))
         assert result.write_path_limited_share > 0.03
         mix = result.route_mix()
         assert mix.get("cloud+ap", 0.0) > 0.8
+        # Staging everything through the cloud forgoes ODR's B2 saving.
+        assert odr_result.cloud_bandwidth_bytes < \
+            0.75 * result.cloud_bandwidth_bytes
 
     def test_ams_ignores_b1_and_b4(self, evaluator, benchmark_sample,
                                    cloud, odr_result):

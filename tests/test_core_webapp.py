@@ -98,6 +98,27 @@ class TestInProcessRouting:
         assert status == 200
         assert payload["action"] == "cloud+ap"
 
+    def test_query_mix_takes_three_routes(self, app):
+        # Four query shapes: the user's device, cloud then AP, the
+        # smart AP and (the unpopular FTP file) cloud pre-download.
+        queries = [
+            "/decide?link=magnet://origin/f{i}&popularity=200"
+            "&bandwidth_mbps=20&ap=newifi&device=usb-flash"
+            "&filesystem=ntfs",
+            "/decide?link=http://host/f{i}&popularity=3&cached=1"
+            "&bandwidth_mbps=0.5&ap=hiwifi",
+            "/decide?link=ed2k://origin/f{i}&popularity=500"
+            "&bandwidth_mbps=10&ap=miwifi",
+            "/decide?link=ftp://host/f{i}&popularity=1&bandwidth_mbps=4",
+        ]
+        actions = set()
+        for index in range(200):
+            status, _type, body, _cookie, _headers = app.handle(
+                queries[index % len(queries)].format(i=index))
+            assert status == 200
+            actions.add(json.loads(body)["action"])
+        assert {"user_device", "cloud+ap", "smart_ap"} <= actions
+
     def test_bad_parameter_is_a_400_not_a_crash(self, app):
         status, _type, body, _cookie, _headers = app.handle(
             "/decide?link=gopher://host/f")

@@ -477,6 +477,11 @@ class TestRunTableMetrics:
         if not faulted:
             assert value["repro_cloud_cache_misses_total"] \
                 == result.pool._cache.stats.misses
+        names = metrics.metric_names()
+        assert len(names) >= 8
+        for subsystem in ("cloud", "sim", "transfer"):
+            assert any(name.startswith(f"repro_{subsystem}_")
+                       for name in names), subsystem
         for isp, pool in uploads.pools.items():
             gauge = metrics.gauge("repro_cloud_upload_gbps", isp=isp.value)
             assert gauge.peak == to_gbps(pool.peak_committed)

@@ -91,3 +91,20 @@ class TestContentStore:
         store.add("x", 1.0)
         store.add("y", 2.0)
         assert len(store) == 2
+
+
+class TestWeekDedup:
+    def test_file_level_dedup_pays_and_chunking_would_not(self, workload):
+        # Section 2.1: Xuanfeng skips chunk-level dedup for its "low
+        # (<1%) storage space savings".
+        store = ContentStore()
+        for request in workload.requests:
+            record = workload.catalog[request.file_id]
+            store.add(record.file_id, record.size)
+        file_level_savings = store.logical_bytes - store.physical_bytes
+        chunk_extra = store.estimate_chunk_dedup_savings()
+        # Requests repeat files ~7x...
+        assert store.dedup_ratio > 3.0
+        # ...while chunking would reclaim under 1% more.
+        assert chunk_extra < 0.01 * store.physical_bytes
+        assert chunk_extra < 0.01 * file_level_savings

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.clock import DAY
 from repro.transfer.ledbat import (
     BottleneckLink,
     LedbatController,
@@ -127,3 +128,26 @@ class TestScavenging:
         link = BottleneckLink(capacity=1e6, propagation_delay=0.02)
         result = simulate_scavenging(link, [0.3e6] * 2000, step=0.05)
         assert result.mean_queueing_delay < 3 * TARGET_DELAY
+
+    def test_seeding_scavenges_the_weeks_troughs(self, cloud_result):
+        """Section 6.1's LEDBAT seeding on the cloud's upload links: the
+        simulated week's day-6 burden, each 5-minute bin compressed to
+        one second of fluid simulation (the diurnal shape is what
+        matters)."""
+        capacity = cloud_result.config.scaled_upload_capacity
+        series = cloud_result.bandwidth_series(300.0)
+        bins_per_day = int(DAY / 300.0)
+        profile = np.repeat(series[5 * bins_per_day:6 * bins_per_day], 10)
+        link = BottleneckLink(capacity=capacity, propagation_delay=0.03,
+                              max_queue_bytes=0.5 * capacity)
+        result = simulate_scavenging(link, list(profile), step=0.1)
+        rates = np.array(result.ledbat_rate_series)
+        busy = profile > 0.8 * capacity
+        idle_rate = rates[profile < 0.5 * capacity].mean()
+        # Scavenges real bandwidth off-peak...
+        assert idle_rate > 0.2 * capacity
+        # ...yields hard when the fetch traffic peaks...
+        assert busy.any()
+        assert rates[busy].mean() < 0.5 * idle_rate
+        # ...and never builds a painful standing queue.
+        assert result.mean_queueing_delay < 0.4

@@ -106,12 +106,19 @@ class TestPersistentCloudWarmup:
         trajectory = run_weeks(cloud, generator, 3)
         assert all(isinstance(entry, WeekStats)
                    for entry in trajectory)
+        first, *rest = trajectory
         # Hit ratio climbs markedly after the first week...
         assert trajectory[1].cache_hit_ratio > \
             trajectory[0].cache_hit_ratio + 0.03
+        assert all(entry.cache_hit_ratio > first.cache_hit_ratio + 0.02
+                   for entry in rest)
         # ...failures drop...
         assert trajectory[1].request_failure_ratio < \
             trajectory[0].request_failure_ratio
-        # ...and the pool keeps accumulating content.
+        assert all(entry.request_failure_ratio <=
+                   first.request_failure_ratio for entry in rest)
+        # ...the pool keeps accumulating content...
         pools = [entry.pool_files for entry in trajectory]
         assert pools[0] < pools[1] < pools[2]
+        # ...and the steady state approaches the paper's 89% hit ratio.
+        assert rest[-1].cache_hit_ratio > 0.85
