@@ -11,6 +11,7 @@ import pytest
 
 from repro.ap.benchrig import ApBenchmarkRig
 from repro.cloud import CloudConfig, XuanfengCloud
+from repro.experiments.context import DEFAULT_SCALE, ExperimentContext
 from repro.workload import (
     WorkloadConfig,
     WorkloadGenerator,
@@ -59,6 +60,13 @@ def benchmark_sample(workload):
 def ap_report(workload, benchmark_sample):
     rig = ApBenchmarkRig(workload.catalog)
     return rig.replay(benchmark_sample)
+
+
+@pytest.fixture(scope="session")
+def default_context():
+    """The default experiment week (scale 0.02, default seed), built
+    once for the paper checks and the tests that need that week."""
+    return ExperimentContext(scale=DEFAULT_SCALE)
 
 
 @pytest.fixture()
